@@ -70,10 +70,6 @@ GATED_GRIDS: tuple[tuple[str, str, tuple[str, ...], str], ...] = (
         "txns_per_sec",
     ),
     ("net", "net_smoke", ("engine", "workload", "scenario", "n"), "txns_per_sec"),
-    # Three-arm batching ablation (off / fixed / adaptive) on the
-    # capacity-bound cell: the arms are distinct engine names, so each
-    # arm's wall-clock rate is gated like any other cell.
-    ("net", "net_batching_ablation", ("engine", "workload", "scenario", "n"), "txns_per_sec"),
     # Gateway levels gate on paced throughput: only unsaturated rows
     # carry ``paced_tps`` (the arrival process pins it to the offered
     # rate), so the noisy capacity probes drop out of the gate.

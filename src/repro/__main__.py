@@ -32,9 +32,9 @@ every protocol message serialized through the versioned wire codec and
 carried over TCP sockets, with wall-clock client latency/throughput
 and a post-run safety audit of the collected chains and state digests
 (``BENCH_net.json``).  The smoke slice is n=4 on localhost (lan +
-crash + a cheap capacity-bound cell exercising adaptive batching and
-delayed flush); ``REPRO_HEAVY=1`` adds n=7, the geo latency matrix,
-the chained baseline engines, and the capacity cells at both sizes.
+crash + a cheap capacity-bound cell); ``REPRO_HEAVY=1`` adds n=7, the
+geo latency matrix, the chained baseline engines, and the capacity
+cells at both sizes.
 
 ``gateway`` is the client-plane experiment: the layered gateway
 service (HTTP/WebSocket handlers → admission/batching/subscription

@@ -2,11 +2,10 @@
 
 Every behavioural escape hatch used to be a private ``os.environ``
 lookup buried in the module it toggled — batching in
-:mod:`repro.multishot.batching`, the delayed flush and the uvloop
-switch in :mod:`repro.net.transport`, the heavy-grid flag in each
-``eval`` CLI.  That sprawl made the knob set unenumerable: nothing
-stated which variables existed, which spellings counted as "on", or
-what the defaults were.  :class:`ReproConfig` is the one typed answer.
+:mod:`repro.multishot.batching`, the heavy-grid flag in each ``eval``
+CLI.  That sprawl made the knob set unenumerable: nothing stated which
+variables existed, which spellings counted as "on", or what the
+defaults were.  :class:`ReproConfig` is the one typed answer.
 
 Design constraints, in order:
 
@@ -17,9 +16,9 @@ Design constraints, in order:
 * **Read once, revalidated cheaply.**  :func:`repro_config` parses the
   environment once and caches the frozen result; the cache is keyed on
   a fingerprint of the raw variable values, so in-process env mutation
-  (the ablation harness swapping arms, tests monkeypatching) is picked
-  up without re-parsing on every call.  Replica subprocesses are
-  spawned fresh and parse their inherited environment independently.
+  (tests monkeypatching) is picked up without re-parsing on every
+  call.  Replica subprocesses are spawned fresh and parse their
+  inherited environment independently.
 * **Knobs, not wiring.**  Structural parameters (ports, peer tables,
   cluster shape) stay in the explicit spec/config dataclasses; this
   surface carries only the cross-cutting behavioural switches.
@@ -49,9 +48,6 @@ DEFAULT_SNAPSHOT_INTERVAL = 32
 #: Raw variables the config is parsed from, fingerprint order.
 _ENV_KEYS = (
     "REPRO_NO_BATCH",
-    "REPRO_NO_DELAY",
-    "REPRO_NO_UVLOOP",
-    "REPRO_BATCH_POLICY",
     "REPRO_HEAVY",
     "REPRO_DATA_DIR",
     "REPRO_WAL_FSYNC_WINDOW",
@@ -74,14 +70,6 @@ class ReproConfig:
     #: ``REPRO_NO_BATCH`` — disable message-plane (and gateway
     #: submission) batching; the A/B ablation's off switch.
     no_batch: bool = False
-    #: ``REPRO_NO_DELAY`` — disable the transport's delayed flush.
-    no_delay: bool = False
-    #: ``REPRO_NO_UVLOOP`` — force the stock asyncio loop.
-    no_uvloop: bool = False
-    #: ``REPRO_BATCH_POLICY`` — raw policy selector (``adaptive`` /
-    #: ``fixed`` / ``fixed:<n>``); interpreted by
-    #: :func:`repro.multishot.batching.batch_policy_from_env`.
-    batch_policy: str = ""
     #: ``REPRO_HEAVY`` — truthy string enables the full bench grids
     #: (historically any non-empty value, not the flag spelling).
     heavy: bool = False
@@ -125,9 +113,6 @@ class ReproConfig:
             raise ConfigurationError(f"snapshot_interval must be >= 1, got {interval}")
         return cls(
             no_batch=_flag(env.get("REPRO_NO_BATCH")),
-            no_delay=_flag(env.get("REPRO_NO_DELAY")),
-            no_uvloop=_flag(env.get("REPRO_NO_UVLOOP")),
-            batch_policy=env.get("REPRO_BATCH_POLICY", ""),
             heavy=bool(env.get("REPRO_HEAVY")),
             data_dir=env.get("REPRO_DATA_DIR") or None,
             wal_fsync_window=window,
@@ -145,8 +130,8 @@ def repro_config() -> ReproConfig:
 
     The cache is invalidated by comparing the raw values of every
     :data:`_ENV_KEYS` variable — a tuple compare per call — so callers
-    may treat this as "read once" while tests and the ablation harness
-    keep mutating ``os.environ`` mid-process.
+    may treat this as "read once" while tests keep mutating
+    ``os.environ`` mid-process.
     """
     global _CACHE
     fingerprint = tuple(os.environ.get(key) for key in _ENV_KEYS)

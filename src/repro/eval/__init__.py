@@ -27,7 +27,6 @@ from repro.eval.gateway_bench import (
 )
 from repro.eval.net_bench import (
     NetRow,
-    run_net_batching_ablation,
     run_net_cell,
     run_net_grid,
     run_net_smoke,
@@ -67,7 +66,6 @@ __all__ = [
     "run_gateway_cell",
     "run_lemma_chain",
     "run_net_cell",
-    "run_net_batching_ablation",
     "run_net_grid",
     "run_net_smoke",
     "run_pipeline",

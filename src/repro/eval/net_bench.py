@@ -24,9 +24,7 @@ Scenarios:
   sleeping on the pacing clock.  The recorded ``busy_duty`` — summed
   replica+driver CPU seconds over elapsed wall time × usable cores —
   is the evidence: Δ-paced cells idle near 0, a capacity cell runs hot
-  (the heavy grid asserts > 0.8).  This is the only cell where the
-  batching/delayed-flush planes can show up as wall-clock txns/sec,
-  which is exactly what the three-arm ablation measures.
+  (the heavy grid asserts > 0.8).
 * ``restart`` — the kill-and-restart cell: a durable (DiskStorage)
   cluster, one replica SIGTERMed halfway through the workload and
   respawned over its data dir at 75%.  The new process recovers its
@@ -92,10 +90,10 @@ LAN_LATENCY = 0.002
 
 #: The capacity cell's pacing: Δ fifty times tighter than the lan
 #: scenario and near-bare-metal links, so the bottleneck is codec +
-#: dispatch + syscalls — the planes this bench ablates — not the Δ
-#: clock.  At this Δ the measured busy duty cycle clears 0.8 on a
-#: single-core host (leaders burn empty slots whenever the mempool
-#: idles, so the cluster is CPU-bound by construction).
+#: dispatch + syscalls, not the Δ clock.  At this Δ the measured busy
+#: duty cycle clears 0.8 on a single-core host (leaders burn empty
+#: slots whenever the mempool idles, so the cluster is CPU-bound by
+#: construction).
 CAPACITY_TIME_SCALE = 0.001
 CAPACITY_LATENCY = 0.0002
 
@@ -131,13 +129,11 @@ class NetRow:
     #: elapsed × usable cores) — near 0 for Δ-paced cells, high when
     #: the cell is capacity-bound.
     busy_duty: float = 0.0
-    #: Summed transport delayed-flush counters across every replica's
-    #: peer lanes: socket writes, frames and bytes they carried, and
-    #: microseconds spent holding buffers for company.
+    #: Summed transport write counters across every replica's peer
+    #: lanes: socket writes, and the frames and bytes they carried.
     flushes: int = 0
     frames_flushed: int = 0
     bytes_flushed: int = 0
-    held_us: int = 0
     #: Replicas killed and respawned over their data dirs (restart cell).
     restarted: tuple[int, ...] = ()
     #: Whether every restarted replica came back, caught up, and
@@ -175,7 +171,7 @@ class NetRow:
 
     @property
     def frames_per_flush(self) -> float:
-        """Physical frames per socket write — the delayed-flush payoff."""
+        """Physical frames per socket write — what the wakeup drain merges."""
         if self.flushes <= 0:
             return 0.0
         return self.frames_flushed / self.flushes
@@ -347,7 +343,6 @@ def _row_from_result(
         flushes=int(_metric_sum(result.replies, "transport.flushes")),
         frames_flushed=int(_metric_sum(result.replies, "transport.frames_flushed")),
         bytes_flushed=int(_metric_sum(result.replies, "transport.bytes_flushed")),
-        held_us=int(_metric_sum(result.replies, "transport.held_us")),
         restarted=result.restarted,
         converged=converged,
         recovered_blocks=recovered,
@@ -364,72 +359,14 @@ def _row_from_result(
 def run_net_smoke(txns: int = 40, batch: int = 10) -> list[NetRow]:
     """The CI-sized slice: n=4 TetraBFT, every workload on lan, plus
     the crash cell that demonstrates f=1 fault tolerance end to end,
-    the n=7 bursty cell, one cheap n=4 capacity cell so the adaptive
-    batching + delayed-flush path is exercised on every PR, and the
-    kill-and-restart cell proving snapshot+WAL recovery end to end."""
+    the n=7 bursty cell, one cheap n=4 capacity cell so the CPU-bound
+    message path is exercised on every PR, and the kill-and-restart
+    cell proving snapshot+WAL recovery end to end."""
     rows = [run_net_cell(workload, "lan", 4, txns=txns, batch=batch) for workload in NET_WORKLOADS]
     rows.append(run_net_cell("uniform", "crash", 4, txns=txns, batch=batch))
     rows.append(run_net_cell("bursty", "lan", 7, txns=txns, batch=batch))
     rows.append(run_net_cell("bursty", "capacity", 4, txns=txns, batch=batch))
     rows.append(run_net_cell("uniform", "restart", 4, txns=txns, batch=batch))
-    return rows
-
-
-def _median_by_rate(rows: list[NetRow]) -> NetRow:
-    """The row with the median wall-clock rate of its arm."""
-    ordered = sorted(rows, key=lambda row: row.txns_per_sec)
-    return ordered[len(ordered) // 2]
-
-
-#: The three ablation arms, worst to best expected: (record engine
-#: name, env knobs the replica processes inherit).  ``off`` strips
-#: both planes (PR 5's transport), ``fixed`` is PR 6's constant-cap
-#: batching with no transport hold, ``adaptive`` is this PR's default.
-ABLATION_ARMS = (
-    ("tetrabft-nobatch", {"REPRO_NO_BATCH": "1", "REPRO_NO_DELAY": "1"}),
-    ("tetrabft-fixed", {"REPRO_BATCH_POLICY": "fixed", "REPRO_NO_DELAY": "1"}),
-    ("tetrabft", {}),
-)
-
-#: Every env knob an ablation arm may set; scrubbed between arms.
-_ABLATION_KNOBS = ("REPRO_NO_BATCH", "REPRO_BATCH_POLICY", "REPRO_NO_DELAY")
-
-
-def run_net_batching_ablation(
-    n: int = 7, txns: int = 50, batch: int = 10, repeats: int = 3
-) -> list[NetRow]:
-    """Message-plane A/B/C over real sockets: the capacity-bound n=7
-    bursty cell with both planes off / fixed batching / adaptive
-    batching + delayed flush, selected via the replica processes'
-    inherited environment.
-
-    The wall-clock txns/sec deltas are what each plane is worth end to
-    end — fewer syscalls, fewer frames, one codec pass per batch.  A
-    single cluster run's rate swings well past the effect size on a
-    busy host, so arms are **interleaved** (one round runs all three,
-    so host drift hits every arm equally) over ``repeats`` rounds and
-    each arm reports its median-rate row.
-    """
-    samples: dict[str, list[NetRow]] = {engine: [] for engine, _ in ABLATION_ARMS}
-    for _ in range(repeats):
-        for engine, env in ABLATION_ARMS:
-            saved = {knob: os.environ.pop(knob, None) for knob in _ABLATION_KNOBS}
-            os.environ.update(env)
-            try:
-                samples[engine].append(
-                    run_net_cell("bursty", "capacity", n, txns=txns, batch=batch)
-                )
-            finally:
-                for knob in _ABLATION_KNOBS:
-                    os.environ.pop(knob, None)
-                for knob, value in saved.items():
-                    if value is not None:
-                        os.environ[knob] = value
-    rows = []
-    for engine, _ in ABLATION_ARMS:
-        row = _median_by_rate(samples[engine])
-        row.engine = engine
-        rows.append(row)
     return rows
 
 
@@ -478,7 +415,6 @@ def net_record(row: NetRow) -> dict:
         "flushes": row.flushes,
         "frames_flushed": row.frames_flushed,
         "bytes_flushed": row.bytes_flushed,
-        "held_us": row.held_us,
         "frames_per_flush": row.frames_per_flush,
         "bytes_per_flush": row.bytes_per_flush,
         "restarted": list(row.restarted),

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from repro.config import repro_config
 from repro.gateway.ratelimit import AdmissionController
 from repro.metrics.smr_trackers import nearest_rank_percentiles
-from repro.multishot.batching import AdaptiveBatchPolicy
 from repro.net.client import AckCorrelator, ReplicaPool
 from repro.net.codec import CollectReply, CommitAck
 from repro.obs import CommitPathTracer, MetricsRegistry, items_to_dict
@@ -104,13 +103,10 @@ class GatewayConfig:
     rate: float = 200.0
     #: Token-bucket burst capacity per client.
     burst: float = 50.0
-    #: Upper bound on how long a submission may wait for batch-mates
-    #: before flushing; the effective window shrinks with the observed
-    #: arrival rate (waiting longer than it takes to fill a batch buys
-    #: nothing but latency).
+    #: Cap on how long a submission waits for batch-mates: the buffer
+    #: flushes this many seconds after its first submission arrived.
     batch_window: float = 0.005
-    #: Upper bound of the adaptive flush threshold: flush at the latest
-    #: once this many submissions are buffered.
+    #: Cap on the buffer: the submission that fills it flushes at once.
     max_batch: int = 64
     #: Per-subscriber event queue depth before eviction.
     subscriber_queue: int = 256
@@ -213,14 +209,6 @@ class GatewayService:
         #: exactly as it disables VoteBatch coalescing in the engines —
         #: the ablation knob means one thing repo-wide.
         self._batching = not repro_config().no_batch
-        #: Same deterministic controller as the message plane, over
-        #: submissions per flush: the threshold sits at ``max_batch``
-        #: under sustained load and decays when flushes run light.
-        self._batch_policy = AdaptiveBatchPolicy(
-            lo=min(2, config.max_batch), hi=config.max_batch, start=config.max_batch
-        )
-        self._last_arrival: float | None = None
-        self._gap_ewma: float | None = None
         self._flush_handle: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._snapshot_task: asyncio.Task | None = None
@@ -296,28 +284,12 @@ class GatewayService:
             self.counters["flushes"] += 1
             self.counters["flushed_txns"] += 1
             return status
-        if self._last_arrival is not None:
-            gap = max(now - self._last_arrival, 0.0)
-            self._gap_ewma = gap if self._gap_ewma is None else 0.8 * self._gap_ewma + 0.2 * gap
-        self._last_arrival = now
         self._buffer.append(txn)
-        if len(self._buffer) >= self._batch_policy.limit:
+        if len(self._buffer) >= self.config.max_batch:
             self._flush()
         elif self._flush_handle is None and self._loop is not None:
-            self._flush_handle = self._loop.call_later(self._window(), self._flush)
+            self._flush_handle = self._loop.call_later(self.config.batch_window, self._flush)
         return status
-
-    def _window(self) -> float:
-        """Arrival-rate-scaled flush deadline, capped at ``batch_window``.
-
-        At the observed inter-arrival gap the buffer needs about
-        ``limit × gap`` seconds to fill; waiting longer than that only
-        adds latency, so the window shrinks toward it under fast
-        arrivals and rests at the configured cap under slow ones.
-        """
-        if self._gap_ewma is None:
-            return self.config.batch_window
-        return min(self.config.batch_window, self._batch_policy.limit * self._gap_ewma)
 
     def _flush(self) -> None:
         if self._flush_handle is not None:
@@ -329,7 +301,6 @@ class GatewayService:
         self.pool.submit_many(batch)
         for txn in batch:
             self.tracer.record(txn.txid, "submit")
-        self._batch_policy.observe(len(batch))
         self.counters["flushes"] += 1
         self.counters["flushed_txns"] += len(batch)
 

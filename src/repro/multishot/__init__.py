@@ -2,10 +2,7 @@
 
 from repro.multishot.batching import (
     MAX_BATCH,
-    AdaptiveBatchPolicy,
     BatchingContext,
-    FixedBatchPolicy,
-    batch_policy_from_env,
     batching_enabled,
     iter_logical,
 )
@@ -28,14 +25,12 @@ from repro.multishot.node import (
 )
 
 __all__ = [
-    "AdaptiveBatchPolicy",
     "BatchingContext",
     "Block",
     "BlockStore",
     "ChainState",
     "Digest",
     "FINALITY_WINDOW",
-    "FixedBatchPolicy",
     "GENESIS_DIGEST",
     "MAX_BATCH",
     "MSProof",
@@ -48,7 +43,6 @@ __all__ = [
     "MultiShotNode",
     "RETENTION_SLOTS",
     "VoteBatch",
-    "batch_policy_from_env",
     "batching_enabled",
     "default_payload",
     "iter_logical",

@@ -26,16 +26,8 @@ The batching is *semantics-free* by construction:
   timer-driven activations generically; ``start`` and ``receive``
   flush explicitly at activation end.
 
-How large one envelope may grow is a *policy*, not a constant.  The
-default is :class:`AdaptiveBatchPolicy` — a small deterministic
-controller (additive-increase / halving-decrease inside a hysteresis
-band) that sizes the chunk cap to the observed per-activation queue
-depth: sustained full flushes widen the cap toward ``hi``, sustained
-near-empty flushes shrink it toward ``lo``, and anything inside the
-band leaves it alone.  :class:`FixedBatchPolicy` (``fixed(n)``)
-reproduces the historical constant cap exactly.  Selection is per
-process via ``REPRO_BATCH_POLICY`` (``adaptive`` — the default —
-``fixed`` or ``fixed:<n>``); every policy is semantics-free — it only
+One envelope carries at most :data:`MAX_BATCH` logical messages; a
+longer run of broadcasts leaves as several envelopes.  The cap only
 decides how many logical messages share a physical frame, never what
 or when anything is delivered.
 
@@ -55,149 +47,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from repro.config import repro_config
-from repro.errors import ConfigurationError
 from repro.multishot.messages import VoteBatch
 
-#: The historical fixed chunk cap (PR 6's ``MAX_BATCH``): the constant
-#: :class:`FixedBatchPolicy` defaults to, and the starting point of the
-#: adaptive controller.  In practice one activation emits a handful of
-#: broadcasts, so the cap mostly guards pathological adversarial
-#: fan-out — which is exactly why a load-adaptive policy can shrink it
-#: on quiet links and grow it under pressure without changing
-#: semantics.
+#: Most logical messages one envelope may carry.  One activation emits
+#: a handful of broadcasts, so the cap only guards pathological
+#: adversarial fan-out.
 MAX_BATCH = 32
-
-
-class FixedBatchPolicy:
-    """The constant chunk cap: today's ``MAX_BATCH`` behavior, pinned.
-
-    ``observe`` is a no-op — the limit never moves — which makes this
-    policy the byte-exact reference arm of every batching ablation.
-    """
-
-    __slots__ = ("_limit",)
-
-    def __init__(self, limit: int = MAX_BATCH) -> None:
-        if limit < 1:
-            raise ConfigurationError(f"batch limit must be >= 1, got {limit}")
-        self._limit = limit
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def observe(self, occupancy: int) -> None:
-        pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FixedBatchPolicy({self._limit})"
-
-
-class AdaptiveBatchPolicy:
-    """Deterministic load-adaptive chunk cap: AIMD inside a hysteresis band.
-
-    The controller is a pure function of its observation sequence (no
-    clocks, no randomness — the same observations always produce the
-    same limit sequence, which is what keeps adaptive batching
-    replayable and auditable):
-
-    * ``observe(occupancy)`` is called once per flush with how many
-      units (messages, frames, transactions — the caller's currency)
-      that flush carried;
-    * occupancy at or above ``hi_band`` of the current limit (and at
-      least 2 — a singleton flush is never growth pressure) **doubles**
-      the limit, clamped to ``hi``;
-    * occupancy below ``lo_band`` of the limit for ``patience``
-      consecutive flushes **halves** it, clamped to ``lo``;
-    * anything inside the band leaves the limit untouched — the
-      hysteresis gap (growth lands the limit where the same occupancy
-      sits above ``lo_band``) is what prevents oscillation on flat
-      load.
-    """
-
-    __slots__ = ("lo", "hi", "hi_band", "lo_band", "patience", "_limit", "_lows")
-
-    def __init__(
-        self,
-        lo: int = 1,
-        hi: int = 256,
-        start: int | None = None,
-        hi_band: float = 0.75,
-        lo_band: float = 0.25,
-        patience: int = 3,
-    ) -> None:
-        if lo < 1:
-            raise ConfigurationError(f"adaptive batch lo bound must be >= 1, got {lo}")
-        if hi < lo:
-            raise ConfigurationError(f"adaptive batch bounds need lo <= hi, got [{lo}, {hi}]")
-        if not 0.0 < lo_band < hi_band <= 1.0:
-            raise ConfigurationError(
-                f"adaptive bands need 0 < lo_band < hi_band <= 1, got [{lo_band}, {hi_band}]"
-            )
-        if patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {patience}")
-        self.lo = lo
-        self.hi = hi
-        self.hi_band = hi_band
-        self.lo_band = lo_band
-        self.patience = patience
-        start = lo if start is None else start
-        self._limit = min(max(start, lo), hi)
-        self._lows = 0
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def observe(self, occupancy: int) -> None:
-        limit = self._limit
-        if occupancy >= 2 and occupancy >= limit * self.hi_band:
-            self._limit = min(limit * 2, self.hi)
-            self._lows = 0
-        elif occupancy < limit * self.lo_band:
-            self._lows += 1
-            if self._lows >= self.patience:
-                self._limit = max(limit // 2, self.lo)
-                self._lows = 0
-        else:
-            self._lows = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AdaptiveBatchPolicy(limit={self._limit}, lo={self.lo}, hi={self.hi})"
-
-
-#: Bounds of the message-plane adaptive policy: the cap may shrink to
-#: the historical constant's quarter on quiet links and grow to 256
-#: logical messages per envelope under adversarial fan-out pressure.
-ADAPTIVE_LO = 8
-ADAPTIVE_HI = 256
-
-
-def batch_policy_from_env() -> FixedBatchPolicy | AdaptiveBatchPolicy:
-    """The chunk-cap policy ``REPRO_BATCH_POLICY`` selects.
-
-    * unset / ``adaptive`` — :class:`AdaptiveBatchPolicy` seeded at the
-      historical constant;
-    * ``fixed`` — :class:`FixedBatchPolicy` at ``MAX_BATCH`` (PR 6's
-      exact behavior);
-    * ``fixed:<n>`` — :class:`FixedBatchPolicy` at ``n``.
-    """
-    raw = repro_config().batch_policy.strip().lower()
-    if raw in ("", "adaptive"):
-        return AdaptiveBatchPolicy(lo=ADAPTIVE_LO, hi=ADAPTIVE_HI, start=MAX_BATCH)
-    if raw == "fixed":
-        return FixedBatchPolicy(MAX_BATCH)
-    if raw.startswith("fixed:"):
-        try:
-            limit = int(raw.split(":", 1)[1])
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_BATCH_POLICY={raw!r}: fixed:<n> needs an integer"
-            ) from None
-        return FixedBatchPolicy(limit)
-    raise ConfigurationError(
-        f"unknown REPRO_BATCH_POLICY {raw!r}; known: adaptive, fixed, fixed:<n>"
-    )
 
 
 def batching_enabled() -> bool:
@@ -221,21 +76,13 @@ class BatchingContext:
     consecutive broadcasts into :class:`VoteBatch` envelopes.
 
     Forwards the full context surface; only ``broadcast`` defers work.
-    ``policy`` sets the chunk cap (``None`` consults
-    ``REPRO_BATCH_POLICY``); the policy observes each flush's occupancy
-    so an adaptive cap tracks the per-activation queue depth.
     """
 
-    __slots__ = ("_inner", "_buffer", "_policy")
+    __slots__ = ("_inner", "_buffer")
 
-    def __init__(self, inner, policy=None) -> None:
+    def __init__(self, inner) -> None:
         self._inner = inner
         self._buffer: list[object] = []
-        self._policy = policy if policy is not None else batch_policy_from_env()
-
-    @property
-    def policy(self):
-        return self._policy
 
     # -- the batching surface --------------------------------------------------
 
@@ -265,15 +112,12 @@ class BatchingContext:
             message = buffer[0]
             buffer.clear()
             inner.broadcast(message)
-            self._policy.observe(1)
             return
         messages = tuple(buffer)
         buffer.clear()
-        limit = self._policy.limit
-        for start in range(0, len(messages), limit):
-            chunk = messages[start : start + limit]
+        for start in range(0, len(messages), MAX_BATCH):
+            chunk = messages[start : start + MAX_BATCH]
             inner.broadcast(chunk[0] if len(chunk) == 1 else VoteBatch(chunk))
-        self._policy.observe(len(messages))
 
     # -- plain forwarding ------------------------------------------------------
 

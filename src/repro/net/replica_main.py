@@ -53,8 +53,9 @@ from repro.net.codec import (
     StateTransferRequest,
 )
 from repro.net.client import REFERENCE_TIME_SCALE
-from repro.net.transport import LinkLatency, NetContext, NetTransport, install_uvloop
+from repro.net.transport import LinkLatency, NetContext, NetTransport
 from repro.obs import CommitPathTracer, EventLog, MetricsRegistry
+from repro.sim.trace import TraceKind
 from repro.smr.engine import engine_factory
 from repro.smr.mempool import Transaction
 from repro.smr.replica import Replica
@@ -161,7 +162,13 @@ class _AckingTrackers(SMRTrackers):
 
 
 class _ObsNetContext(NetContext):
-    """NetContext that counts view entries and logs them as events."""
+    """NetContext that counts view changes and logs them as events.
+
+    Engines announce a view entry either with ``report_view_entry`` or,
+    per slot, with a bare ``trace(VIEW_ENTER, slot=, view=)``.  The
+    first ends in ``trace`` as well, so that is the one place to look.
+    View 0 is a slot starting, not a view change.
+    """
 
     def __init__(self, node_id, transport, time_scale, registry, events) -> None:
         super().__init__(node_id, transport, time_scale)
@@ -169,13 +176,14 @@ class _ObsNetContext(NetContext):
         self._view = registry.gauge("consensus.view")
         self._events = events
 
-    def report_view_entry(self, view: int) -> None:
-        super().report_view_entry(view)
-        if view > self._view.value:
-            self._view.set(view)
-        if view > 0:
+    def trace(self, kind: TraceKind, **detail: object) -> None:
+        super().trace(kind, **detail)
+        if kind is TraceKind.VIEW_ENTER and detail["view"] > 0:
+            view = detail["view"]
+            if view > self._view.value:
+                self._view.set(view)
             self._view_changes.inc()
-        self._events.emit("view_enter", view=view)
+            self._events.emit("view_enter", **detail)
 
 
 class ReplicaProcess:
@@ -553,7 +561,6 @@ def run_replica(spec: ReplicaSpec) -> None:
     # exception" warnings until the transport notices; the reconnect
     # machinery exists precisely to absorb those, so quiet them.
     logging.getLogger("asyncio").setLevel(logging.ERROR)
-    install_uvloop()
     asyncio.run(ReplicaProcess(spec).run())
 
 

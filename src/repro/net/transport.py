@@ -9,21 +9,9 @@ frames.  Design points, in the order they matter operationally:
 * **Coalesced writes** — each writer wakeup drains every already-due
   frame in its queue into a single ``writev``-style buffer and hands
   the socket one write, so a burst of aggregated vote frames costs one
-  syscall, not one per frame.
-* **Adaptive delayed flush** — a Nagle-style hold window per peer
-  lane: when recent traffic shows frames arriving close together, a
-  sub-threshold buffer is held up to a deadline scaled off the link
-  RTT observed on the reconnect path, so several activations' frames
-  share one syscall.  The hold is governed by the same deterministic
-  :class:`~repro.multishot.batching.AdaptiveBatchPolicy` controller
-  the message plane uses (over frames per flush): an idle, Δ-paced
-  lane decays the target back to one frame and stops holding, so
-  latency-bound cells never pay the window.  Flush-critical frames —
-  anything that is not good-case vote/proposal traffic, e.g. a
-  timer-driven view change — bypass the hold immediately, and
-  ``REPRO_NO_DELAY=1`` disables holding process-wide.  Per-lane
-  ``flushes`` / ``frames`` / ``bytes`` / ``held_us`` counters feed the
-  bench layer through ``CollectReply``.
+  syscall, not one per frame.  A frame leaves on the first wakeup
+  after it is due.  Per-lane ``flushes`` / ``frames`` / ``bytes``
+  counters feed the bench layer through ``CollectReply``.
 * **Reconnect with backoff** — replicas start at different instants
   and may crash mid-run; a writer that cannot connect (or loses its
   connection) retries with exponential backoff while its queue keeps
@@ -51,34 +39,12 @@ import asyncio
 import logging
 from collections.abc import Callable
 
-from repro.config import repro_config
 from repro.errors import ConfigurationError
 from repro.metrics.collectors import RunMetrics
-from repro.multishot.batching import AdaptiveBatchPolicy
 from repro.net.codec import WIRE_CODEC, CodecError, FrameBuffer, Hello, WireCodec
 from repro.sim.trace import Trace, TraceKind
 
 _LOG = logging.getLogger(__name__)
-
-
-def install_uvloop() -> bool:
-    """Switch asyncio to ``uvloop``'s event loop when it is installed.
-
-    ``uvloop`` is an *optional* extra (``pip install repro[uvloop]``);
-    the deployment subsystem must run identically without it, so a
-    missing module is the documented fallback, not an error.  Returns
-    ``True`` when uvloop's policy is now active, ``False`` when stock
-    asyncio remains in charge.  Set ``REPRO_NO_UVLOOP=1`` to force the
-    stock loop even where uvloop is available (A/B timing runs).
-    """
-    if repro_config().no_uvloop:
-        return False
-    try:
-        import uvloop
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
 
 #: Reconnect backoff: first retry after INITIAL, doubling to CAP.
 BACKOFF_INITIAL = 0.05
@@ -88,90 +54,6 @@ BACKOFF_CAP = 1.0
 #: dead peer must not grow our memory without bound; consensus already
 #: tolerates message loss (that is what view changes are for).
 MAX_OUTBOUND_QUEUE = 65_536
-
-#: A buffer at or past this many bytes flushes immediately — holding a
-#: bulk transfer for more company only adds latency.
-FLUSH_THRESHOLD = 16_384
-
-#: Clamp bounds of the per-lane hold window, seconds.  The window is
-#: RTT-scaled (see below) but must stay far below any Δ geometry the
-#: benches run — 2 ms against the smallest 4 ms Δ keeps timers honest.
-FLUSH_WINDOW_MIN = 100e-6
-FLUSH_WINDOW_MAX = 2e-3
-
-#: Longest the hold will wait for the *next* frame, seconds.  Frames
-#: emitted by one activation burst land microseconds apart; one that
-#: has not arrived within this gap is a round-trip away (a peer must
-#: speak first), and waiting out the rest of the window for it would
-#: only delay the quorum it is part of.  The gap — not the window —
-#: bounds the latency cost of an unfilled hold.
-FLUSH_GAP = 200e-6
-
-#: Hold window as a multiple of the RTT observed while (re)connecting
-#: the lane: on a LAN a few RTTs is enough for a neighboring
-#: activation's frames to arrive; on a slow link the clamp caps it.
-FLUSH_RTT_FACTOR = 4.0
-
-#: frames-per-flush bounds of the per-lane adaptive controller.  The
-#: target starts (and idles) at 1 — no holding at all — and only grows
-#: while holding demonstrably merges extra frames.
-FLUSH_TARGET_HI = 64
-
-#: With the hold target idled at 1, probe with a real hold every this
-#: many eligible flushes: the only way to learn that traffic turned
-#: merge-friendly again costs one gap-bounded wait per interval.
-FLUSH_PROBE_INTERVAL = 32
-
-
-def delay_enabled() -> bool:
-    """Whether peer lanes may hold sub-threshold buffers (default: yes).
-
-    ``REPRO_NO_DELAY=1`` (or ``true``/``yes``) forces every frame to
-    flush on its own wakeup — the PR 6 transport behavior — for A/B
-    runs and latency-sensitive deployments.
-    """
-    return not repro_config().no_delay
-
-
-_DELAYABLE_TYPES: tuple[type, ...] | None = None
-_SLOT_MESSAGE: type | None = None
-_VOTE_BATCH: type | None = None
-
-
-def _delayable_types() -> tuple[type, ...]:
-    # Lazy: the transport must not import protocol modules at import
-    # time (the codec defers its registry the same way).
-    global _DELAYABLE_TYPES, _SLOT_MESSAGE, _VOTE_BATCH
-    if _DELAYABLE_TYPES is None:
-        from repro.baselines.base import BPhaseVote, BProposal
-        from repro.baselines.chained import SlotMessage
-        from repro.multishot.messages import MSProposal, MSVote, VoteBatch
-
-        _SLOT_MESSAGE = SlotMessage
-        _VOTE_BATCH = VoteBatch
-        _DELAYABLE_TYPES = (MSVote, MSProposal, BProposal, BPhaseVote)
-    return _DELAYABLE_TYPES
-
-
-def flush_critical(message: object) -> bool:
-    """Whether holding ``message`` in a delay window could stall anyone.
-
-    Good-case traffic — votes, proposals, and envelopes containing
-    only those — is delayable: it flows continuously, so a bounded
-    hold only merges it.  Everything else (view changes, suggest/proof
-    recovery traffic, catch-up transfers, control frames) is
-    timer-driven or rare, and a peer may be blocked on it: those
-    frames bypass the hold and force the buffer out immediately.
-    """
-    delayable = _delayable_types()
-    kind = type(message)
-    if kind in delayable:
-        return False
-    if kind is _VOTE_BATCH:
-        return any(flush_critical(inner) for inner in message.messages)
-    if kind is _SLOT_MESSAGE:
-        return flush_critical(message.inner)
-    return True
 
 
 class LinkLatency:
@@ -209,54 +91,28 @@ class LinkLatency:
 class _PeerLane:
     """Outbound state for one peer: queue + reconnecting writer task.
 
-    Queue entries are ``(enqueue time, frame bytes, flush critical)``.
-    The lane carries the delayed-flush state: a deterministic
-    frames-per-flush target, the RTT observed on the last (re)connect,
-    and the counters the bench layer reports per peer.
-
-    The controller observes the **marginal gain of each hold** — how
-    many frames arrived *during* the wait, on top of what the wakeup
-    drain had already merged for free — so a lane whose holds buy
-    nothing (frames arrive in quorum waves the drain already
-    coalesces, or not at all) decays its target to 1 and stops paying
-    the wait.  The bands are tighter than the message plane's
-    (``lo_band`` above 0.5) so a zero-gain hold can decay every target
-    level down to 1, not just the large ones.
+    Queue entries are ``(enqueue time, frame bytes)``; the counters are
+    what the bench layer reports per peer.
     """
 
     __slots__ = (
         "queue",
         "task",
         "dropped",
-        "policy",
-        "probe",
-        "rtt",
         "flushes",
         "frames_flushed",
         "bytes_flushed",
-        "held_us",
         "connects",
     )
 
     def __init__(self) -> None:
-        self.queue: asyncio.Queue[tuple[float, bytes, bool]] = asyncio.Queue()
+        self.queue: asyncio.Queue[tuple[float, bytes]] = asyncio.Queue()
         self.task: asyncio.Task | None = None
         self.dropped = 0
-        self.policy = AdaptiveBatchPolicy(
-            lo=1, hi=FLUSH_TARGET_HI, start=1, lo_band=0.6, hi_band=0.9
-        )
-        self.probe = 0
-        self.rtt = 0.0
         self.flushes = 0
         self.frames_flushed = 0
         self.bytes_flushed = 0
-        self.held_us = 0
         self.connects = 0
-
-    @property
-    def hold_window(self) -> float:
-        """RTT-scaled hold deadline, clamped to the liveness bounds."""
-        return min(max(self.rtt * FLUSH_RTT_FACTOR, FLUSH_WINDOW_MIN), FLUSH_WINDOW_MAX)
 
 
 class NetTransport:
@@ -271,7 +127,6 @@ class NetTransport:
         on_message: Callable[[int, object], None],
         codec: WireCodec = WIRE_CODEC,
         latency: LinkLatency | None = None,
-        flush_window: float | None = None,
     ) -> None:
         self.node_id = node_id
         self.listen_host = listen_host
@@ -280,10 +135,6 @@ class NetTransport:
         self.on_message = on_message
         self.codec = codec
         self.latency = latency if latency is not None else LinkLatency()
-        #: None → RTT-scaled per lane; a float pins every lane's hold
-        #: window (tests); REPRO_NO_DELAY=1 or 0.0 disables holding.
-        self.flush_window = flush_window
-        self._delay = delay_enabled() and flush_window != 0.0
         self._lanes: dict[int, _PeerLane] = {}
         self._server: asyncio.Server | None = None
         self._reader_tasks: set[asyncio.Task] = set()
@@ -325,14 +176,11 @@ class NetTransport:
             lane.queue.get_nowait()
             lane.dropped += 1
         loop = asyncio.get_event_loop()
-        lane.queue.put_nowait(
-            (loop.time(), self.codec.encode_frame(message), flush_critical(message))
-        )
+        lane.queue.put_nowait((loop.time(), self.codec.encode_frame(message)))
 
     def broadcast(self, message: object) -> None:
         """Send to every peer and to ourselves (loopback semantics)."""
         frame: bytes | None = None
-        critical = False
         loop = asyncio.get_event_loop()
         for dst in sorted(self.peers):
             lane = self._lanes.get(dst)
@@ -340,36 +188,22 @@ class NetTransport:
                 continue
             if frame is None:
                 frame = self.codec.encode_frame(message)
-                critical = flush_critical(message)
             if lane.queue.qsize() >= MAX_OUTBOUND_QUEUE:
                 lane.queue.get_nowait()
                 lane.dropped += 1
-            lane.queue.put_nowait((loop.time(), frame, critical))
+            lane.queue.put_nowait((loop.time(), frame))
         self._loopback(message)
-
-    def flush_stats(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """Per-peer ``(peer_id, flushes, frames, bytes, held_us)`` counters.
-
-        Sorted by peer id; the shape ``CollectReply.flush_stats`` carries
-        back to the bench driver.
-        """
-        return tuple(
-            (peer_id, lane.flushes, lane.frames_flushed, lane.bytes_flushed, lane.held_us)
-            for peer_id, lane in sorted(self._lanes.items())
-        )
 
     def publish_metrics(self, registry) -> None:
         """Write the transport's counters into an obs registry.
 
-        This is the delayed-flush counters' migration off the
-        hand-rolled ``flush_stats`` tuples: per-peer counters land
-        under ``transport.p<peer>.*``, process totals under
-        ``transport.*``, and the per-peer outbound queue depth — the
-        live "queue lag" signal, frames enqueued but not yet on the
-        wire — as gauges.  Called at scrape/collect time, so the lane
-        hot path still bumps plain ints.
+        Per-peer counters land under ``transport.p<peer>.*``, process
+        totals under ``transport.*``, and the per-peer outbound queue
+        depth — the live "queue lag" signal, frames enqueued but not
+        yet on the wire — as gauges.  Called at scrape/collect time, so
+        the lane hot path still bumps plain ints.
         """
-        total_flushes = total_frames = total_bytes = total_held = 0
+        total_flushes = total_frames = total_bytes = 0
         total_dropped = total_reconnects = 0
         max_queue = 0
         for peer_id, lane in sorted(self._lanes.items()):
@@ -377,7 +211,6 @@ class NetTransport:
             registry.counter(f"{prefix}.flushes").set(lane.flushes)
             registry.counter(f"{prefix}.frames").set(lane.frames_flushed)
             registry.counter(f"{prefix}.bytes").set(lane.bytes_flushed)
-            registry.counter(f"{prefix}.held_us").set(lane.held_us)
             registry.counter(f"{prefix}.dropped").set(lane.dropped)
             reconnects = max(0, lane.connects - 1)
             registry.counter(f"{prefix}.reconnects").set(reconnects)
@@ -385,14 +218,12 @@ class NetTransport:
             total_flushes += lane.flushes
             total_frames += lane.frames_flushed
             total_bytes += lane.bytes_flushed
-            total_held += lane.held_us
             total_dropped += lane.dropped
             total_reconnects += reconnects
             max_queue = max(max_queue, lane.queue.qsize())
         registry.counter("transport.flushes").set(total_flushes)
         registry.counter("transport.frames_flushed").set(total_frames)
         registry.counter("transport.bytes_flushed").set(total_bytes)
-        registry.counter("transport.held_us").set(total_held)
         registry.counter("transport.dropped").set(total_dropped)
         registry.counter("transport.reconnects").set(total_reconnects)
         registry.gauge("transport.queue_lag").set(max_queue)
@@ -414,13 +245,12 @@ class NetTransport:
         hello = self.codec.encode_frame(Hello(self.node_id))
         backoff = BACKOFF_INITIAL
         reconnect_delay = 0.0
-        pending: tuple[float, bytes, bool] | None = None
+        pending: tuple[float, bytes] | None = None
         while not self._closed:
             if reconnect_delay > 0:
                 await asyncio.sleep(reconnect_delay)
                 reconnect_delay = 0.0
             try:
-                dial_start = asyncio.get_event_loop().time()
                 reader, writer = await asyncio.open_connection(host, port)
             except OSError:
                 await asyncio.sleep(backoff)
@@ -435,16 +265,11 @@ class NetTransport:
                 backoff = BACKOFF_INITIAL
                 lane.connects += 1
                 loop = asyncio.get_event_loop()
-                # The dial round-trip (SYN handshake + flushed Hello)
-                # is the reconnect path's RTT observation — the only
-                # latency signal the transport gets for free — and it
-                # scales this lane's hold window.
-                lane.rtt = loop.time() - dial_start
                 queue = lane.queue
                 while True:
                     if pending is None:
                         pending = await lane.queue.get()
-                    enqueued, frame, critical = pending
+                    enqueued, frame = pending
                     if latency > 0:
                         wait = enqueued + latency - loop.time()
                         if wait > 0:
@@ -457,10 +282,9 @@ class NetTransport:
                     # not-yet-due frame stays pending for the next
                     # wakeup, so injected latency is still a FIFO pipe.
                     pending = None
-                    held_start = loop.time()
                     batch = bytearray(frame)
                     frames = 1
-                    due_before = held_start - latency
+                    due_before = loop.time() - latency
                     while not queue.empty():
                         nxt = queue.get_nowait()
                         if latency > 0 and nxt[0] > due_before:
@@ -468,60 +292,6 @@ class NetTransport:
                             break
                         batch.extend(nxt[1])
                         frames += 1
-                        critical = critical or nxt[2]
-                    # Delayed flush: hold a small non-critical buffer
-                    # up to the RTT-scaled deadline so frames of the
-                    # next activation share this syscall.  The hold
-                    # runs only when the free wakeup-drain coalescing
-                    # came up short of the lane's target (holding past
-                    # an already-met target buys nothing), and the
-                    # controller observes the frames gained *during*
-                    # the wait — so a lane whose holds never merge
-                    # decays to target 1 and stops holding, with a
-                    # periodic probe hold to notice when traffic turns
-                    # merge-friendly again.  A critical arrival
-                    # flushes immediately; a not-yet-due arrival ends
-                    # the hold (the latency pipe stays FIFO).
-                    target = lane.policy.limit
-                    eligible = (
-                        self._delay
-                        and not critical
-                        and pending is None
-                        and len(batch) < FLUSH_THRESHOLD
-                    )
-                    if eligible and target <= 1:
-                        lane.probe += 1
-                        if lane.probe >= FLUSH_PROBE_INTERVAL:
-                            lane.probe = 0
-                            target = 2  # probe hold
-                    if eligible and frames < target:
-                        drained = frames
-                        window = self.flush_window
-                        deadline = held_start + (
-                            lane.hold_window if window is None else window
-                        )
-                        while frames < target and len(batch) < FLUSH_THRESHOLD:
-                            remaining = deadline - loop.time()
-                            if remaining <= 0:
-                                break
-                            try:
-                                # Gap-bounded: a frame not here within
-                                # FLUSH_GAP is not part of this burst —
-                                # flush rather than stall its quorum.
-                                nxt = await asyncio.wait_for(
-                                    queue.get(), timeout=min(remaining, FLUSH_GAP)
-                                )
-                            except asyncio.TimeoutError:
-                                break
-                            if latency > 0 and nxt[0] + latency > loop.time():
-                                pending = nxt
-                                break
-                            batch.extend(nxt[1])
-                            frames += 1
-                            if nxt[2]:
-                                break  # flush-critical bypass
-                        lane.policy.observe(1 + frames - drained)
-                        lane.held_us += int((loop.time() - held_start) * 1e6)
                     lane.flushes += 1
                     lane.frames_flushed += frames
                     lane.bytes_flushed += len(batch)

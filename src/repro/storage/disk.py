@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.multishot.batching import AdaptiveBatchPolicy
 from repro.multishot.block import GENESIS_DIGEST, _compute_digest
 from repro.net.codec import WalAppend
 from repro.storage.api import RecoveredState
@@ -48,15 +47,12 @@ class DiskStorage:
         data_dir: str | Path,
         wal_fsync_window: float = 0.005,
         snapshot_interval: int = 32,
-        policy: AdaptiveBatchPolicy | None = None,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.snapshot_path = self.data_dir / SNAPSHOT_NAME
         self.snapshot_interval = snapshot_interval
-        self.wal = WriteAheadLog(
-            self.data_dir / WAL_NAME, fsync_window=wal_fsync_window, policy=policy
-        )
+        self.wal = WriteAheadLog(self.data_dir / WAL_NAME, fsync_window=wal_fsync_window)
         self._since_snapshot = 0
         self._snapshot_slot = 0
         #: Blocks handed back by the last :meth:`recover` (evidence the

@@ -11,14 +11,10 @@ stream, and :func:`read_wal` stops at the last intact record.
 Durability is group-committed.  Appends accumulate in a buffer; the
 buffer goes to disk (write + ``fsync``) when either
 
-* the pending count reaches the flush policy's limit — the same
-  deterministic :class:`~repro.multishot.batching.AdaptiveBatchPolicy`
-  controller the message plane uses, sizing the group to the observed
-  commit rate (a quiet replica fsyncs every block, a busy one amortizes
-  one fsync over a burst), or
+* the pending count reaches :data:`WAL_RECORD_CAP`, or
 * the flush window expires (an event-loop timer armed at first append;
   without a running loop — unit tests, synchronous callers — the
-  policy limit and explicit :meth:`WriteAheadLog.flush` calls are the
+  record cap and explicit :meth:`WriteAheadLog.flush` calls are the
   only triggers).
 
 A crash loses at most the unflushed tail — bounded by the window — and
@@ -34,18 +30,14 @@ import struct
 import tempfile
 from pathlib import Path
 
-from repro.multishot.batching import AdaptiveBatchPolicy
 from repro.multishot.block import Block
 from repro.net.codec import MAX_FRAME, WIRE_CODEC, CodecError, WalAppend, WalSeal
 
 _U32 = struct.Struct(">I")
 
-#: Flush-group bounds: the policy may shrink to fsync-per-record on a
-#: quiet log and grow to amortizing one fsync over 64 records when
-#: finalizations arrive in bursts.
-WAL_FLUSH_LO = 1
-WAL_FLUSH_HI = 64
-WAL_FLUSH_START = 8
+#: Most records one group commit may hold before it is written and
+#: fsynced without waiting for the window.
+WAL_RECORD_CAP = 64
 
 
 def read_wal(path: str | Path) -> tuple[list[WalAppend | WalSeal], bool]:
@@ -86,17 +78,9 @@ def read_wal(path: str | Path) -> tuple[list[WalAppend | WalSeal], bool]:
 class WriteAheadLog:
     """One replica's append-only log file, group-committed."""
 
-    def __init__(
-        self,
-        path: str | Path,
-        fsync_window: float = 0.005,
-        policy: AdaptiveBatchPolicy | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, fsync_window: float = 0.005) -> None:
         self.path = Path(path)
         self.fsync_window = fsync_window
-        self.policy = policy or AdaptiveBatchPolicy(
-            lo=WAL_FLUSH_LO, hi=WAL_FLUSH_HI, start=WAL_FLUSH_START
-        )
         self.next_seq = 1
         #: Cumulative groups/records/bytes fsynced (observability).
         self.flushes = 0
@@ -133,7 +117,7 @@ class WriteAheadLog:
     def _append(self, record: WalAppend | WalSeal) -> None:
         WIRE_CODEC.encode_frame_into(record, self._pending)
         self._pending_count += 1
-        if self._pending_count >= self.policy.limit:
+        if self._pending_count >= WAL_RECORD_CAP:
             self.flush()
         elif self._timer is None:
             self._arm_timer()
@@ -142,7 +126,7 @@ class WriteAheadLog:
         try:
             loop = asyncio.get_running_loop()
         except RuntimeError:
-            return  # synchronous caller: policy limit / explicit flush
+            return  # synchronous caller: record cap / explicit flush
         self._timer = loop.call_later(self.fsync_window, self._on_window)
 
     def _on_window(self) -> None:
@@ -158,7 +142,6 @@ class WriteAheadLog:
             self._timer = None
         if not self._pending_count:
             return
-        self.policy.observe(self._pending_count)
         self._file.write(self._pending)
         self._file.flush()
         os.fsync(self._file.fileno())

@@ -34,6 +34,7 @@ from repro.net.codec import (
 from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Transaction
 from repro.multishot.block import GENESIS_DIGEST, Block
+from tests.conftest import FakeTimer
 
 
 class FakeClock:
@@ -242,27 +243,43 @@ def test_repro_no_batch_disables_submission_coalescing(monkeypatch):
     asyncio.run(scenario())
 
 
-def test_gateway_window_shrinks_with_arrival_rate():
-    """The flush deadline tracks limit × observed inter-arrival gap,
-    capped at the configured batch_window."""
+class _RecordingTimers:
+    """Stands in for the event loop's ``call_later``: records each
+    armed timer (``deadline`` holds the delay asked for) so a test
+    fires it by hand instead of sleeping."""
+
+    def __init__(self) -> None:
+        self.armed: list[FakeTimer] = []
+
+    def call_later(self, delay, callback) -> FakeTimer:
+        self.armed.append(FakeTimer(delay, callback))
+        return self.armed[-1]
+
+
+def test_flush_at_max_batch_or_batch_window_whichever_first():
     async def scenario():
         service, pool, clock = _service(
             rate=1000.0, burst=1000.0, max_batch=4, batch_window=0.005
         )
         await service.start(start_consensus=False)
-        # First arrival: no gap observed yet, window rests at the cap.
-        service.submit("alice", _txn(0))
-        assert service._window() == pytest.approx(0.005)
-        # Fast arrivals (0.1 ms apart): window = 4 × 0.1 ms = 0.4 ms.
-        for i in range(1, 4):
+        timers = service._loop = _RecordingTimers()
+        # A fast burst: the max_batch-th submission flushes at once and
+        # disarms the window the first one armed.
+        for i in range(4):
             clock.advance(0.0001)
             service.submit("alice", _txn(i))
-        assert service._window() < 0.005
-        # Slow arrivals drag the EWMA back up to the cap.
-        for i in range(4, 10):
-            clock.advance(1.0)
-            service.submit("alice", _txn(i))
-        assert service._window() == pytest.approx(0.005)
+        (frame,) = pool.sent
+        assert [txn.txid for txn in frame.txns] == ["t0", "t1", "t2", "t3"]
+        (burst_timer,) = timers.armed
+        assert burst_timer.cancelled
+        # A lone submission right behind the burst still gets the whole
+        # window, however fast its predecessors arrived.
+        service.submit("alice", _txn(4))
+        lone_timer = timers.armed[-1]
+        assert burst_timer.deadline == lone_timer.deadline == 0.005
+        assert len(pool.sent) == 1  # buffered until the window closes
+        lone_timer.callback()
+        assert pool.sent[1] == ClientSubmit(_txn(4))
         await service.stop()
 
     asyncio.run(scenario())

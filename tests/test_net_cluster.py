@@ -25,6 +25,7 @@ from repro.net.cluster import (
     ClusterConfig,
     allocate_ports,
     build_specs,
+    reply_metric,
     run_cluster_workload,
     sized_max_slots,
 )
@@ -79,6 +80,11 @@ def test_killing_one_replica_still_finalizes():
     assert [ev.node_id for ev in result.evidence] == [0, 1, 3]
     report = SafetyAuditor(expected_txns=result.injected).audit_evidence(result.evidence)
     assert report.safe and report.live, report.violations
+    # The dead replica's leader slots timed out into view 1, and the
+    # survivors' scraped counters say so.
+    assert any(
+        reply_metric(reply, "consensus.view_changes") > 0 for reply in result.replies.values()
+    )
 
 
 def test_chained_engine_runs_over_sockets():

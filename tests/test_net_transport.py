@@ -19,7 +19,8 @@ from repro.core.messages import Proposal, ViewChange
 from repro.errors import ConfigurationError
 from repro.multishot.messages import MSVote, VoteBatch
 from repro.net.cluster import allocate_ports
-from repro.net.transport import LinkLatency, NetContext, NetTransport, install_uvloop
+from repro.net.transport import LinkLatency, NetContext, NetTransport
+from repro.obs import MetricsRegistry
 
 HOST = "127.0.0.1"
 
@@ -162,45 +163,6 @@ def test_vote_batch_frames_cross_the_socket_as_one_unit():
     assert inboxes[1] == [(0, batch)] * 4
 
 
-def test_install_uvloop_falls_back_without_the_module(monkeypatch):
-    """uvloop is an optional extra: absence means stock asyncio, not
-    an error — and the loop still runs."""
-    import sys
-
-    monkeypatch.setitem(sys.modules, "uvloop", None)  # import raises ImportError
-    monkeypatch.delenv("REPRO_NO_UVLOOP", raising=False)
-    assert install_uvloop() is False
-    assert asyncio.run(_async_identity(42)) == 42
-
-
-def test_install_uvloop_activates_when_available(monkeypatch):
-    import sys
-    import types
-
-    calls: list[str] = []
-    fake = types.ModuleType("uvloop")
-    fake.install = lambda: calls.append("install")
-    monkeypatch.setitem(sys.modules, "uvloop", fake)
-    monkeypatch.delenv("REPRO_NO_UVLOOP", raising=False)
-    assert install_uvloop() is True
-    assert calls == ["install"]
-
-
-def test_install_uvloop_escape_hatch_forces_stock_asyncio(monkeypatch):
-    import sys
-    import types
-
-    fake = types.ModuleType("uvloop")
-    fake.install = lambda: pytest.fail("REPRO_NO_UVLOOP must skip uvloop.install()")
-    monkeypatch.setitem(sys.modules, "uvloop", fake)
-    monkeypatch.setenv("REPRO_NO_UVLOOP", "1")
-    assert install_uvloop() is False
-
-
-async def _async_identity(value):
-    return value
-
-
 def test_link_latency_validation_and_pairs():
     with pytest.raises(ConfigurationError):
         LinkLatency(-0.1)
@@ -240,103 +202,16 @@ def test_net_context_rejects_bad_time_scale():
         NetContext(0, transport, time_scale=0.0)
 
 
-# -- delayed flush -------------------------------------------------------------
-
-
-def test_flush_critical_classification():
-    """Good-case traffic is delayable; timer-driven and recovery
-    traffic (and anything unknown) must bypass the hold."""
-    from repro.baselines.base import BPhaseVote, BProposal
-    from repro.baselines.chained import SlotMessage
-    from repro.multishot.block import Block
-    from repro.multishot.messages import MSProposal, MSViewChange
-    from repro.net.transport import flush_critical
-
-    block = Block.create(0, "parent", ("noop",))
-    assert not flush_critical(MSVote(1, 0, "aa"))
-    assert not flush_critical(MSProposal(1, 0, block))
-    assert not flush_critical(BProposal("pbft", 0, "v"))
-    assert not flush_critical(BPhaseVote("pbft", 0, 1, "v"))
-    # View changes are timer-driven: a peer may be blocked on them.
-    assert flush_critical(ViewChange(1))
-    assert flush_critical(MSViewChange(1, 0))
-    # Envelopes take the worst classification of their contents.
-    assert not flush_critical(VoteBatch((MSVote(1, 0, "aa"), MSVote(2, 0, "bb"))))
-    assert flush_critical(VoteBatch((MSVote(1, 0, "aa"), MSViewChange(2, 0))))
-    # Chained-baseline slot wrappers classify by their inner message.
-    assert not flush_critical(SlotMessage(3, BPhaseVote("pbft", 0, 1, "v")))
-    assert flush_critical(SlotMessage(3, ViewChange(1)))
-
-
-def test_repro_no_delay_escape_hatch(monkeypatch):
-    from repro.net.transport import delay_enabled
-
-    monkeypatch.delenv("REPRO_NO_DELAY", raising=False)
-    assert delay_enabled() is True
-    transport = NetTransport(0, HOST, allocate_ports(1)[0], {}, lambda s, m: None)
-    assert transport._delay is True
-    monkeypatch.setenv("REPRO_NO_DELAY", "1")
-    assert delay_enabled() is False
-    transport = NetTransport(0, HOST, allocate_ports(1)[0], {}, lambda s, m: None)
-    assert transport._delay is False
-
-
-def test_flush_window_zero_disables_the_hold():
-    transport = NetTransport(
-        0, HOST, allocate_ports(1)[0], {}, lambda s, m: None, flush_window=0.0
-    )
-    assert transport._delay is False
-
-
-def test_delayable_traffic_is_never_held_a_full_window():
-    """Liveness bound: even with an absurd 0.5 s flush window, a lone
-    delayable frame arrives promptly.  Two mechanisms guarantee it —
-    lanes idle at a frames-per-flush target of 1 (no hold at all until
-    holds demonstrably merge), and any hold that does run is
-    gap-bounded (FLUSH_GAP per wait), not window-bounded."""
-    inboxes = {0: [], 1: []}
-    ports = allocate_ports(2)
-
-    async def scenario():
-        transports = []
-        for node_id in (0, 1):
-            peer = 1 - node_id
-            transports.append(
-                NetTransport(
-                    node_id,
-                    HOST,
-                    ports[node_id],
-                    {peer: (HOST, ports[peer])},
-                    lambda sender, msg, nid=node_id: inboxes[nid].append((sender, msg)),
-                    flush_window=0.5,
-                )
-            )
-        a, b = transports
-        await a.start()
-        await b.start()
-        try:
-            await asyncio.sleep(0.1)  # lanes connected, queues idle
-            elapsed = []
-            for k in range(40):
-                t0 = time.monotonic()
-                a.send(1, MSVote(k, 0, "aa"))
-                await _wait_for(lambda want=k + 1: len(inboxes[1]) >= want)
-                elapsed.append(time.monotonic() - t0)
-            return elapsed
-        finally:
-            await a.stop()
-            await b.stop()
-
-    elapsed = asyncio.run(scenario())
-    # 40 sends cross a probe interval (32), so at least one of these
-    # flushes ran a real probe hold — and still came nowhere near the
-    # 0.5 s window.
-    assert max(elapsed) < 0.25, max(elapsed)
+# -- flush counters ------------------------------------------------------------
 
 
 def test_flush_stats_report_per_peer_counters():
+    """Ten frames enqueued in one tick arrive in order; the scrape
+    counts every frame, at most one write per frame (the wakeup drain
+    may merge them), and nothing about holding."""
     inboxes = {0: [], 1: []}
     ports = allocate_ports(2)
+    registry = MetricsRegistry()
 
     async def scenario():
         a, b = _pair(ports, inboxes)
@@ -346,16 +221,15 @@ def test_flush_stats_report_per_peer_counters():
             for k in range(10):
                 a.send(1, MSVote(k, 0, "aa"))
             await _wait_for(lambda: len(inboxes[1]) == 10)
-            return a.flush_stats()
+            a.publish_metrics(registry)
         finally:
             await a.stop()
             await b.stop()
 
-    stats = asyncio.run(scenario())
-    assert len(stats) == 1
-    peer_id, flushes, frames, nbytes, held_us = stats[0]
-    assert peer_id == 1
-    assert 0 < flushes <= 10
-    assert frames == 10
-    assert nbytes > 0
-    assert held_us >= 0
+    asyncio.run(scenario())
+    assert inboxes[1] == [(0, MSVote(k, 0, "aa")) for k in range(10)]
+    scrape = registry.snapshot()
+    assert scrape["transport.frames_flushed"] == scrape["transport.p1.frames"] == 10
+    assert 0 < scrape["transport.flushes"] <= 10
+    assert scrape["transport.bytes_flushed"] > 0
+    assert not [name for name in scrape if "held" in name]

@@ -17,7 +17,9 @@ import json
 import os
 
 from repro.net.cluster import ClusterConfig, reply_metric, run_cluster_workload
-from repro.obs import EVENT_FIELDS
+from repro.net.replica_main import _ObsNetContext
+from repro.obs import EVENT_FIELDS, EventLog, MetricsRegistry
+from repro.sim.trace import TraceKind
 from repro.smr.mempool import Transaction
 
 
@@ -138,3 +140,25 @@ def test_no_obs_disables_events_but_keeps_the_scrape_counters(tmp_path):
         assert not any(name.startswith("trace.") for name in names)
     for node_id in range(4):
         assert not (tmp_path / f"replica-{node_id}" / "events.ndjson").exists()
+
+
+def test_view_changes_are_counted_whichever_call_announces_them():
+    """The replica's obs seam, in-process.  Single-shot nodes announce
+    a view with ``report_view_entry``; the multi-shot node and the
+    chained baselines trace ``VIEW_ENTER`` per slot.  Both count, both
+    log; view 0 (a slot starting) does neither."""
+    registry = MetricsRegistry()
+    events = EventLog(replica=0)
+    ctx = _ObsNetContext(0, None, 0.05, registry, events)
+    ctx.report_view_entry(0)
+    ctx.trace(TraceKind.VIEW_ENTER, slot=7, view=0)
+    ctx.trace(TraceKind.TIMER, slot=7, view=0)
+    assert registry.snapshot()["consensus.view_changes"] == 0
+    assert events.tail() == []
+    ctx.report_view_entry(1)
+    ctx.trace(TraceKind.VIEW_ENTER, slot=7, view=2)
+    scrape = registry.snapshot()
+    assert scrape["consensus.view_changes"] == 2
+    assert scrape["consensus.view"] == 2
+    logged = [(e["kind"], e["view"], e["slot"]) for e in events.tail()]
+    assert logged == [("view_enter", 1, -1), ("view_enter", 2, 7)]

@@ -33,6 +33,7 @@ from repro.storage import (
     validate_snapshot,
     write_snapshot,
 )
+from repro.storage.wal import WAL_RECORD_CAP
 
 
 def make_chain(slots: int, txns_per_block: int = 2) -> list[Block]:
@@ -87,17 +88,16 @@ def test_wal_missing_file_is_empty_untorn(tmp_path):
     assert records == [] and not torn
 
 
-def test_wal_flushes_at_policy_limit_without_event_loop(tmp_path):
+def test_wal_flushes_at_record_cap_without_event_loop(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.log")
-    limit = wal.policy.limit
-    chain = make_chain(limit)
+    chain = make_chain(WAL_RECORD_CAP)
     for block in chain[:-1]:
         wal.append_block(block)
-    # Below the limit with no loop running: nothing durable yet.
+    # Below the cap with no loop running: nothing durable yet.
     assert read_wal(tmp_path / "wal.log")[0] == []
     wal.append_block(chain[-1])
     records, torn = read_wal(tmp_path / "wal.log")
-    assert len(records) == limit and not torn
+    assert len(records) == WAL_RECORD_CAP == 64 and not torn
     wal.close()
 
 

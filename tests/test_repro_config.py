@@ -5,56 +5,61 @@ contract it must honor is that every historical spelling of every knob
 parses to exactly the behavior the inline lookups produced — including
 the inconsistencies (flags accept ``1``/``true``/``yes`` any-case;
 ``REPRO_HEAVY`` is plain truthiness of a non-empty string).  The cache
-must also track in-process env mutation, because the ablation harness
-and these very tests monkeypatch variables mid-run.
+must also track in-process env mutation, because these very tests
+monkeypatch variables mid-run.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
+    _ENV_KEYS,
     DEFAULT_SNAPSHOT_INTERVAL,
     DEFAULT_WAL_FSYNC_WINDOW,
     ReproConfig,
     repro_config,
 )
 from repro.errors import ConfigurationError
-from repro.multishot.batching import (
-    MAX_BATCH,
-    AdaptiveBatchPolicy,
-    FixedBatchPolicy,
-    batch_policy_from_env,
-    batching_enabled,
-)
-from repro.net.transport import delay_enabled
+from repro.multishot.batching import batching_enabled
 
-_ALL_KEYS = (
-    "REPRO_NO_BATCH",
-    "REPRO_NO_DELAY",
-    "REPRO_NO_UVLOOP",
-    "REPRO_BATCH_POLICY",
-    "REPRO_HEAVY",
-    "REPRO_DATA_DIR",
-    "REPRO_WAL_FSYNC_WINDOW",
-    "REPRO_SNAPSHOT_INTERVAL",
-    "REPRO_NO_OBS",
-    "REPRO_EVENT_LOG",
-)
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     """Every test starts from a fully unset REPRO_* environment."""
-    for key in _ALL_KEYS:
+    for key in _ENV_KEYS:
         monkeypatch.delenv(key, raising=False)
+
+
+def test_knob_census():
+    """Every ``REPRO_*`` name the code, CI or docs mention is a
+    :class:`ReproConfig` knob (or the regression gate's own override),
+    and every knob is still mentioned: a knob cannot outlive its
+    mechanism, and none appears without going through the config."""
+    sources = [
+        *(REPO_ROOT / "src").rglob("*.py"),
+        *(REPO_ROOT / "benchmarks").glob("*.py"),
+        REPO_ROOT / "README.md",
+        REPO_ROOT / ".github" / "workflows" / "ci.yml",
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    ]
+    mentioned = set()
+    for path in sources:
+        mentioned.update(re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8")))
+    assert mentioned == {*_ENV_KEYS, "REPRO_ACCEPT_REGRESSION"}
+    assert len(dataclasses.fields(ReproConfig)) == len(_ENV_KEYS) == 7
 
 
 def test_defaults_with_nothing_set():
     config = repro_config()
     assert config == ReproConfig()
-    assert not config.no_batch and not config.no_delay and not config.no_uvloop
-    assert config.batch_policy == "" and not config.heavy
+    assert not config.no_batch and not config.heavy
     assert config.data_dir is None
     assert config.wal_fsync_window == DEFAULT_WAL_FSYNC_WINDOW
     assert config.snapshot_interval == DEFAULT_SNAPSHOT_INTERVAL
@@ -63,14 +68,8 @@ def test_defaults_with_nothing_set():
 @pytest.mark.parametrize("raw", ["1", "true", "TRUE", "yes", "Yes"])
 def test_flag_spellings_that_enable(monkeypatch, raw):
     """The historical tri-spelling parse, any case."""
-    for key, attr in (
-        ("REPRO_NO_BATCH", "no_batch"),
-        ("REPRO_NO_DELAY", "no_delay"),
-        ("REPRO_NO_UVLOOP", "no_uvloop"),
-    ):
-        monkeypatch.setenv(key, raw)
-        assert getattr(repro_config(), attr) is True
-        monkeypatch.delenv(key)
+    monkeypatch.setenv("REPRO_NO_BATCH", raw)
+    assert repro_config().no_batch is True
 
 
 @pytest.mark.parametrize("raw", ["", "0", "false", "no", "on", "2", "enabled"])
@@ -92,13 +91,13 @@ def test_heavy_is_plain_truthiness(monkeypatch):
 
 
 def test_cache_tracks_env_mutation(monkeypatch):
-    assert repro_config().no_delay is False
+    assert repro_config().no_batch is False
     first = repro_config()
     assert repro_config() is first  # unchanged env: cached object
-    monkeypatch.setenv("REPRO_NO_DELAY", "1")
-    assert repro_config().no_delay is True
-    monkeypatch.delenv("REPRO_NO_DELAY")
-    assert repro_config().no_delay is False
+    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+    assert repro_config().no_batch is True
+    monkeypatch.delenv("REPRO_NO_BATCH")
+    assert repro_config().no_batch is False
 
 
 # -- consumer equivalence -----------------------------------------------------
@@ -108,29 +107,6 @@ def test_batching_enabled_consumes_the_config(monkeypatch):
     assert batching_enabled() is True
     monkeypatch.setenv("REPRO_NO_BATCH", "yes")
     assert batching_enabled() is False
-
-
-def test_delay_enabled_consumes_the_config(monkeypatch):
-    assert delay_enabled() is True
-    monkeypatch.setenv("REPRO_NO_DELAY", "true")
-    assert delay_enabled() is False
-
-
-def test_batch_policy_selection(monkeypatch):
-    assert isinstance(batch_policy_from_env(), AdaptiveBatchPolicy)
-    monkeypatch.setenv("REPRO_BATCH_POLICY", "adaptive")
-    assert isinstance(batch_policy_from_env(), AdaptiveBatchPolicy)
-    monkeypatch.setenv("REPRO_BATCH_POLICY", "  Fixed  ")  # historical strip+lower
-    policy = batch_policy_from_env()
-    assert isinstance(policy, FixedBatchPolicy) and policy.limit == MAX_BATCH
-    monkeypatch.setenv("REPRO_BATCH_POLICY", "fixed:5")
-    assert batch_policy_from_env().limit == 5
-    monkeypatch.setenv("REPRO_BATCH_POLICY", "fixed:x")
-    with pytest.raises(ConfigurationError, match="needs an integer"):
-        batch_policy_from_env()
-    monkeypatch.setenv("REPRO_BATCH_POLICY", "turbo")
-    with pytest.raises(ConfigurationError, match="unknown REPRO_BATCH_POLICY"):
-        batch_policy_from_env()
 
 
 # -- durability knobs ---------------------------------------------------------
