@@ -8,7 +8,8 @@ Two layers, mirroring the A5 bench:
   live** under every unauthenticated deviation, and *no* engine ever
   fails a safety audit (agreement, no-fork, hash linkage, execute-once,
   replay determinism).  The verdicts are persisted to
-  ``BENCH_attacks.json``, which is what the CI pipeline gates on.
+  ``BENCH_attacks.json``, which CI gates by equality with the
+  committed file.
 * **Full grid** (heavy, ``REPRO_HEAVY=1``): attack × engine ×
   sync/geo/crash-recovery × n ∈ {4, 16}.  Safety is asserted on every
   cell; liveness only where the fault budget is respected — the
@@ -16,7 +17,7 @@ Two layers, mirroring the A5 bench:
   ``f`` Byzantine replicas (f+1 total faults at n=4), so n > 3f no
   longer guarantees progress there, only safety.
 
-Smoke invocation (records the verdict trajectory; see ROADMAP.md):
+Smoke invocation (rewrites the ``attack_smoke`` record):
 ``PYTHONPATH=src python -m pytest benchmarks/test_attacks.py -q``.
 """
 

@@ -19,7 +19,8 @@ byte-identical state digests and finalized chains to the pre-refactor
 direct wiring (a faithful copy of which is kept below, following the
 same convention as the seed-path replicas in the sibling benches).
 
-Smoke invocation (records the perf trajectory; see ROADMAP.md):
+Smoke invocation (rewrites the deterministic ``engine_matrix_smoke``
+record in ``BENCH_smr.json``):
 ``PYTHONPATH=src python -m pytest benchmarks/test_engine_matrix.py -q``.
 """
 

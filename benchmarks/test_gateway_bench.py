@@ -15,9 +15,11 @@ acceptance contract:
   capacity-finding machinery itself;
 * the snapshot read path serves an executed value back over HTTP while
   the cluster keeps running;
-* results persist to ``BENCH_gateway.json`` for the regression gate.
+* each level's identity, saturation flag and audit verdicts persist to
+  ``BENCH_gateway.json`` (the wall-clock readings are printed, not
+  persisted).
 
-Smoke invocation (records the gateway trajectory; see ROADMAP.md):
+Smoke invocation (rewrites the ``gateway_smoke`` record):
 ``PYTHONPATH=src python -m pytest benchmarks/test_gateway_bench.py -q``.
 """
 

@@ -14,9 +14,11 @@ and asserts the acceptance contract of the deployment subsystem:
   sockets change nothing about safety;
 * every live replica executes the entire workload (liveness), and the
   measured wall-clock throughput is nonzero;
-* results persist to ``BENCH_net.json`` for the regression gate.
+* each cell's identity, commit counts, kill/restart sets and audit
+  verdicts persist to ``BENCH_net.json`` (the wall-clock readings are
+  printed, not persisted).
 
-Smoke invocation (records the deployment trajectory; see ROADMAP.md):
+Smoke invocation (rewrites the ``net_smoke`` record):
 ``PYTHONPATH=src python -m pytest benchmarks/test_net_bench.py -q``.
 """
 

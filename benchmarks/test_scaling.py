@@ -15,7 +15,8 @@ per-copy wire-size estimation) on an n=64 synchronous all-to-all
 broadcast workload.  The refactored core must clear 2× the replica's
 rate — the floor the scaling roadmap item depends on.
 
-Smoke invocation (records the perf trajectory; see ROADMAP.md):
+Smoke invocation (rewrites the deterministic ``throughput`` record in
+``BENCH_scaling.json``; events/sec is printed, not persisted):
 ``PYTHONPATH=src python -m pytest benchmarks/test_scaling.py -q``.
 """
 
@@ -80,8 +81,6 @@ def test_throughput_sweep_reaches_n128(once, bench_record):
                 "scenario": row.scenario,
                 "n": row.n,
                 "events": row.events,
-                "wall_seconds": row.wall_seconds,
-                "events_per_sec": row.events_per_sec,
                 "messages_per_delay": row.messages_per_delay,
                 "frames_per_delay": row.frames_per_delay,
                 "decided": row.decided,
@@ -209,7 +208,7 @@ def _best_of(fn, repeats=3):
     return max(fn() for _ in range(repeats))
 
 
-def test_event_core_at_least_2x_seed_scheduler(benchmark, bench_record):
+def test_event_core_at_least_2x_seed_scheduler(benchmark):
     n, rounds = 64, 6
 
     def seed_eps():
@@ -226,15 +225,6 @@ def test_event_core_at_least_2x_seed_scheduler(benchmark, bench_record):
     new = benchmark.pedantic(lambda: _best_of(new_eps), rounds=1, iterations=1)
     print(f"\nseed scheduler: {seed:,.0f} events/s   "
           f"tuple-heap core: {new:,.0f} events/s   ratio {new / seed:.2f}x")
-    bench_record(
-        "scaling",
-        "event_core_2x",
-        {
-            "seed_events_per_sec": seed,
-            "events_per_sec": new,
-            "ratio": new / seed,
-        },
-    )
     assert new >= 2.0 * seed, (
         f"event core regressed: {new:,.0f} vs seed {seed:,.0f} events/s "
         f"({new / seed:.2f}x, need >= 2x)"

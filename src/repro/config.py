@@ -22,11 +22,6 @@ Design constraints, in order:
 * **Knobs, not wiring.**  Structural parameters (ports, peer tables,
   cluster shape) stay in the explicit spec/config dataclasses; this
   surface carries only the cross-cutting behavioural switches.
-
-The durability knobs (``REPRO_DATA_DIR`` / ``REPRO_WAL_FSYNC_WINDOW``
-/ ``REPRO_SNAPSHOT_INTERVAL``) are new in this module: they default the
-:class:`~repro.storage.DiskStorage` parameters when a deployment opts
-into persistence without threading explicit values through.
 """
 
 from __future__ import annotations
@@ -34,24 +29,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
-
-#: Seconds one WAL group commit may hold appended records before the
-#: write+fsync — the durability window a crash can lose (the recovery
-#: path tolerates the torn tail this produces).
-DEFAULT_WAL_FSYNC_WINDOW = 0.005
-
-#: Finalized blocks between state snapshots (each snapshot compacts
-#: the WAL below its frontier).
-DEFAULT_SNAPSHOT_INTERVAL = 32
-
 #: Raw variables the config is parsed from, fingerprint order.
 _ENV_KEYS = (
     "REPRO_NO_BATCH",
     "REPRO_HEAVY",
     "REPRO_DATA_DIR",
-    "REPRO_WAL_FSYNC_WINDOW",
-    "REPRO_SNAPSHOT_INTERVAL",
     "REPRO_NO_OBS",
     "REPRO_EVENT_LOG",
 )
@@ -76,10 +58,6 @@ class ReproConfig:
     #: ``REPRO_DATA_DIR`` — default per-process durability root; when
     #: unset, replicas run with :class:`~repro.storage.MemoryStorage`.
     data_dir: str | None = None
-    #: ``REPRO_WAL_FSYNC_WINDOW`` — WAL group-commit window, seconds.
-    wal_fsync_window: float = DEFAULT_WAL_FSYNC_WINDOW
-    #: ``REPRO_SNAPSHOT_INTERVAL`` — finalized blocks per snapshot.
-    snapshot_interval: int = DEFAULT_SNAPSHOT_INTERVAL
     #: ``REPRO_NO_OBS`` — disable observability *sampling*: structured
     #: event recording and commit-path trace sampling go quiet.  The
     #: metrics registry's plain counters stay on (the collect/scrape
@@ -93,30 +71,10 @@ class ReproConfig:
     @classmethod
     def from_env(cls, env: os._Environ | dict[str, str] = os.environ) -> "ReproConfig":
         """Parse one snapshot; each knob keeps its historical parse."""
-        raw_window = env.get("REPRO_WAL_FSYNC_WINDOW", "")
-        try:
-            window = float(raw_window) if raw_window else DEFAULT_WAL_FSYNC_WINDOW
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_WAL_FSYNC_WINDOW={raw_window!r}: needs a float (seconds)"
-            ) from None
-        raw_interval = env.get("REPRO_SNAPSHOT_INTERVAL", "")
-        try:
-            interval = int(raw_interval) if raw_interval else DEFAULT_SNAPSHOT_INTERVAL
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_SNAPSHOT_INTERVAL={raw_interval!r}: needs an integer (blocks)"
-            ) from None
-        if window < 0:
-            raise ConfigurationError(f"wal_fsync_window must be >= 0, got {window}")
-        if interval < 1:
-            raise ConfigurationError(f"snapshot_interval must be >= 1, got {interval}")
         return cls(
             no_batch=_flag(env.get("REPRO_NO_BATCH")),
             heavy=bool(env.get("REPRO_HEAVY")),
             data_dir=env.get("REPRO_DATA_DIR") or None,
-            wal_fsync_window=window,
-            snapshot_interval=interval,
             no_obs=_flag(env.get("REPRO_NO_OBS")),
             event_log=_flag(env.get("REPRO_EVENT_LOG")),
         )

@@ -14,8 +14,9 @@ that replays the honest replicas' finalized chains and state digests
 through the run-level invariants: agreement, no-fork, hash-linkage,
 execute-once, replay determinism, and liveness at the horizon.
 
-The verdicts are machine-readable (``BENCH_attacks.json``), which is
-what lets CI gate on them: TetraBFT must stay **safe and live** with
+The verdicts are machine-readable (``BENCH_attacks.json``) and a
+function of the seed, which is what lets CI gate on them by equality
+with the committed file: TetraBFT must stay **safe and live** with
 ``f`` Byzantine replicas on every attack family, and *no* engine may
 ever fail a safety audit (the chained baselines are allowed to lose
 liveness — their simplified recovery logic is crash-fault-grade — but
@@ -23,14 +24,13 @@ never to fork).
 
 ``python -m repro attacks`` runs the tier-1 smoke slice (every attack ×
 every engine, synchronous network, n=4) and writes the verdicts next
-to the other perf records; set ``REPRO_HEAVY=1`` for the full attack ×
+to the other BENCH records; set ``REPRO_HEAVY=1`` for the full attack ×
 engine × scenario × n grid.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +54,8 @@ CAMPAIGN_NS = (4, 16)
 
 #: Default BENCH record written by ``python -m repro attacks`` —
 #: anchored at the repo root (next to the other BENCH_*.json records,
-#: where the CI artifact/gate steps expect them) rather than the CWD.
+#: where the CI artifact and ``git diff`` steps expect them) rather
+#: than the CWD.
 BENCH_PATH = Path(__file__).resolve().parents[3] / "BENCH_attacks.json"
 
 
@@ -78,7 +79,6 @@ class AttackRow:
     checks: dict[str, bool]
     safe: bool
     live: bool
-    wall_seconds: float
     sim_duration: float
 
     @property
@@ -150,13 +150,11 @@ def run_attack_cell(
     injected = build_workload("uniform", txns, batch, seed=seed).inject(sim, replicas)
     honest = [i for i in range(n) if i not in faulty and i not in excluded]
     throughput = trackers.throughput
-    start = time.perf_counter()
     end = sim.run(
         until=horizon,
         stop_when=lambda: throughput.min_txns_applied(honest) >= injected,
         stop_check_interval=64,
     )
-    wall = time.perf_counter() - start
     report = SafetyAuditor(expected_txns=injected).audit([replicas[i] for i in honest])
     return AttackRow(
         attack=attack,
@@ -170,7 +168,6 @@ def run_attack_cell(
         checks=dict(report.checks),
         safe=report.safe,
         live=bool(report.live),
-        wall_seconds=wall,
         sim_duration=end,
     )
 
@@ -245,7 +242,6 @@ def attack_record(row: AttackRow) -> dict:
         "safe": row.safe,
         "live": row.live,
         "sim_duration": row.sim_duration,
-        "wall_seconds": row.wall_seconds,
     }
 
 

@@ -19,11 +19,6 @@ when achieved throughput falls below 80% of offered; the first
 saturating offered rate is the cell's **saturation point** — the
 capacity number a gateway SLO would be written against.
 
-Unsaturated levels additionally record ``paced_*`` metrics: there the
-achieved rate is pinned to the offered rate by the arrival process
-(machine-independent by construction), so CI gates them as regression
-baselines, while the raw capacity numbers stay report-only.
-
 Cross-validation is not optional here either: after the ramp the bench
 collects every replica's finalized chain and state digest and replays
 them through the same :class:`~repro.verification.audit.SafetyAuditor`
@@ -32,10 +27,12 @@ protocol property).  The snapshot read path is exercised end to end:
 the gateway pulls ``SnapshotRequest`` state from the live cluster and
 the bench reads an incremented key back through ``GET /v1/state/…``.
 
-Results persist to ``BENCH_gateway.json`` (smoke key
-``gateway_smoke`` + aggregate ``gateway_saturation``; the
+``BENCH_gateway.json`` keeps what every run of the ramp reproduces —
+each level's identity, whether it saturated, the audit verdicts (smoke
+key ``gateway_smoke`` + aggregate ``gateway_saturation``; the
 ``REPRO_HEAVY=1`` grid — n ∈ {4, 7}, more clients — under
-``gateway_grid``).
+``gateway_grid``).  Counts, throughput and latencies differ run to run,
+so they are printed, not persisted; ``perf/`` measures them.
 """
 
 from __future__ import annotations
@@ -60,9 +57,9 @@ from repro.verification.audit import ReplicaEvidence, SafetyAuditor
 #: Offered-rate ramp of the smoke cell, txns/sec.  The gateway's
 #: submission batching lifts the deployed cluster to ~1,500 committed
 #: txns/sec on this host, so the paced levels sit far below capacity
-#: (stable, gated) and the probe level far above it (saturation is a
-#: property of the ramp shape, not of host speed — the gate would flap
-#: on any level near capacity).
+#: and the probe level far above it: which levels saturate is a
+#: property of the ramp shape, not of host speed, and the recorded
+#: ``saturated`` column would flap on any level near capacity.
 SMOKE_LEVELS = (100.0, 400.0, 6400.0)
 
 #: Seconds of arrivals per level.
@@ -105,8 +102,6 @@ class GatewayRow:
     p50_ms: float
     p99_ms: float
     saturated: bool
-    #: Submit-window wall clock (the regression gate's noise filter).
-    wall_seconds: float
     safe: bool
     checks: dict[str, bool]
 
@@ -191,8 +186,7 @@ async def _run_level(
         for client in http_clients
     ]
     total = int(offered * duration)
-    t0 = time.monotonic()
-    next_at = t0
+    next_at = time.monotonic()
     for i in range(total):
         next_at += rng.expovariate(offered)
         delay = next_at - time.monotonic()
@@ -213,7 +207,6 @@ async def _run_level(
     for _ in workers:
         queue.put_nowait(None)
     await asyncio.gather(*workers)
-    submit_wall = time.monotonic() - t0
 
     deadline = time.monotonic() + drain
     while time.monotonic() < deadline:
@@ -244,7 +237,6 @@ async def _run_level(
         p50_ms=percentiles[50],
         p99_ms=percentiles[99],
         saturated=achieved < 0.8 * offered,
-        wall_seconds=submit_wall,
         safe=True,  # stamped after the audit
         checks={},
     )
@@ -416,49 +408,25 @@ def run_gateway_cell(
 
 
 def gateway_record(row: GatewayRow) -> dict:
-    """One GatewayRow as a BENCH_gateway.json cell.
-
-    Unsaturated rows carry ``paced_*`` duplicates of their throughput
-    and latency: there the arrival process pins the rate, so the values
-    are stable enough for the CI regression gate to compare, while the
-    saturated capacity probes stay report-only (``index_cells`` in the
-    gate skips rows missing the gated metric).
-    """
-    record = {
+    """One GatewayRow as a BENCH_gateway.json cell: what every run reproduces."""
+    return {
         "engine": row.engine,
         "n": row.n,
         "offered": row.offered,
         "clients": row.clients,
-        "accepted": row.accepted,
-        "committed": row.committed,
-        "rejected": row.rejected,
-        "achieved_tps": row.achieved_tps,
-        "p50_ms": row.p50_ms,
-        "p99_ms": row.p99_ms,
         "saturated": row.saturated,
-        "wall_seconds": row.wall_seconds,
         "safe": row.safe,
         "checks": dict(row.checks),
     }
-    if not row.saturated:
-        # Paced throughput over the *submit* window: the arrival
-        # process fixes the window, and an unsaturated level commits
-        # everything it accepted, so this tracks the offered rate far
-        # more tightly than the commit-span capacity estimator.
-        wall = row.wall_seconds if row.wall_seconds > 0 else 1.0
-        record["paced_tps"] = row.committed / wall
-        record["paced_p50_ms"] = row.p50_ms
-        record["paced_p99_ms"] = row.p99_ms
-    return record
 
 
 def write_gateway_records(
     results: list[GatewayCellResult], key: str, path: Path = BENCH_PATH
 ) -> None:
-    """Persist the ramp rows plus the gated saturation aggregate.
+    """Persist the ramp rows plus the saturation aggregate.
 
     The aggregate reports the n=4 cell (present in smoke and heavy
-    alike, so the regression baseline stays comparable across modes).
+    alike, so the record stays comparable across modes).
     """
     merge_record(
         path, key, [gateway_record(row) for result in results for row in result.rows]
@@ -470,7 +438,6 @@ def write_gateway_records(
         {
             "saturation_offered": primary.saturation_offered,
             "reads_ok": primary.reads_ok,
-            "ws_events": primary.ws_events,
             "ws_evicted": primary.ws_evicted,
             "safe": primary.safe,
         },

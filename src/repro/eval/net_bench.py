@@ -21,7 +21,7 @@ Scenarios:
   everything;
 * ``capacity`` — the capacity-bound cell: a Δ short enough (and links
   fast enough) that replicas are CPU-bound by construction instead of
-  sleeping on the pacing clock.  The recorded ``busy_duty`` — summed
+  sleeping on the pacing clock.  The reported ``busy_duty`` — summed
   replica+driver CPU seconds over elapsed wall time × usable cores —
   is the evidence: Δ-paced cells idle near 0, a capacity cell runs hot
   (the heavy grid asserts > 0.8).
@@ -32,7 +32,7 @@ Scenarios:
   state transfer, and must converge to the byte-identical state digest
   the survivors report — the restarted replica's evidence goes through
   the same SafetyAuditor as everyone else's, and the row additionally
-  records how many blocks came back from disk (``recovered_blocks``)
+  reports how many blocks came back from disk (``recovered_blocks``)
   versus the network.
 
 Cross-validation is not optional: every cell's collected finalized
@@ -43,9 +43,12 @@ replay determinism must hold over real sockets exactly as in
 simulation, and ``python -m repro net`` exits nonzero if any cell
 fails its audit.
 
-Results persist to ``BENCH_net.json`` (smoke key ``net_smoke``; the
-``REPRO_HEAVY=1`` grid — n ∈ {4, 7}, every workload × scenario, plus a
-cross-engine slice — under ``net_grid``).
+``BENCH_net.json`` keeps what every run of a cell reproduces — its
+identity, commit counts, kill/restart sets, audit verdicts (smoke key
+``net_smoke``; the ``REPRO_HEAVY=1`` grid — n ∈ {4, 7}, every workload
+× scenario, plus a cross-engine slice — under ``net_grid``).  The
+wall-clock readings differ run to run, so they are printed, not
+persisted; ``perf/`` is the calibrated instrument for them.
 """
 
 from __future__ import annotations
@@ -130,10 +133,9 @@ class NetRow:
     #: the cell is capacity-bound.
     busy_duty: float = 0.0
     #: Summed transport write counters across every replica's peer
-    #: lanes: socket writes, and the frames and bytes they carried.
+    #: lanes: socket writes, and the frames they carried.
     flushes: int = 0
     frames_flushed: int = 0
-    bytes_flushed: int = 0
     #: Replicas killed and respawned over their data dirs (restart cell).
     restarted: tuple[int, ...] = ()
     #: Whether every restarted replica came back, caught up, and
@@ -145,17 +147,11 @@ class NetRow:
     recovered_blocks: int = 0
     #: Live-scraped observability columns: a MetricsRequest snapshot
     #: taken *mid-run* (while the cluster is still in consensus), so
-    #: windowed instruments — commit rate, queue lag, mempool depth —
-    #: are read live rather than post-mortem.  Durability counters
-    #: (fsyncs, WAL bytes, snapshots) come from the same scrape and are
-    #: summed across replicas; rates/depths report the cluster max.
+    #: the windowed commit rate is read live rather than post-mortem.
+    #: Fsyncs are summed across replicas; the others are the cluster max.
     commit_rate: float = 0.0
     view_changes: int = 0
-    mempool_depth: int = 0
-    queue_lag: int = 0
     fsyncs: int = 0
-    wal_bytes: int = 0
-    snapshots: int = 0
 
     @property
     def txns_per_sec(self) -> float:
@@ -175,12 +171,6 @@ class NetRow:
         if self.flushes <= 0:
             return 0.0
         return self.frames_flushed / self.flushes
-
-    @property
-    def bytes_per_flush(self) -> float:
-        if self.flushes <= 0:
-            return 0.0
-        return self.bytes_flushed / self.flushes
 
     @property
     def verdict(self) -> str:
@@ -342,17 +332,12 @@ def _row_from_result(
         busy_duty=result.busy_duty,
         flushes=int(_metric_sum(result.replies, "transport.flushes")),
         frames_flushed=int(_metric_sum(result.replies, "transport.frames_flushed")),
-        bytes_flushed=int(_metric_sum(result.replies, "transport.bytes_flushed")),
         restarted=result.restarted,
         converged=converged,
         recovered_blocks=recovered,
         commit_rate=_metric_max(scraped, "consensus.commit.rate"),
         view_changes=int(_metric_max(scraped, "consensus.view_changes")),
-        mempool_depth=int(_metric_max(scraped, "mempool.depth")),
-        queue_lag=int(_metric_max(scraped, "transport.queue_lag")),
         fsyncs=int(_metric_sum(scraped, "storage.fsyncs")),
-        wal_bytes=int(_metric_sum(scraped, "storage.wal_bytes")),
-        snapshots=int(_metric_sum(scraped, "storage.snapshots")),
     )
 
 
@@ -390,7 +375,7 @@ def run_net_grid(txns: int = 60, batch: int = 10) -> list[NetRow]:
 
 
 def net_record(row: NetRow) -> dict:
-    """One NetRow as a BENCH_net.json cell."""
+    """One NetRow as a BENCH_net.json cell: what every run reproduces."""
     return {
         "engine": row.engine,
         "workload": row.workload,
@@ -398,35 +383,12 @@ def net_record(row: NetRow) -> dict:
         "n": row.n,
         "txns": row.txns,
         "committed": row.committed,
-        "p50_ms": row.p50_ms,
-        "p95_ms": row.p95_ms,
-        "p99_ms": row.p99_ms,
-        "txns_per_sec": row.txns_per_sec,
-        "wall_seconds": row.wall_seconds,
-        "blocks": row.blocks,
         "killed": list(row.killed),
+        "restarted": list(row.restarted),
         "safe": row.safe,
         "live": row.live,
-        "checks": dict(row.checks),
-        "frames_in": row.frames_in,
-        "messages_in": row.messages_in,
-        "msgs_per_frame": row.msgs_per_frame,
-        "busy_duty": row.busy_duty,
-        "flushes": row.flushes,
-        "frames_flushed": row.frames_flushed,
-        "bytes_flushed": row.bytes_flushed,
-        "frames_per_flush": row.frames_per_flush,
-        "bytes_per_flush": row.bytes_per_flush,
-        "restarted": list(row.restarted),
         "converged": row.converged,
-        "recovered_blocks": row.recovered_blocks,
-        "commit_rate": row.commit_rate,
-        "view_changes": row.view_changes,
-        "mempool_depth": row.mempool_depth,
-        "queue_lag": row.queue_lag,
-        "fsyncs": row.fsyncs,
-        "wal_bytes": row.wal_bytes,
-        "snapshots": row.snapshots,
+        "checks": dict(row.checks),
     }
 
 
@@ -453,6 +415,7 @@ def format_net_report(rows: list[NetRow]) -> str:
                 "frm/wr": row.frames_per_flush,
                 "duty": row.busy_duty,
                 "commit/s": row.commit_rate,
+                "vchg": row.view_changes,
                 "fsync": row.fsyncs,
                 "verdict": row.verdict,
             }
@@ -474,6 +437,7 @@ def format_net_report(rows: list[NetRow]) -> str:
             "frm/wr",
             "duty",
             "commit/s",
+            "vchg",
             "fsync",
             "verdict",
         ],

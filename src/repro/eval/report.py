@@ -26,8 +26,8 @@ def merge_record(path: Path, key: str, payload: object) -> None:
     The write is atomic: the merged document goes to a temporary file
     in the same directory and is ``os.replace``d into place, so a run
     interrupted mid-write can never leave a truncated ``BENCH_*.json``
-    behind to poison the CI regression gate — readers see either the
-    old complete record or the new complete record.
+    behind — readers see either the old complete record or the new
+    complete record.
     """
     try:
         data = json.loads(path.read_text())

@@ -123,7 +123,9 @@ class _AckingTrackers(SMRTrackers):
     Every tracker callback is already on the consensus hot path, so
     this is where the registry instruments live: commit/block counters,
     the windowed commit-rate meter, the mempool-depth gauge, finalize
-    events, and the sampled commit-path trace stages.
+    events, and the sampled commit-path trace stages.  The inherited
+    ``latency`` tracker is not fed: nothing in a replica process reads
+    it, and it grows by an entry per txid and a sample per commit.
     """
 
     def __init__(self, ack, registry: MetricsRegistry, events: EventLog, tracer) -> None:
@@ -137,7 +139,6 @@ class _AckingTrackers(SMRTrackers):
         self._depth = registry.gauge("mempool.depth")
 
     def record_submit(self, txid: str, time: float) -> None:
-        super().record_submit(txid, time)
         self._tracer.record(txid, "submit")
 
     def record_proposal(self, node: int, txids: tuple[str, ...], time: float) -> None:
@@ -145,7 +146,6 @@ class _AckingTrackers(SMRTrackers):
             self._tracer.record(txid, "propose")
 
     def record_commit(self, node: int, txid: str, time: float) -> None:
-        super().record_commit(node, txid, time)
         self._commits.inc()
         self._commit_meter.record(1.0)
         self._tracer.record(txid, "finalize")
@@ -177,7 +177,6 @@ class _ObsNetContext(NetContext):
         self._events = events
 
     def trace(self, kind: TraceKind, **detail: object) -> None:
-        super().trace(kind, **detail)
         if kind is TraceKind.VIEW_ENTER and detail["view"] > 0:
             view = detail["view"]
             if view > self._view.value:

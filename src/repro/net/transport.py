@@ -30,7 +30,8 @@ frames.  Design points, in the order they matter operationally:
 :class:`NetContext` is the duck-typed
 :class:`~repro.sim.runner.NodeContext` the transport hands a node:
 wall-clock ``now`` in protocol Δ units (via ``time_scale`` seconds per
-Δ), asyncio timers, and local metric/trace sinks.
+Δ) and asyncio timers.  Its milestone reports keep nothing — sample
+lists nobody in a replica process reads would grow for as long as it is up.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ import logging
 from collections.abc import Callable
 
 from repro.errors import ConfigurationError
-from repro.metrics.collectors import RunMetrics
 from repro.net.codec import WIRE_CODEC, CodecError, FrameBuffer, Hello, WireCodec
-from repro.sim.trace import Trace, TraceKind
+from repro.sim.trace import TraceKind
 
 _LOG = logging.getLogger(__name__)
 
@@ -376,21 +376,12 @@ class NetContext:
     units, matching the simulated geometry.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        transport: NetTransport,
-        time_scale: float,
-        metrics: RunMetrics | None = None,
-        trace: Trace | None = None,
-    ) -> None:
+    def __init__(self, node_id: int, transport: NetTransport, time_scale: float) -> None:
         if time_scale <= 0:
             raise ConfigurationError(f"time_scale must be positive, got {time_scale}")
         self.node_id = node_id
         self.transport = transport
         self.time_scale = time_scale
-        self.metrics = metrics if metrics is not None else RunMetrics()
-        self.trace_sink = trace if trace is not None else Trace(enabled=False)
         self._t0: float | None = None
         self._timer_tasks: set[asyncio.Task] = set()
 
@@ -436,16 +427,13 @@ class NetContext:
     # -- milestone reporting --------------------------------------------------
 
     def report_decision(self, value: object) -> None:
-        self.metrics.latency.record_decision(self.node_id, value, self.now)
         self.trace(TraceKind.DECIDE, value=value)
 
     def report_view_entry(self, view: int) -> None:
-        self.metrics.latency.record_view_entry(self.node_id, view, self.now)
         self.trace(TraceKind.VIEW_ENTER, view=view)
 
     def report_storage(self, size_bytes: int) -> None:
-        self.metrics.storage.record(self.node_id, size_bytes)
+        pass
 
     def trace(self, kind: TraceKind, **detail: object) -> None:
-        if self.trace_sink.enabled:
-            self.trace_sink.record(self.now, self.node_id, kind, **detail)
+        pass

@@ -5,7 +5,7 @@ The integration surface of the obs plane: a real 4-replica cluster
 workload while the driver scrapes it **in-band** — the same
 ``MetricsRequest`` round ``python -m repro obs`` and the gateway's
 ``/v1/cluster/metrics`` use — and the scraped payload must carry the
-consensus, transport and durability series the A7 bench persists.
+consensus, transport and durability series the A7 bench reads.
 Event-log forensics are checked end to end too: every replica of a
 durable cluster leaves an NDJSON tail next to its WAL at shutdown,
 and ``REPRO_EVENT_LOG=1`` streams it live.
@@ -17,8 +17,8 @@ import json
 import os
 
 from repro.net.cluster import ClusterConfig, reply_metric, run_cluster_workload
-from repro.net.replica_main import _ObsNetContext
-from repro.obs import EVENT_FIELDS, EventLog, MetricsRegistry
+from repro.net.replica_main import _AckingTrackers, _ObsNetContext
+from repro.obs import EVENT_FIELDS, CommitPathTracer, EventLog, MetricsRegistry
 from repro.sim.trace import TraceKind
 from repro.smr.mempool import Transaction
 
@@ -162,3 +162,22 @@ def test_view_changes_are_counted_whichever_call_announces_them():
     assert scrape["consensus.view"] == 2
     logged = [(e["kind"], e["view"], e["slot"]) for e in events.tail()]
     assert logged == [("view_enter", 1, -1), ("view_enter", 2, 7)]
+
+
+def test_replica_trackers_keep_no_per_txn_samples():
+    """Constant storage in the replica process: submits and commits
+    move the counters, the tracer and the ack, and leave nothing behind
+    per transaction in the latency tracker nobody there reads."""
+    registry = MetricsRegistry()
+    acked: list[str] = []
+    trackers = _AckingTrackers(
+        acked.append, registry, EventLog(replica=0), CommitPathTracer(sample_every=0)
+    )
+    for k in range(100):
+        trackers.record_submit(f"tx-{k}", float(k))
+        trackers.record_commit(0, f"tx-{k}", float(k) + 5.0)
+    trackers.record_block(0, slot=1, txns=100, mempool_size=0, time=105.0)
+    assert trackers.latency.submitted_count == trackers.latency.sample_count == 0
+    assert trackers.throughput.txns_applied(0) == 100
+    assert registry.snapshot()["consensus.commits"] == 100
+    assert len(acked) == 100

@@ -17,14 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import (
-    _ENV_KEYS,
-    DEFAULT_SNAPSHOT_INTERVAL,
-    DEFAULT_WAL_FSYNC_WINDOW,
-    ReproConfig,
-    repro_config,
-)
-from repro.errors import ConfigurationError
+from repro.config import _ENV_KEYS, ReproConfig, repro_config
 from repro.multishot.batching import batching_enabled
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -39,9 +32,10 @@ def clean_env(monkeypatch):
 
 def test_knob_census():
     """Every ``REPRO_*`` name the code, CI or docs mention is a
-    :class:`ReproConfig` knob (or the regression gate's own override),
-    and every knob is still mentioned: a knob cannot outlive its
-    mechanism, and none appears without going through the config."""
+    :class:`ReproConfig` knob, every knob is still mentioned, and every
+    field is read off the config somewhere outside ``config.py``: a
+    knob cannot outlive its mechanism (parsed but never consumed is
+    outliving it), and none appears without going through the config."""
     sources = [
         *(REPO_ROOT / "src").rglob("*.py"),
         *(REPO_ROOT / "benchmarks").glob("*.py"),
@@ -52,8 +46,17 @@ def test_knob_census():
     mentioned = set()
     for path in sources:
         mentioned.update(re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8")))
-    assert mentioned == {*_ENV_KEYS, "REPRO_ACCEPT_REGRESSION"}
-    assert len(dataclasses.fields(ReproConfig)) == len(_ENV_KEYS) == 7
+    assert mentioned == set(_ENV_KEYS)
+    fields = {field.name for field in dataclasses.fields(ReproConfig)}
+    assert len(fields) == len(_ENV_KEYS) == 5
+    # Consumers read ``repro_config().<field>`` or ``cfg.<field>`` off a
+    # local ``cfg = repro_config()`` — the only two spellings in src/.
+    reads = re.compile(r"(?:repro_config\(\)|\bcfg)\.(\w+)")
+    consumed = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        if path.name != "config.py":
+            consumed.update(reads.findall(path.read_text(encoding="utf-8")))
+    assert fields <= consumed, f"parsed but never consumed: {sorted(fields - consumed)}"
 
 
 def test_defaults_with_nothing_set():
@@ -61,8 +64,6 @@ def test_defaults_with_nothing_set():
     assert config == ReproConfig()
     assert not config.no_batch and not config.heavy
     assert config.data_dir is None
-    assert config.wal_fsync_window == DEFAULT_WAL_FSYNC_WINDOW
-    assert config.snapshot_interval == DEFAULT_SNAPSHOT_INTERVAL
 
 
 @pytest.mark.parametrize("raw", ["1", "true", "TRUE", "yes", "Yes"])
@@ -114,12 +115,7 @@ def test_batching_enabled_consumes_the_config(monkeypatch):
 
 def test_durability_knobs(monkeypatch):
     monkeypatch.setenv("REPRO_DATA_DIR", "/tmp/somewhere")
-    monkeypatch.setenv("REPRO_WAL_FSYNC_WINDOW", "0.25")
-    monkeypatch.setenv("REPRO_SNAPSHOT_INTERVAL", "7")
-    config = repro_config()
-    assert config.data_dir == "/tmp/somewhere"
-    assert config.wal_fsync_window == 0.25
-    assert config.snapshot_interval == 7
+    assert repro_config().data_dir == "/tmp/somewhere"
 
 
 def test_empty_data_dir_means_unset(monkeypatch):
@@ -127,24 +123,9 @@ def test_empty_data_dir_means_unset(monkeypatch):
     assert repro_config().data_dir is None
 
 
-@pytest.mark.parametrize(
-    ("key", "raw", "match"),
-    [
-        ("REPRO_WAL_FSYNC_WINDOW", "soon", "needs a float"),
-        ("REPRO_WAL_FSYNC_WINDOW", "-0.1", "must be >= 0"),
-        ("REPRO_SNAPSHOT_INTERVAL", "many", "needs an integer"),
-        ("REPRO_SNAPSHOT_INTERVAL", "0", "must be >= 1"),
-    ],
-)
-def test_bad_durability_values_are_configuration_errors(monkeypatch, key, raw, match):
-    monkeypatch.setenv(key, raw)
-    with pytest.raises(ConfigurationError, match=match):
-        repro_config()
-
-
 def test_from_env_accepts_explicit_mapping():
-    config = ReproConfig.from_env({"REPRO_NO_BATCH": "1", "REPRO_SNAPSHOT_INTERVAL": "3"})
-    assert config.no_batch is True and config.snapshot_interval == 3
+    config = ReproConfig.from_env({"REPRO_NO_BATCH": "1"})
+    assert config.no_batch is True
 
 
 # -- observability knobs ------------------------------------------------------
