@@ -215,7 +215,6 @@ class ChainedEngine:
         self._batch_ctx: BatchingContext | None = None
         self.store = BlockStore()
         self.finalized: list[Block] = []
-        self._finalized_digests: set[str] = set()
         self.active_slot = 1
         self._shot: _SlotShot | None = None
         self._slot_timers: list = []
@@ -381,7 +380,6 @@ class ChainedEngine:
         """Commit the active slot's block and advance (no new instance)."""
         self.store.add(block)
         self.finalized.append(block)
-        self._finalized_digests.add(block.digest)
         for handle in self._slot_timers:
             handle.cancel()
         self._slot_timers.clear()
@@ -396,4 +394,6 @@ class ChainedEngine:
         """Drop aborted-proposal bodies far behind the finalized tip."""
         horizon = self.active_slot - RETENTION_SLOTS
         if horizon > 0:
-            self.store.prune_below(horizon, keep=self._finalized_digests)
+            # Slot s is finalized[s - 1]: only the active slot is ever appended.
+            keep = {self.finalized[s - 1].digest for s in self.store.slots_below(horizon)}
+            self.store.prune_below(horizon, keep)

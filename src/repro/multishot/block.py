@@ -57,12 +57,21 @@ class BlockStore:
     Bounded in practice by the finalization window plus the finalized
     chain; :meth:`prune_below` lets the node discard block bodies for
     slots below the active window once their chain is finalized.
+
+    A slot index (slot → digests first added at that slot) covers the
+    bodies no prune call has visited yet, so pruning costs the slots
+    crossing the horizon, not the chain: a body that survives its one
+    visit (a finalized block) stays addressable by digest and leaves
+    the index.
     """
 
     def __init__(self) -> None:
         self._by_digest: dict[Digest, Block] = {}
+        self._by_slot: dict[int, list[Digest]] = {}
 
     def add(self, block: Block) -> None:
+        if block.digest not in self._by_digest:
+            self._by_slot.setdefault(block.slot, []).append(block.digest)
         self._by_digest[block.digest] = block
 
     def get(self, digest: Digest) -> Block | None:
@@ -107,8 +116,18 @@ class BlockStore:
         chain.reverse()
         return chain
 
+    def slots_below(self, slot: int) -> list[int]:
+        """Indexed slots below ``slot``: what ``prune_below(slot, ...)`` visits."""
+        return [s for s in self._by_slot if s < slot]
+
     def prune_below(self, slot: int, keep: set[Digest]) -> None:
-        """Drop block bodies for slots below ``slot`` except ``keep``."""
-        victims = [d for d, b in self._by_digest.items() if b.slot < slot and d not in keep]
-        for digest in victims:
-            del self._by_digest[digest]
+        """Drop block bodies for slots below ``slot`` except ``keep``.
+
+        Each body is visited by exactly one call, so ``keep`` need only
+        name the survivors among :meth:`slots_below`, and a body kept
+        once is kept for good.
+        """
+        for stale in self.slots_below(slot):
+            for digest in self._by_slot.pop(stale):
+                if digest not in keep:
+                    del self._by_digest[digest]

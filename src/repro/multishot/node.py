@@ -493,9 +493,12 @@ class MultiShotNode(SimNode):
             del self.slots[slot]
         # Notarization sets below the horizon are dead weight too: the
         # finalized-slot index answers every query that still matters.
-        self.chain.prune_below(max(0, horizon))
-        keep = {b.digest for b in self.chain.finalized}
-        self.store.prune_below(max(0, horizon), keep)
+        horizon = max(0, horizon)
+        self.chain.prune_below(horizon)
+        # Every slot below the horizon is finalized; its finalized body
+        # is the one the store keeps.
+        keep = {self.chain.finalized_digest_at(s) for s in self.store.slots_below(horizon)}
+        self.store.prune_below(horizon, keep)
 
     # -- view change (Algorithm 2) ---------------------------------------------
 

@@ -10,6 +10,18 @@ business.  The seam mirrors the consensus-engine boundary in
 :mod:`repro.smr.engine`: a :class:`typing.Protocol`, structural, with
 the replica owning the hooks and the storage owning every file-format
 decision.
+
+**Restart fault model, as the code stands.**  ``block_executed`` is the
+only write hook, so what survives a restart is finalized blocks and the
+state they produce — never a :class:`~repro.core.storage.VoteStorage`.
+A replica bootstrapped from ``recover()`` re-enters every slot that was
+in flight at view 0 with empty vote records: for those slots it may
+vote differently than before the crash and reports no prior votes in
+its suggest/proof messages, so it counts against the Byzantine budget.
+The protocol's guarantees therefore hold for r restarted plus b
+Byzantine replicas with r + b ≤ f — one restart at n=4 (the
+kill-and-restart cells) is inside the model, two staggered restarts at
+n=4 are not.
 """
 
 from __future__ import annotations

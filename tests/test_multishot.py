@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import time
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import chained
 from repro.core import ProtocolConfig
 from repro.errors import ProtocolViolation
 from repro.multishot import (
@@ -14,6 +19,8 @@ from repro.multishot import (
     MultiShotConfig,
     MultiShotNode,
 )
+from repro.multishot.chain import FINALITY_WINDOW
+from repro.multishot.node import RETENTION_SLOTS
 from repro.sim import (
     PartialSynchronyPolicy,
     Simulation,
@@ -22,6 +29,8 @@ from repro.sim import (
     TraceKind,
     silence_nodes,
 )
+from repro.smr import Replica
+from repro.smr.engine import engine_factory
 
 
 def chain_digests(node: MultiShotNode) -> list[str]:
@@ -47,6 +56,54 @@ class TestBlock:
             Block.create(1, GENESIS_DIGEST, "p").digest
             == Block.create(1, GENESIS_DIGEST, "p").digest
         )
+
+
+class _ScanStore:
+    """The store before the slot index: keyed by digest only, pruned by
+    a scan over every body it holds.  Reference for the differential
+    test below."""
+
+    def __init__(self) -> None:
+        self._by_digest: dict[str, Block] = {}
+
+    def add(self, block: Block) -> None:
+        self._by_digest[block.digest] = block
+
+    def get(self, digest: str) -> Block | None:
+        return self._by_digest.get(digest)
+
+    def __contains__(self, digest: str) -> bool:
+        return digest in self._by_digest
+
+    def __len__(self) -> int:
+        return len(self._by_digest)
+
+    def prune_below(self, slot: int, keep: set[str]) -> None:
+        victims = [d for d, b in self._by_digest.items() if b.slot < slot and d not in keep]
+        for digest in victims:
+            del self._by_digest[digest]
+
+
+#: Every body the differential test can add: 12 slots × 3 rival digests.
+_UNIVERSE = {
+    (slot, rival): Block.create(slot, "parent", f"rival-{rival}")
+    for slot in range(12)
+    for rival in range(3)
+}
+
+_STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 11), st.integers(0, 2)),
+        # Advance the horizon by 0–3 slots; each slot crossing it
+        # finalizes one of its rivals (3 = none of them).
+        st.tuples(
+            st.just("prune"),
+            st.integers(0, 3),
+            st.lists(st.integers(0, 3), min_size=3, max_size=3),
+        ),
+    ),
+    max_size=40,
+)
 
 
 class TestBlockStore:
@@ -87,6 +144,57 @@ class TestBlockStore:
         store.prune_below(3, keep={b2.digest})
         assert b2.digest in store
         assert b1.digest not in store
+
+    def test_prune_visits_each_body_once(self):
+        store = BlockStore()
+        kept = Block.create(1, GENESIS_DIGEST, "kept")
+        rival = Block.create(1, GENESIS_DIGEST, "rival")
+        ahead = Block.create(5, kept.digest, "ahead")
+        for block in (kept, rival, kept, ahead):  # a duplicate add indexes once
+            store.add(block)
+        assert store.slots_below(9) == [1, 5]
+        store.prune_below(3, keep={kept.digest})
+        assert kept.digest in store and rival.digest not in store
+        # The survivor left the index, and re-adding it does not re-enter it.
+        store.add(kept)
+        assert store.slots_below(9) == [5]
+        # A body arriving for a slot already below the horizon goes at
+        # the next call, whatever the horizon does.
+        store.add(rival)
+        store.prune_below(3, keep=set())
+        assert rival.digest not in store
+        assert kept.digest in store and ahead.digest in store
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_STORE_OPS)
+    def test_indexed_prune_matches_full_scan(self, ops):
+        """Driven the way the engines drive it — the slots being dropped
+        name the finalized digests to keep — the indexed store holds the
+        same bodies after every step as a scan told every finalized
+        digest, as the node's ``_prune`` told it before the index."""
+        indexed, scan = BlockStore(), _ScanStore()
+        horizon = 0
+        finalized: dict[int, str] = {}
+        for op in ops:
+            if op[0] == "add":
+                block = _UNIVERSE[op[1], op[2]]
+                indexed.add(block)
+                scan.add(block)
+            else:
+                _, advance, picks = op
+                for slot, rival in zip(range(horizon, horizon + advance), picks):
+                    block = _UNIVERSE.get((slot, rival))  # none for rival 3
+                    if block is not None:
+                        finalized[slot] = block.digest
+                horizon += advance
+                indexed.prune_below(
+                    horizon, {finalized.get(slot) for slot in indexed.slots_below(horizon)}
+                )
+                scan.prune_below(horizon, set(finalized.values()))
+            assert len(indexed) == len(scan)
+            for block in _UNIVERSE.values():
+                assert (block.digest in indexed) == (block.digest in scan)
+                assert indexed.get(block.digest) == scan.get(block.digest)
 
 
 class TestChainState:
@@ -287,6 +395,70 @@ class TestMultiShotGoodCase:
         assert len(node.finalized_chain) == 37
         # Per-slot working state far behind the tip was pruned.
         assert len(node.slots) <= 40 - 37 + 8 + 4
+
+
+#: Slots an engine may hold working state for: the retention tail
+#: behind the finalized tip, the notarized-but-unfinal run above it,
+#: and the two slots already started beyond that.
+_WINDOW = RETENTION_SLOTS + FINALITY_WINDOW + 2
+
+
+class TestWorkingStateIsAWindow:
+    """Work and working state per finalized slot do not grow with the
+    chain (§6: constant storage, one block per delay — for as long as
+    the node stays up)."""
+
+    SLOTS, CHUNK = 1600, 100
+
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        """1,600 good-case slots on a bare engine; CPU seconds per chunk."""
+        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=self.SLOTS + 100)
+        sim = Simulation(SynchronousDelays(1.0))
+        for i in range(4):
+            sim.add_node(MultiShotNode(i, config))
+        chunks = []
+        for end in range(self.CHUNK, self.SLOTS + 1, self.CHUNK):
+            began = time.process_time()
+            sim.run(until=end + FINALITY_WINDOW + 1)  # slot s finalizes at s + 4
+            chunks.append(time.process_time() - began)
+        return sim.nodes[0], chunks
+
+    def test_per_slot_cost_is_flat(self, long_run):
+        _, chunks = long_run
+        # Minima, not means: a noisy neighbour slows a chunk, never
+        # speeds one up.  2.4–2.9 with a scan per finalization, 1.0 flat.
+        ratio = min(chunks[-3:]) / min(chunks[1:4])
+        assert ratio <= 1.5, [round(c * 1000) for c in chunks]
+
+    def test_multishot_state_is_a_window(self, long_run):
+        node, _ = long_run
+        tip = node.chain.finalized_height
+        assert tip >= self.SLOTS
+        assert len(node.slots) <= _WINDOW
+        live = set(range(tip - RETENTION_SLOTS, tip - RETENTION_SLOTS + _WINDOW))
+        every_slot = node.config.max_slots + 1
+        notarized = {s for s in range(1, every_slot) if node.chain.notarized_digests(s)}
+        assert notarized <= live
+        indexed = node.store.slots_below(every_slot)
+        assert set(indexed) <= live
+        # Finalized bodies stay (the ledger); beside them only the
+        # unfinalized tail, one body per slot in the good case.
+        assert len(node.store) == tip + sum(1 for s in indexed if s > tip)
+
+    def test_chained_engine_state_is_a_window(self):
+        factory = engine_factory("pbft", ProtocolConfig.create(4))
+        sim = Simulation(SynchronousDelays(1.0))
+        replicas = [Replica(i, max_batch=4, engine_factory=factory) for i in range(4)]
+        sim.add_nodes(list(replicas))
+        engine = replicas[0].consensus
+        sim.run(until=1e6, stop_when=lambda: len(engine.finalized) >= 600, stop_check_interval=16)
+        tip = len(engine.finalized)
+        assert tip >= 600
+        indexed = engine.store.slots_below(tip + 2)
+        assert len(indexed) <= chained.RETENTION_SLOTS + 1  # + the active slot
+        assert min(indexed) >= tip - chained.RETENTION_SLOTS
+        assert len(engine.store) == tip + sum(1 for s in indexed if s > tip)
 
 
 class TestMultiShotViewChange:
