@@ -30,6 +30,7 @@ import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
+from repro.config import repro_config
 from repro.errors import SimulationError
 from repro.net.codec import (
     WIRE_CODEC,
@@ -38,6 +39,7 @@ from repro.net.codec import (
     CollectReply,
     CollectRequest,
     CommitAck,
+    CommitAckBatch,
     FrameBuffer,
     MetricsReply,
     MetricsRequest,
@@ -186,9 +188,18 @@ class ReplicaPool:
     """A pool of client connections, one per replica.
 
     ``addrs`` maps replica id → (host, client port).  Commit acks are
-    dispatched to the ``on_ack(node_id, CommitAck)`` callback; replica
-    deaths to ``on_death(node_id)``.  CollectReplies are correlated to
-    the :meth:`collect` / :meth:`snapshot` call that requested them.
+    dispatched to the ``on_ack(node_id, CommitAck)`` callback, one call
+    per txid (a replica acks a whole block in one
+    :class:`~repro.net.codec.CommitAckBatch`; the pool fans it out);
+    replica deaths to ``on_death(node_id)``.  CollectReplies are
+    correlated to the :meth:`collect` / :meth:`snapshot` call that
+    requested them.
+
+    Submissions are batched the same way: :meth:`submit` queues, and
+    everything queued in one event-loop tick leaves as one frame per
+    replica.  Every frame the pool writes goes through :meth:`_write`,
+    which sends the queue first, so each connection sees frames in call
+    order.
     """
 
     def __init__(
@@ -212,6 +223,10 @@ class ReplicaPool:
         self.live: set[int] = set(self._conns)
         self._reply_waiters: dict[int, asyncio.Future] = {}
         self._reply_lock = asyncio.Lock()
+        #: Submits queued since the last flush, in call order.
+        self._pending: list[Transaction] = []
+        #: REPRO_NO_BATCH=1 makes every submit its own immediate flush.
+        self._coalesce = not repro_config().no_batch
 
     @classmethod
     def from_specs(cls, specs, **kwargs) -> "ReplicaPool":
@@ -233,6 +248,7 @@ class ReplicaPool:
     def exclude(self, node_id: int) -> None:
         """Stop sending to (and expecting acks from) ``node_id`` — used
         when the orchestrator kills a replica on purpose."""
+        self._flush()
         self.live.discard(node_id)
 
     async def readmit(self, node_id: int) -> None:
@@ -257,45 +273,72 @@ class ReplicaPool:
         StartRun at a readmitted process)."""
         conn = self._conns.get(node_id)
         if conn is not None and not conn.dead:
-            conn.send_frame(self.codec.encode_frame(message))
+            self._write([conn], self.codec.encode_frame(message))
 
     def close(self) -> None:
+        self._flush()
         for conn in self._conns.values():
             conn.close()
 
     # -- submission -----------------------------------------------------------
+
+    def _write(self, conns: Iterable[ReplicaConnection], frame: bytes) -> None:
+        """The one way a frame leaves the pool: queued submits go first."""
+        self._flush()
+        for conn in conns:
+            conn.send_frame(frame)
+
+    def _live_conns(self) -> list[ReplicaConnection]:
+        return [
+            conn for conn in self._conns.values() if not conn.dead and conn.node_id in self.live
+        ]
 
     def broadcast(self, message: object) -> None:
         """Encode once, send to every live replica."""
         self.broadcast_frame(self.codec.encode_frame(message))
 
     def broadcast_frame(self, frame: bytes) -> None:
-        for conn in self._conns.values():
-            if not conn.dead and conn.node_id in self.live:
-                conn.send_frame(frame)
+        self._write(self._live_conns(), frame)
 
     def submit(self, txn: Transaction) -> None:
-        """Submit one transaction to every live replica (one encode)."""
-        self.broadcast(ClientSubmit(txn))
+        """Queue one transaction for every live replica.
+
+        The queue is flushed once per event-loop tick (``call_soon``,
+        never a timer), so N submits in one tick cost one encode and one
+        frame per replica.  Under ``REPRO_NO_BATCH=1`` each submit
+        flushes at once: one bare ``ClientSubmit`` apiece.
+        """
+        self._pending.append(txn)
+        if not self._coalesce:
+            self._flush()
+        elif len(self._pending) == 1:
+            asyncio.get_running_loop().call_soon(self._flush)
+
+    def _flush(self) -> None:
+        if self._pending:
+            txns, self._pending = self._pending, []
+            self.submit_many(txns)
 
     def submit_many(self, txns: list[Transaction]) -> None:
-        """Submit a server-side batch as one frame per replica.
+        """Submit a batch as one frame per replica, after anything queued.
 
         A singleton batch degenerates to the bare ``ClientSubmit`` —
         the same discipline the message plane's VoteBatch envelope
         follows (no envelope overhead for unbatchable traffic).
         """
-        if not txns:
-            return
         if len(txns) == 1:
-            self.submit(txns[0])
-        else:
+            self.broadcast(ClientSubmit(txns[0]))
+        elif txns:
             self.broadcast(ClientSubmitBatch(tuple(txns)))
 
     # -- reply correlation ----------------------------------------------------
 
     def _on_message(self, node_id: int, message: object) -> None:
-        if isinstance(message, CommitAck):
+        if isinstance(message, CommitAckBatch):
+            if self.on_ack is not None:
+                for txid in message.txids:
+                    self.on_ack(node_id, CommitAck(message.node_id, txid, message.slot))
+        elif isinstance(message, CommitAck):
             if self.on_ack is not None:
                 self.on_ack(node_id, message)
         elif isinstance(message, (CollectReply, MetricsReply)):
@@ -325,16 +368,10 @@ class ReplicaPool:
         if timeout is None:
             timeout = self.collect_timeout
         async with self._reply_lock:
-            targets = [
-                conn
-                for conn in self._conns.values()
-                if not conn.dead and conn.node_id in self.live
-            ]
+            targets = self._live_conns()
             loop = asyncio.get_running_loop()
             self._reply_waiters = {conn.node_id: loop.create_future() for conn in targets}
-            frame = self.codec.encode_frame(request)
-            for conn in targets:
-                conn.send_frame(frame)
+            self._write(targets, self.codec.encode_frame(request))
             replies: dict[int, CollectReply] = {}
             deadline = time.monotonic() + timeout
             try:

@@ -457,13 +457,29 @@ class SnapshotRequest:
 class ClientSubmitBatch:
     """Client → replica: inject many transactions in one frame.
 
-    The gateway coalesces concurrent client submissions into one frame
-    per replica per flush window — the client-plane counterpart of the
-    message plane's VoteBatch envelope (a singleton submission travels
-    as the bare :class:`ClientSubmit` instead).
+    The replica pool sends every submission queued in one event-loop
+    tick (or one ``submit_many`` batch) as one frame per replica — the
+    client-plane counterpart of the message plane's VoteBatch envelope
+    (a singleton submission travels as the bare :class:`ClientSubmit`
+    instead).
     """
 
     txns: tuple  # tuple[Transaction, ...]
+
+
+@dataclass(frozen=True)
+class CommitAckBatch:
+    """Replica → client: this replica executed every ``txids`` entry in
+    the block at ``slot``.
+
+    One frame per executed block per client connection; a block that
+    applied exactly one txid is acked with the bare :class:`CommitAck`
+    instead (the singleton rule of :class:`ClientSubmitBatch`).
+    """
+
+    node_id: int
+    slot: int
+    txids: tuple  # tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -639,6 +655,8 @@ def wire_codec() -> WireCodec:
     # In-band metrics scrape (wire v5).
     codec.register(11, MetricsRequest)
     codec.register(12, MetricsReply)
+    # Per-block commit acks (appended within wire v5).
+    codec.register(13, CommitAckBatch)
     # Shared nested structures.
     codec.register(16, VoteRecord)
     codec.register(17, Block)

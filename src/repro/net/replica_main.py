@@ -11,13 +11,16 @@ server:
   until the driver's ``StartRun`` arrives — over real sockets a fast
   peer's first proposal can beat the local start signal);
 * ``ClientSubmit`` / ``ClientSubmitBatch`` frames go to
-  ``replica.submit`` (the batch form is the gateway's server-side
-  submission coalescing — many client submissions, one frame);
+  ``replica.submit`` (the batch form is the client pool's per-tick
+  submission coalescing — many submissions, one frame);
 * ``SnapshotRequest`` answers with the same ``CollectReply`` evidence
   as a collect but keeps the replica in consensus — the gateway's read
   path serves executed state from these snapshots;
-* every executed transaction is acknowledged to connected clients with
-  a ``CommitAck`` (the driver's wall-clock latency sample);
+* every executed block is acknowledged to connected clients with one
+  ``CommitAckBatch`` of the txids it applied (a bare ``CommitAck`` when
+  it applied one), the acks of one loop tick as one write per
+  connection, sent ahead of any reply that follows them (the client's
+  wall-clock latency sample);
 * ``CollectRequest`` answers with a ``CollectReply`` carrying the
   finalized chain, live state digest and applied-transaction log — the
   exact :class:`~repro.verification.audit.ReplicaEvidence` fields the
@@ -36,6 +39,7 @@ from pathlib import Path
 from repro.config import repro_config
 from repro.core.config import ProtocolConfig
 from repro.metrics.smr_trackers import SMRTrackers
+from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
 from repro.net.codec import (
     WIRE_CODEC,
     ClientSubmit,
@@ -44,6 +48,7 @@ from repro.net.codec import (
     CollectReply,
     CollectRequest,
     CommitAck,
+    CommitAckBatch,
     FrameBuffer,
     MetricsReply,
     MetricsRequest,
@@ -256,8 +261,14 @@ class ReplicaProcess:
         self._pre_start: list[tuple[int, object]] = []
         self._frames_in = self.registry.counter("net.frames_in")
         self._messages_in = self.registry.counter("net.messages_in")
+        self._client_frames_in = self.registry.counter("net.client_frames_in")
+        self._client_frames_out = self.registry.counter("net.client_frames_out")
         self._current_slot = 0
         self._clients: list[asyncio.StreamWriter] = []
+        #: Unsent acks, one (slot, txids) entry per executed block.
+        self._acks: list[tuple[int, list[str]]] = []
+        #: REPRO_NO_BATCH=1 sends every ack at once, as a bare CommitAck.
+        self._coalesce_acks = not cfg.no_batch
         self._done = asyncio.Event()
         self._catch_up_task: asyncio.Task | None = None
 
@@ -305,12 +316,44 @@ class ReplicaProcess:
             self._catch_up_task = asyncio.ensure_future(self._catch_up_loop())
 
     def _ack_commit(self, txid: str) -> None:
+        """Queue the ack under the block being executed; the tick's
+        acks leave together via ``call_soon`` (never a timer)."""
         executed = self.replica.executed_blocks
         slot = executed[-1].slot if executed else 0
-        frame = self.codec.encode_frame(CommitAck(self.spec.node_id, txid, slot))
+        if self._acks and self._acks[-1][0] == slot:
+            self._acks[-1][1].append(txid)
+        else:
+            if not self._acks and self._coalesce_acks:
+                asyncio.get_running_loop().call_soon(self._flush_acks)
+            self._acks.append((slot, [txid]))
+        if not self._coalesce_acks:
+            self._flush_acks()
+
+    def _flush_acks(self) -> None:
+        """One write per client connection: one ack frame per block."""
+        if not self._acks:
+            return
+        acks, self._acks = self._acks, []
+        node_id = self.spec.node_id
+        buf = bytearray()
+        for slot, txids in acks:
+            if len(txids) == 1:
+                message = CommitAck(node_id, txids[0], slot)
+            else:
+                message = CommitAckBatch(node_id, slot, tuple(txids))
+            self.codec.encode_frame_into(message, buf)
+        data = bytes(buf)
         for writer in self._clients:
             if not writer.is_closing():
-                writer.write(frame)
+                writer.write(data)
+                self._client_frames_out.inc(len(acks))
+
+    async def _reply(self, writer: asyncio.StreamWriter, message: object) -> None:
+        """Answer one client, behind every ack already queued for it."""
+        self._flush_acks()
+        writer.write(self.codec.encode_frame(message))
+        self._client_frames_out.inc()
+        await writer.drain()
 
     def _metrics_items(self) -> tuple[tuple[str, float], ...]:
         """One obs-registry snapshot: the scrape/collect wire payload.
@@ -353,9 +396,10 @@ class ReplicaProcess:
 
     # -- state-transfer catch-up ----------------------------------------------
 
-    def _finalized_height(self) -> int:
+    def _finalized_tip(self) -> tuple[int, str]:
+        """(height, digest) of the local finalized tip; genesis at 0."""
         chain = self.replica.finalized_chain
-        return chain[-1].slot if chain else 0
+        return (chain[-1].slot, chain[-1].digest) if chain else (0, GENESIS_DIGEST)
 
     async def _catch_up_loop(self) -> None:
         """Fetch the finalized gap from a peer whenever progress stalls.
@@ -367,26 +411,25 @@ class ReplicaProcess:
         (a healthy replica in a healthy cluster) the loop never fetches.
         """
         interval = 0.2 * max(1.0, self.spec.time_scale / REFERENCE_TIME_SCALE)
-        last_height = self._finalized_height()
+        last_height, _ = self._finalized_tip()
         peer_index = 0
         while not self._done.is_set():
             await asyncio.sleep(interval)
-            height = self._finalized_height()
-            if height > last_height:
-                last_height = height
+            tip = self._finalized_tip()
+            if tip[0] > last_height:
+                last_height = tip[0]
                 continue
             addr = self.spec.client_addrs[peer_index % len(self.spec.client_addrs)]
             peer_index += 1
             try:
-                await asyncio.wait_for(
-                    self._state_transfer(addr, height), timeout=10 * interval
-                )
+                await asyncio.wait_for(self._state_transfer(addr, tip), timeout=10 * interval)
             except (OSError, ConnectionError, CodecError, asyncio.TimeoutError):
                 continue  # that peer is down or slow; try the next one
 
-    async def _state_transfer(self, addr: tuple[int, str, int], since_slot: int) -> None:
-        """One fetch: ask ``addr`` for finalized blocks above ``since_slot``."""
+    async def _state_transfer(self, addr: tuple[int, str, int], tip: tuple[int, str]) -> None:
+        """One fetch: ask ``addr`` for finalized blocks above ``tip``."""
         peer_id, host, port = addr
+        since_slot, tip_digest = tip
         reader, writer = await asyncio.open_connection(host, port)
         try:
             writer.write(self.codec.encode_frame(StateTransferRequest(since_slot=since_slot)))
@@ -398,14 +441,14 @@ class ReplicaProcess:
                 if not data:
                     return
                 for message in buffer.feed(data):
-                    # The peer's client port also pushes CommitAcks at
+                    # The peer's client port also pushes commit acks at
                     # everyone connected; skip anything but our reply.
                     if isinstance(message, StateTransferReply):
                         reply = message
                         break
         finally:
             writer.close()
-        blocks = self._validate_transfer(reply.blocks, since_slot)
+        blocks = self._validate_transfer(reply.blocks, since_slot, tip_digest)
         if blocks:
             advanced = self.replica.offer_blocks(blocks)
             self.events.emit(
@@ -417,27 +460,27 @@ class ReplicaProcess:
             )
 
     @staticmethod
-    def _validate_transfer(blocks: tuple, since_slot: int) -> tuple:
+    def _validate_transfer(blocks: tuple, since_slot: int, tip_digest: str) -> tuple:
         """The longest trustworthy prefix of a peer's transfer reply.
 
-        Re-derives every digest and checks consecutive hash linkage —
+        Re-derives every digest and checks hash linkage from the local
+        finalized tip (``tip_digest`` at height ``since_slot``) onward —
         a peer (or a bit flip) cannot smuggle in a body whose digest
-        does not match its content, and the engine's own chain walk
-        re-proves finalization before anything executes.
+        does not match its content or a suffix that forks off our tip,
+        and the engine's own chain walk re-proves finalization before
+        anything executes.
         """
-        from repro.multishot.block import Block, _compute_digest
-
         good = []
-        expected_slot = since_slot + 1
+        parent = tip_digest
         for block in blocks:
-            if not isinstance(block, Block) or block.slot != expected_slot:
+            if not isinstance(block, Block) or block.slot != since_slot + 1 + len(good):
+                break
+            if block.parent != parent:
                 break
             if _compute_digest(block.slot, block.parent, block.payload) != block.digest:
                 break
-            if good and block.parent != good[-1].digest:
-                break
             good.append(block)
-            expected_slot += 1
+            parent = block.digest
         return tuple(good)
 
     # -- client server --------------------------------------------------------
@@ -453,6 +496,7 @@ class ReplicaProcess:
                 if not data:
                     return
                 for message in buffer.feed(data):
+                    self._client_frames_in.inc()
                     if isinstance(message, ClientSubmit):
                         if isinstance(message.txn, Transaction):
                             self.replica.submit(message.txn)
@@ -471,42 +515,36 @@ class ReplicaProcess:
                             served=len(blocks),
                             since=message.since_slot,
                         )
-                        writer.write(
-                            self.codec.encode_frame(
-                                StateTransferReply(
-                                    node_id=self.spec.node_id,
-                                    tip_slot=chain[-1].slot if chain else 0,
-                                    blocks=blocks,
-                                )
-                            )
+                        await self._reply(
+                            writer,
+                            StateTransferReply(
+                                node_id=self.spec.node_id,
+                                tip_slot=chain[-1].slot if chain else 0,
+                                blocks=blocks,
+                            ),
                         )
-                        await writer.drain()
                     elif isinstance(message, MetricsRequest):
                         # In-band scrape: the registry snapshot, no
                         # chain copy, replica stays in consensus.
-                        writer.write(
-                            self.codec.encode_frame(
-                                MetricsReply(
-                                    node_id=self.spec.node_id,
-                                    items=self._metrics_items(),
-                                    events=len(self.events),
-                                )
-                            )
+                        await self._reply(
+                            writer,
+                            MetricsReply(
+                                node_id=self.spec.node_id,
+                                items=self._metrics_items(),
+                                events=len(self.events),
+                            ),
                         )
-                        await writer.drain()
                     elif isinstance(message, SnapshotRequest):
                         # Read path: answer with the same evidence shape
                         # as a collect, but stay in consensus.
-                        writer.write(self.codec.encode_frame(self._collect_reply()))
-                        await writer.drain()
+                        await self._reply(writer, self._collect_reply())
                     elif isinstance(message, CollectRequest):
                         # Dump forensics BEFORE answering: the driver
                         # reaps the process as soon as every reply is
                         # in, and SIGTERM does not unwind the finally
                         # block — the reply is the dump's barrier.
                         self._dump_events()
-                        writer.write(self.codec.encode_frame(self._collect_reply()))
-                        await writer.drain()
+                        await self._reply(writer, self._collect_reply())
                         self._done.set()
                         return
                     else:

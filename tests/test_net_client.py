@@ -31,7 +31,10 @@ from repro.net.codec import (
     CollectReply,
     CollectRequest,
     CommitAck,
+    CommitAckBatch,
     FrameBuffer,
+    MetricsReply,
+    MetricsRequest,
     SnapshotRequest,
     StartRun,
 )
@@ -149,13 +152,16 @@ class FakeReplica:
             writer.close()
 
     def _replies(self, message: object) -> list[object]:
+        # Each submit frame is acked as one block, in the slot that is
+        # its position in what this replica has received.
+        slot = len(self.received)
         if isinstance(message, ClientSubmit):
-            return [CommitAck(node_id=self.node_id, txid=message.txn.txid, slot=1)]
+            return [CommitAck(node_id=self.node_id, txid=message.txn.txid, slot=slot)]
         if isinstance(message, ClientSubmitBatch):
-            return [
-                CommitAck(node_id=self.node_id, txid=txn.txid, slot=1)
-                for txn in message.txns
-            ]
+            txids = tuple(txn.txid for txn in message.txns)
+            return [CommitAckBatch(node_id=self.node_id, slot=slot, txids=txids)]
+        if isinstance(message, MetricsRequest):
+            return [MetricsReply(node_id=self.node_id)]
         if isinstance(message, (SnapshotRequest, CollectRequest)):
             return [
                 CollectReply(
@@ -229,6 +235,121 @@ def test_pool_submit_many_degenerates_singleton_to_bare_submit():
         assert isinstance(batch, ClientSubmitBatch)
         assert [txn.txid for txn in batch.txns] == ["t2", "t3"]
         replicas[0].close()
+        pool.close()
+
+    asyncio.run(scenario())
+
+
+def _kinds(replica: FakeReplica) -> list[str]:
+    return [type(m).__name__ for m in replica.received]
+
+
+def test_pool_coalesces_one_tick_of_submits_into_one_frame_per_replica():
+    acks = []
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(3)
+        pool = ReplicaPool(addrs, on_ack=lambda nid, ack: acks.append((nid, ack.txid)))
+        await pool.connect()
+        for i in range(5):
+            pool.submit(_txn(i))
+        await _wait_for(lambda: len(acks) == 3 * 5)
+        pool.submit(_txn(5))  # a tick of its own: the bare frame
+        await _wait_for(lambda: len(acks) == 3 * 6)
+        for replica in replicas:
+            batch, single = replica.received
+            assert isinstance(batch, ClientSubmitBatch)
+            assert [txn.txid for txn in batch.txns] == ["t0", "t1", "t2", "t3", "t4"]
+            assert isinstance(single, ClientSubmit) and single.txn.txid == "t5"
+            replica.close()
+        pool.close()
+
+    asyncio.run(scenario())
+
+
+async def _collect(pool: ReplicaPool) -> None:
+    await pool.collect(timeout=5.0)
+
+
+async def _snapshot(pool: ReplicaPool) -> None:
+    await pool.snapshot(timeout=5.0)
+
+
+async def _scrape(pool: ReplicaPool) -> None:
+    await pool.scrape(timeout=5.0)
+
+
+async def _send_to_each(pool: ReplicaPool) -> None:
+    for node_id in sorted(pool.live):
+        pool.send_to(node_id, StartRun())
+
+
+@pytest.mark.parametrize(
+    "then, follow_up",
+    [
+        (_collect, "CollectRequest"),
+        (_snapshot, "SnapshotRequest"),
+        (_scrape, "MetricsRequest"),
+        (_send_to_each, "StartRun"),
+    ],
+)
+def test_queued_submits_go_out_before_any_frame_written_after_them(then, follow_up):
+    """A frame the pool writes directly in the same tick as a submit
+    must not overtake the queued submit on any connection."""
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(3)
+        pool = ReplicaPool(addrs)
+        await pool.connect()
+        pool.submit(_txn(0))
+        await then(pool)
+        await _wait_for(lambda: all(len(r.received) == 2 for r in replicas))
+        for replica in replicas:
+            assert _kinds(replica) == ["ClientSubmit", follow_up]
+            replica.close()
+        pool.close()
+
+    asyncio.run(scenario())
+
+
+def test_pool_fans_a_commit_ack_batch_out_once_per_txid_in_order():
+    acks = []
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(2)
+        pool = ReplicaPool(addrs, on_ack=lambda nid, ack: acks.append((nid, ack)))
+        await pool.connect()
+        pool.submit_many([_txn(1), _txn(2), _txn(3)])
+        await _wait_for(lambda: len(acks) == 2 * 3)
+        for replica in replicas:
+            replica.close()
+        pool.close()
+
+    asyncio.run(scenario())
+    for node_id in (0, 1):
+        # The fake acks its first frame as the block in slot 1.
+        assert [ack for nid, ack in acks if nid == node_id] == [
+            CommitAck(node_id=node_id, txid=txid, slot=1) for txid in ("t1", "t2", "t3")
+        ]
+
+
+def test_repro_no_batch_sends_one_bare_submit_per_call(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(2)
+        pool = ReplicaPool(addrs)
+        await pool.connect()
+        for i in range(3):
+            pool.submit(_txn(i))
+        await _wait_for(lambda: all(len(r.received) == 3 for r in replicas))
+        for replica in replicas:
+            assert [m.txn.txid for m in replica.received if isinstance(m, ClientSubmit)] == [
+                "t0",
+                "t1",
+                "t2",
+            ]
+            replica.close()
         pool.close()
 
     asyncio.run(scenario())

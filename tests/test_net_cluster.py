@@ -10,7 +10,10 @@ acceptance surface of the deployment subsystem:
 * SIGTERMing one replica mid-run (n=4 tolerates f=1) still finalizes
   the whole workload on the survivors, audited the same way;
 * the engine registry carries over: a chained baseline engine runs the
-  identical client path over sockets.
+  identical client path over sockets;
+* a replica acks per block: a raw client connection sees at most one
+  ack frame per executed block, covering exactly the applied log
+  (one bare ``CommitAck`` per txid under ``REPRO_NO_BATCH=1``).
 
 Each run takes on the order of a second; the module stays tier-1 so
 the deployment path cannot rot silently between PRs.
@@ -18,17 +21,24 @@ the deployment path cannot rot silently between PRs.
 
 from __future__ import annotations
 
+import asyncio
+import time
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.client import ReplicaPool
 from repro.net.cluster import (
     ClusterConfig,
     allocate_ports,
     build_specs,
+    cluster_processes,
     reply_metric,
     run_cluster_workload,
     sized_max_slots,
 )
+from repro.net.codec import WIRE_CODEC, CollectReply, CommitAck, CommitAckBatch, FrameBuffer
 from repro.smr.mempool import Transaction
 from repro.verification.audit import SafetyAuditor
 
@@ -94,6 +104,95 @@ def test_chained_engine_runs_over_sockets():
     assert result.completed and result.committed == 20
     report = SafetyAuditor(expected_txns=result.injected).audit_evidence(result.evidence)
     assert report.safe and report.live, report.violations
+
+
+BURSTS = 6
+BURST = 5
+
+
+async def _watch_acks(specs) -> tuple[dict[int, list], dict[int, CollectReply]]:
+    """Drive bursts of submits through a pool while a second, raw client
+    connection per replica records every frame that replica pushes."""
+    pool = ReplicaPool.from_specs(specs)
+    await pool.connect()
+    seen: dict[int, list] = {spec.node_id: [] for spec in specs}
+
+    async def record(node_id: int, reader: asyncio.StreamReader) -> None:
+        buffer = FrameBuffer(WIRE_CODEC)
+        while data := await reader.read(65536):
+            seen[node_id].extend(buffer.feed(data))
+
+    raw = []
+    for spec in specs:
+        reader, writer = await asyncio.open_connection(spec.host, spec.client_port)
+        raw.append((asyncio.ensure_future(record(spec.node_id, reader)), writer))
+    pool.start_run()
+    txids = set()
+    for burst in range(BURSTS):
+        for k in range(BURST):
+            txn = Transaction(f"blk-{burst}-{k}", ("set", f"key-{k}", burst))
+            pool.submit(txn)
+            txids.add(txn.txid)
+        await asyncio.sleep(0.05)
+    deadline = time.monotonic() + 20.0
+    while not all(txids <= set(_acked_txids(frames)) for frames in seen.values()):
+        assert time.monotonic() < deadline, "raw connections never saw every ack"
+        await asyncio.sleep(0.05)
+    replies = await pool.collect()
+    for task, writer in raw:
+        await task  # the replica closes the connection once collected
+        writer.close()
+    pool.close()
+    return seen, replies
+
+
+def _acked_txids(frames) -> list[str]:
+    return [
+        txid
+        for frame in frames
+        for txid in (frame.txids if isinstance(frame, CommitAckBatch) else (frame.txid,))
+    ]
+
+
+def _run_watched() -> tuple[dict[int, list], dict[int, CollectReply]]:
+    config = ClusterConfig(n=4, engine="tetrabft", deadline=25.0)
+    config = replace(config, max_slots=sized_max_slots(config, BURSTS * BURST))
+    with cluster_processes(config) as (specs, _processes):
+        return asyncio.run(_watch_acks(specs))
+
+
+def test_replicas_ack_once_per_block_over_real_sockets():
+    seen, replies = _run_watched()
+    assert sorted(replies) == [0, 1, 2, 3]
+    for node_id, frames in seen.items():
+        reply = replies[node_id]
+        assert all(isinstance(f, (CommitAck, CommitAckBatch)) for f in frames)
+        # Acks arrive in execution order and cover the applied log.
+        assert _acked_txids(frames) == list(reply.applied_txids)
+        # At most one ack frame per executed block, naming only that
+        # block's transactions.
+        payloads = {b.slot: {t.txid for t in b.payload} for b in reply.chain}
+        slots = [frame.slot for frame in frames]
+        assert len(slots) == len(set(slots))
+        assert len(frames) <= sum(1 for txids in payloads.values() if txids)
+        for frame in frames:
+            assert set(_acked_txids([frame])) <= payloads[frame.slot]
+        # The client-port counters: StartRun, one frame per burst, the
+        # collect in; the same ack frames to the pool and to the raw
+        # connection out.
+        assert reply_metric(reply, "net.client_frames_in") == BURSTS + 2
+        assert reply_metric(reply, "net.client_frames_out") == 2 * len(frames)
+    # Bursts of five share a block: the batch form is actually used.
+    assert any(isinstance(f, CommitAckBatch) for frames in seen.values() for f in frames)
+
+
+def test_repro_no_batch_acks_every_txid_alone_over_real_sockets(monkeypatch):
+    monkeypatch.setenv("REPRO_NO_BATCH", "1")  # inherited by the replicas
+    seen, replies = _run_watched()
+    for node_id, frames in seen.items():
+        assert all(type(f) is CommitAck for f in frames)
+        assert _acked_txids(frames) == list(replies[node_id].applied_txids)
+        assert reply_metric(replies[node_id], "net.client_frames_in") == BURSTS * BURST + 2
 
 
 def test_cluster_config_validation():

@@ -53,6 +53,7 @@ from repro.net.codec import (
     CollectReply,
     CollectRequest,
     CommitAck,
+    CommitAckBatch,
     FrameBuffer,
     Hello,
     MetricsReply,
@@ -147,6 +148,11 @@ GENERATORS = {
     SnapshotRequest: lambda rng: SnapshotRequest(),
     ClientSubmitBatch: lambda rng: ClientSubmitBatch(
         tuple(_txn(rng) for _ in range(rng.randrange(2, 9)))
+    ),
+    CommitAckBatch: lambda rng: CommitAckBatch(
+        rng.randrange(0, 16),
+        rng.randrange(0, 500),
+        tuple(f"tx-{rng.randrange(1 << 20)}" for _ in range(rng.randrange(2, 12))),
     ),
     CollectReply: lambda rng: CollectReply(
         node_id=rng.randrange(0, 16),
@@ -305,6 +311,24 @@ def test_golden_frame_pins_the_wire_format():
         "0000003cb70500355500000002"
         "430031490000000000000003490000000000000001530000000461626364"
         "430032490000000000000004490000000000000002"
+    )
+
+
+def test_golden_commit_ack_batch_frame_pins_the_per_block_ack():
+    """Type 13 was appended within v5: every older pin stays as it was,
+    and the per-block ack's own bytes are a contract from here on."""
+    assert WIRE_CODEC.type_id_of(CommitAckBatch) == 13
+    assert WIRE_CODEC.encode_frame(CommitAckBatch(2, 7, ("t1", "t2"))).hex() == (
+        "00000029b705000d"
+        "490000000000000002490000000000000007"
+        "5500000002"
+        "5300000002743153000000027432"
+    )
+    # The singleton ack a one-txid block travels as, for comparison.
+    assert WIRE_CODEC.encode(CommitAck(2, "t1", 7)).hex() == (
+        "b7050004490000000000000002"
+        "53000000027431"
+        "490000000000000007"
     )
 
 

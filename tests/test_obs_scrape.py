@@ -56,6 +56,8 @@ def test_scrape_during_live_run_carries_the_metric_series(tmp_path):
             "mempool.in_flight",
             "net.frames_in",
             "net.messages_in",
+            "net.client_frames_in",
+            "net.client_frames_out",
             "transport.queue_lag",
             "storage.fsyncs",
             "storage.wal_bytes",
@@ -73,6 +75,8 @@ def test_scrape_during_live_run_carries_the_metric_series(tmp_path):
     for reply in result.replies.values():
         assert reply_metric(reply, "consensus.commits") > 0
         assert reply_metric(reply, "net.frames_in") > 0
+        assert reply_metric(reply, "net.client_frames_in") > 0
+        assert reply_metric(reply, "net.client_frames_out") > 0
 
 
 def test_shutdown_dumps_event_ring_next_to_the_wal(tmp_path):

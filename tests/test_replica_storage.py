@@ -10,6 +10,7 @@ fatal.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,7 @@ from repro.errors import ProtocolViolation
 from repro.multishot import MultiShotConfig
 from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.net.codec import WIRE_CODEC, SnapshotImage, WalAppend, WalSeal
+from repro.net.replica_main import ReplicaProcess
 from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Transaction
 from repro.smr.replica import Replica
@@ -473,3 +475,48 @@ def test_disk_storage_full_cycle_via_replica(tmp_path):
     twin = _replica(node_id=1)
     twin.bootstrap(recovered.chain)
     assert twin.state_digest() == replica.state_digest()
+
+
+# -- state-transfer reply validation ------------------------------------------
+
+validate_transfer = ReplicaProcess._validate_transfer
+
+
+def test_transfer_suffix_extending_the_local_tip_is_accepted_whole():
+    chain = make_chain(6)
+    assert validate_transfer(tuple(chain[3:]), 3, chain[2].digest) == tuple(chain[3:])
+    assert validate_transfer(tuple(chain), 0, GENESIS_DIGEST) == tuple(chain)
+
+
+def test_transfer_suffix_forking_off_the_local_tip_is_rejected():
+    ours, fork = make_chain(6), make_chain(6, txns_per_block=1)
+    # Internally well linked and digest-valid, but its first parent is
+    # the fork's block 3, not ours.
+    assert validate_transfer(tuple(fork[3:]), 3, ours[2].digest) == ()
+    # At height 0 the tip is genesis: slot 1 must name it as parent.
+    orphan = Block.create(slot=1, parent=ours[0].digest, payload=())
+    assert validate_transfer((orphan,), 0, GENESIS_DIGEST) == ()
+
+
+def _tampered_digest(reply):
+    return reply[:2] + (replace(reply[2], digest="f" * 64),) + reply[3:]
+
+
+def _tampered_payload(reply):
+    return reply[:2] + (replace(reply[2], payload=()),) + reply[3:]
+
+
+def _slot_gap(reply):
+    return reply[:2] + reply[3:]
+
+
+def _relinked(reply):
+    stray = Block.create(slot=reply[2].slot, parent="elsewhere", payload=reply[2].payload)
+    return reply[:2] + (stray,) + reply[3:]
+
+
+@pytest.mark.parametrize("damage", [_tampered_digest, _tampered_payload, _slot_gap, _relinked])
+def test_transfer_reply_damaged_mid_way_yields_its_valid_prefix(damage):
+    chain = make_chain(8)
+    reply = damage(tuple(chain[3:]))
+    assert validate_transfer(reply, 3, chain[2].digest) == tuple(chain[3:5])
