@@ -32,6 +32,14 @@ is the message's fields, each encoded with a one-byte tag:
 Sets, dicts and unregistered objects are rejected: their iteration
 order (or identity) would break byte stability.
 
+The encoder dispatches on a value's exact type (plain int, str, tuple,
+registered dataclass) and packs tag and value with one ``struct`` call.
+The decoder reads a frame body as ``bytes`` by position
+(``struct.unpack_from`` at a running offset); it checks every count and
+length against the bytes left and caps tuple/dataclass nesting at
+:data:`MAX_DEPTH`, so a short, garbled or hostile frame is always a
+:class:`CodecError`.
+
 :func:`wire_codec` builds the default registry covering every
 wire-crossing dataclass in :mod:`repro.core.messages`,
 :mod:`repro.multishot.messages`, the baseline engines, and the net
@@ -41,7 +49,9 @@ layer's own control frames; :data:`WIRE_CODEC` is the shared instance.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
+from operator import attrgetter
 
 from repro.core.values import Phase
 from repro.errors import ReproError
@@ -71,20 +81,26 @@ MAGIC = 0xB7
 #: a corrupt length word.
 MAX_FRAME = 32 * 1024 * 1024
 
+_HEAD = struct.Struct(">BBH")  # magic, version, type id
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
+# Tag and scalar packed by one call: the encoder's ``buf += pack(...)``.
+_TAG_I64 = struct.Struct(">Bq")
+_TAG_F64 = struct.Struct(">Bd")
+_TAG_U32 = struct.Struct(">BI")
+_TAG_U16 = struct.Struct(">BH")
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-# Shared zero blocks: extending a bytearray from these allocates no new
-# objects, after which ``pack_into`` writes the scalar in place — the
-# struct-packed hot path that replaced the old list-of-bytes encoder.
-_ZERO2 = bytes(2)
-_ZERO4 = bytes(4)
-_ZERO8 = bytes(8)
+#: Deepest tuple/dataclass nesting a frame may carry, the message itself
+#: counting as level 1.  The deepest legitimate frame (VoteBatch →
+#: messages → MSProposal → Block → payload → Transaction → op) is 7
+#: levels; a hostile frame of thousands of nested one-item tuples is a
+#: :class:`CodecError` here instead of a ``RecursionError``.
+MAX_DEPTH = 32
 
 
 class CodecError(ReproError):
@@ -92,38 +108,20 @@ class CodecError(ReproError):
 
     Raised for unregistered message types, unknown type ids, magic or
     version mismatches, truncated or oversized frames, trailing bytes,
-    and values outside the deterministic encodable set.
+    nesting beyond :data:`MAX_DEPTH`, and values outside the
+    deterministic encodable set.
     """
 
 
-class _Reader:
-    """Cursor over one frame body; every read checks bounds.
-
-    Works over ``bytes`` or a ``memoryview`` — the frame buffer hands
-    decode a zero-copy view into its reassembly buffer, so per-frame
-    body copies disappear from the socket hot path.
-    """
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes | memoryview) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int):
-        end = self.pos + count
-        if end > len(self.data):
-            raise CodecError(
-                f"truncated frame: wanted {count} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+def _values_getter(names: list[str]) -> Callable[[object], tuple]:
+    """``attrgetter(*names)``, always returning a tuple (attrgetter hands
+    back a bare value for one name and needs at least one)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
 
 
 class WireCodec:
@@ -131,8 +129,11 @@ class WireCodec:
 
     def __init__(self) -> None:
         self._id_by_type: dict[type, int] = {}
-        self._type_by_id: dict[int, type] = {}
-        self._fields_by_type: dict[type, tuple[str, ...]] = {}
+        # Decoding: type id -> (class, field count).
+        self._layouts: dict[int, tuple[type, int]] = {}
+        # Encoding a nested value: class -> (its C tag and type id, one
+        # call returning its field values as a tuple in declaration order).
+        self._nested: dict[type, tuple[bytes, Callable[[object], tuple]]] = {}
 
     # -- registry -------------------------------------------------------------
 
@@ -144,23 +145,24 @@ class WireCodec:
         """
         if not is_dataclass(cls):
             raise CodecError(f"only dataclasses can cross the wire, got {cls!r}")
-        if type_id in self._type_by_id:
+        if type_id in self._layouts:
             raise CodecError(
                 f"type id {type_id} already registered to "
-                f"{self._type_by_id[type_id].__name__}"
+                f"{self._layouts[type_id][0].__name__}"
             )
         if cls in self._id_by_type:
             raise CodecError(f"{cls.__name__} already registered")
         if not 0 <= type_id <= 0xFFFF:
             raise CodecError(f"type id must fit in 16 bits, got {type_id}")
         self._id_by_type[cls] = type_id
-        self._type_by_id[type_id] = cls
-        self._fields_by_type[cls] = tuple(f.name for f in fields(cls))
+        names = [f.name for f in fields(cls)]
+        self._layouts[type_id] = (cls, len(names))
+        self._nested[cls] = (_TAG_U16.pack(0x43, type_id), _values_getter(names))
 
     @property
     def registered_types(self) -> tuple[type, ...]:
         """Every registered class, in type-id order."""
-        return tuple(self._type_by_id[i] for i in sorted(self._type_by_id))
+        return tuple(self._layouts[i][0] for i in sorted(self._layouts))
 
     def type_id_of(self, cls: type) -> int:
         type_id = self._id_by_type.get(cls)
@@ -195,7 +197,7 @@ class WireCodec:
         concatenation.
         """
         start = len(buf)
-        buf.extend(_ZERO4)
+        buf += b"\0\0\0\0"
         self._encode_body_into(message, buf)
         length = len(buf) - start - 4
         if length > MAX_FRAME:
@@ -203,159 +205,163 @@ class WireCodec:
         _U32.pack_into(buf, start, length)
 
     def _encode_body_into(self, message: object, buf: bytearray) -> None:
-        type_id = self.type_id_of(type(message))
-        pos = len(buf)
-        buf.append(MAGIC)
-        buf.append(WIRE_VERSION)
-        buf.extend(_ZERO2)
-        _U16.pack_into(buf, pos + 2, type_id)
-        for name in self._fields_by_type[type(message)]:
-            self._encode_value(getattr(message, name), buf)
+        cls = type(message)
+        buf += _HEAD.pack(MAGIC, WIRE_VERSION, self.type_id_of(cls))
+        self._encode_items(self._nested[cls][1](message), buf)
 
-    def _encode_value(self, value: object, buf: bytearray) -> None:
-        # bool before int: bool is an int subclass.  Scalars are packed
-        # in place (append tag, extend a shared zero block, pack_into)
-        # rather than joined from per-field bytes objects.
-        if value is None:
-            buf.append(0x4E)  # N
-        elif value is True:
-            buf.append(0x54)  # T
-        elif value is False:
-            buf.append(0x46)  # F
-        elif isinstance(value, int) and not isinstance(value, Phase):
-            if _I64_MIN <= value <= _I64_MAX:
-                pos = len(buf)
-                buf.append(0x49)  # I
-                buf.extend(_ZERO8)
-                _I64.pack_into(buf, pos + 1, value)
+    def _encode_items(self, values, buf: bytearray) -> None:
+        # Exact-type dispatch first: plain int, str, tuple and registered
+        # dataclasses are nearly every value on the wire.  bool and Phase
+        # are int subclasses, so ``is int`` never sends them down the I
+        # path; they, None, float, bytes, big ints and other subclasses
+        # take the isinstance chain below.
+        for value in values:
+            kind = type(value)
+            if kind is int and _I64_MIN <= value <= _I64_MAX:
+                buf += _TAG_I64.pack(0x49, value)  # I
+            elif kind is str:
+                raw = value.encode("utf-8")
+                buf += _TAG_U32.pack(0x53, len(raw))  # S
+                buf += raw
+            elif kind is tuple:
+                buf += _TAG_U32.pack(0x55, len(value))  # U
+                self._encode_items(value, buf)
+            elif kind in self._nested:
+                head, values_of = self._nested[kind]
+                buf += head  # C
+                self._encode_items(values_of(value), buf)
+            elif value is None:
+                buf.append(0x4E)  # N
+            elif value is True:
+                buf.append(0x54)  # T
+            elif value is False:
+                buf.append(0x46)  # F
+            elif isinstance(value, int) and not isinstance(value, Phase):
+                if _I64_MIN <= value <= _I64_MAX:
+                    buf += _TAG_I64.pack(0x49, value)  # I
+                else:
+                    raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+                    buf += _TAG_U32.pack(0x4A, len(raw))  # J
+                    buf += raw
+            elif isinstance(value, float):
+                buf += _TAG_F64.pack(0x44, value)  # D
+            elif isinstance(value, str):
+                raw = value.encode("utf-8")
+                buf += _TAG_U32.pack(0x53, len(raw))  # S
+                buf += raw
+            elif isinstance(value, bytes):
+                buf += _TAG_U32.pack(0x42, len(value))  # B
+                buf += value
+            elif isinstance(value, tuple):
+                buf += _TAG_U32.pack(0x55, len(value))  # U
+                self._encode_items(value, buf)
+            elif isinstance(value, Phase):
+                buf += bytes((0x50, value.value))  # P
             else:
-                raw = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-                pos = len(buf)
-                buf.append(0x4A)  # J
-                buf.extend(_ZERO4)
-                _U32.pack_into(buf, pos + 1, len(raw))
-                buf.extend(raw)
-        elif isinstance(value, float):
-            pos = len(buf)
-            buf.append(0x44)  # D
-            buf.extend(_ZERO8)
-            _F64.pack_into(buf, pos + 1, value)
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            pos = len(buf)
-            buf.append(0x53)  # S
-            buf.extend(_ZERO4)
-            _U32.pack_into(buf, pos + 1, len(raw))
-            buf.extend(raw)
-        elif isinstance(value, bytes):
-            pos = len(buf)
-            buf.append(0x42)  # B
-            buf.extend(_ZERO4)
-            _U32.pack_into(buf, pos + 1, len(value))
-            buf.extend(value)
-        elif isinstance(value, tuple):
-            pos = len(buf)
-            buf.append(0x55)  # U
-            buf.extend(_ZERO4)
-            _U32.pack_into(buf, pos + 1, len(value))
-            for item in value:
-                self._encode_value(item, buf)
-        elif isinstance(value, Phase):
-            buf.append(0x50)  # P
-            buf.append(value.value)
-        elif type(value) in self._id_by_type:
-            pos = len(buf)
-            buf.append(0x43)  # C
-            buf.extend(_ZERO2)
-            _U16.pack_into(buf, pos + 1, self._id_by_type[type(value)])
-            for name in self._fields_by_type[type(value)]:
-                self._encode_value(getattr(value, name), buf)
-        else:
-            raise CodecError(
-                f"value {value!r} of type {type(value).__name__} has no "
-                "deterministic wire encoding (register the dataclass, or use "
-                "None/bool/int/float/str/bytes/tuple)"
-            )
+                raise CodecError(
+                    f"value {value!r} of type {type(value).__name__} has no "
+                    "deterministic wire encoding (register the dataclass, or use "
+                    "None/bool/int/float/str/bytes/tuple)"
+                )
 
     # -- decoding -------------------------------------------------------------
 
-    def decode(self, body: bytes | memoryview) -> object:
+    def decode(self, body: bytes) -> object:
         """Decode one frame body back into its message object.
 
-        Every failure mode is a :class:`CodecError` — including garbled
-        value payloads (invalid UTF-8 in a string, an out-of-range
-        Phase byte, a dataclass rejecting its field values), which the
-        underlying constructors surface as ``ValueError``s.
+        Every failure mode is a :class:`CodecError` — including a short
+        frame (``struct.error``/``IndexError`` from a read past the end),
+        nesting beyond :data:`MAX_DEPTH`, and garbled value payloads
+        (invalid UTF-8 in a string, an out-of-range Phase byte, a
+        dataclass rejecting its field values), which the underlying
+        constructors surface as ``ValueError``\\ s.
         """
+        if type(body) is not bytes:
+            body = bytes(body)
         try:
-            return self._decode_body(body)
+            magic, version, type_id = _HEAD.unpack_from(body)
+            if magic != MAGIC:
+                raise CodecError(
+                    f"bad magic byte 0x{magic:02x} (expected 0x{MAGIC:02x}): "
+                    "not a repro wire frame"
+                )
+            if version != WIRE_VERSION:
+                raise CodecError(
+                    f"wire version mismatch: frame is v{version}, this build "
+                    f"speaks v{WIRE_VERSION}"
+                )
+            cls, arity = self._layouts[type_id]
+            values, pos = self._decode_items(arity, body, 4, 1)
+            message = cls(*values)
+        except (struct.error, IndexError) as exc:
+            raise CodecError(f"truncated frame: {exc}") from exc
+        except KeyError as exc:  # the only lookup: type id -> layout
+            raise CodecError(f"unknown wire type id {exc.args[0]}") from exc
         except ValueError as exc:  # UnicodeDecodeError, Phase(...), ...
             raise CodecError(f"garbled frame payload: {exc}") from exc
-
-    def _decode_body(self, body: bytes | memoryview) -> object:
-        reader = _Reader(body)
-        header = reader.take(2)
-        if header[0] != MAGIC:
-            raise CodecError(
-                f"bad magic byte 0x{header[0]:02x} (expected 0x{MAGIC:02x}): "
-                "not a repro wire frame"
-            )
-        if header[1] != WIRE_VERSION:
-            raise CodecError(
-                f"wire version mismatch: frame is v{header[1]}, this build "
-                f"speaks v{WIRE_VERSION}"
-            )
-        (type_id,) = _U16.unpack(reader.take(2))
-        message = self._decode_struct(type_id, reader)
-        if not reader.exhausted:
-            raise CodecError(
-                f"{len(reader.data) - reader.pos} trailing bytes after "
-                f"decoding {type(message).__name__}"
-            )
+        if pos != len(body):
+            raise CodecError(f"{len(body) - pos} trailing bytes after decoding {cls.__name__}")
         return message
 
-    def _decode_struct(self, type_id: int, reader: _Reader) -> object:
-        cls = self._type_by_id.get(type_id)
-        if cls is None:
-            raise CodecError(f"unknown wire type id {type_id}")
-        values = [self._decode_value(reader) for _ in self._fields_by_type[cls]]
-        return cls(*values)
+    def _decode_items(self, count: int, data: bytes, pos: int, depth: int):
+        """``count`` consecutive values from ``pos``; returns (list,
+        next position).  I, S, U and C are decoded inline, recursing
+        only into a nested U or C; the rarer tags go to
+        :meth:`_decode_scalar`."""
+        if depth > MAX_DEPTH:
+            raise CodecError(f"value nesting deeper than MAX_DEPTH ({MAX_DEPTH})")
+        size = len(data)
+        if count > size - pos:  # every value is at least its tag byte
+            raise CodecError(f"truncated frame: {count} values in {size - pos} bytes")
+        items: list = []
+        append = items.append
+        for _ in range(count):
+            tag = data[pos]
+            if tag == 0x49:  # I
+                append(_I64.unpack_from(data, pos + 1)[0])
+                pos += 9
+            elif tag == 0x53:  # S
+                end = pos + 5 + _U32.unpack_from(data, pos + 1)[0]
+                if end > size:
+                    raise CodecError(f"truncated frame: string runs past byte {size}")
+                append(str(data[pos + 5 : end], "utf-8"))
+                pos = end
+            elif tag == 0x55:  # U
+                length = _U32.unpack_from(data, pos + 1)[0]
+                values, pos = self._decode_items(length, data, pos + 5, depth + 1)
+                append(tuple(values))
+            elif tag == 0x43:  # C
+                cls, arity = self._layouts[_U16.unpack_from(data, pos + 1)[0]]
+                values, pos = self._decode_items(arity, data, pos + 3, depth + 1)
+                append(cls(*values))
+            else:
+                value, pos = _decode_scalar(tag, data, pos + 1)
+                append(value)
+        return items, pos
 
-    def _decode_value(self, reader: _Reader) -> object:
-        # Tags compare by byte value so the reader can hand back either
-        # bytes or memoryview slices; str/bytes payloads materialize an
-        # owned object (the view dies when the frame buffer compacts).
-        tag = reader.take(1)[0]
-        if tag == 0x4E:  # N
-            return None
-        if tag == 0x54:  # T
-            return True
-        if tag == 0x46:  # F
-            return False
-        if tag == 0x49:  # I
-            return _I64.unpack(reader.take(8))[0]
-        if tag == 0x4A:  # J
-            (length,) = _U32.unpack(reader.take(4))
-            return int.from_bytes(reader.take(length), "big", signed=True)
-        if tag == 0x44:  # D
-            return _F64.unpack(reader.take(8))[0]
-        if tag == 0x53:  # S
-            (length,) = _U32.unpack(reader.take(4))
-            return str(reader.take(length), "utf-8")
-        if tag == 0x42:  # B
-            (length,) = _U32.unpack(reader.take(4))
-            return bytes(reader.take(length))
-        if tag == 0x55:  # U
-            (count,) = _U32.unpack(reader.take(4))
-            return tuple(self._decode_value(reader) for _ in range(count))
-        if tag == 0x50:  # P
-            return Phase(reader.take(1)[0])
-        if tag == 0x43:  # C
-            (type_id,) = _U16.unpack(reader.take(2))
-            return self._decode_struct(type_id, reader)
-        raise CodecError(
-            f"unknown value tag {bytes((tag,))!r} at offset {reader.pos - 1}"
-        )
+
+def _decode_scalar(tag: int, data: bytes, pos: int) -> tuple[object, int]:
+    """The value after ``tag`` (N, T, F, D, P, B, J) at ``pos``; returns
+    (value, next position)."""
+    if tag == 0x4E:  # N
+        return None, pos
+    if tag == 0x54:  # T
+        return True, pos
+    if tag == 0x46:  # F
+        return False, pos
+    if tag == 0x44:  # D
+        return _F64.unpack_from(data, pos)[0], pos + 8
+    if tag == 0x50:  # P
+        return Phase(data[pos]), pos + 1
+    if tag == 0x42 or tag == 0x4A:  # B, J: u32 length, then the bytes
+        end = pos + 4 + _U32.unpack_from(data, pos)[0]
+        if end > len(data):
+            raise CodecError(f"truncated frame: value runs past byte {len(data)}")
+        raw = data[pos + 4 : end]
+        if tag == 0x4A:
+            return int.from_bytes(raw, "big", signed=True), end
+        return raw, end
+    raise CodecError(f"unknown value tag {bytes((tag,))!r} at offset {pos - 1}")
 
 
 class FrameBuffer:
@@ -374,36 +380,41 @@ class FrameBuffer:
     def feed(self, data: bytes) -> list[object]:
         """Absorb ``data``; return every message completed by it.
 
-        Complete frame bodies are decoded through a zero-copy
-        ``memoryview`` into the reassembly buffer; the buffer is
-        compacted once per feed, after every view is released (a live
-        view would make the ``bytearray`` resize a ``BufferError``).
+        An incomplete frame waits in a ``bytearray``; once a chunk
+        completes at least one frame, the pending bytes and the chunk
+        become one ``bytes`` and each frame body is sliced out of it and
+        decoded by position (see :meth:`WireCodec.decode`).  Whatever
+        follows the last complete frame goes back to the buffer.
         """
         buf = self._buffer
-        buf.extend(data)
+        if buf:
+            buf += data
+            if len(buf) < 4:
+                return []
+            (length,) = _U32.unpack_from(buf)
+            if length > MAX_FRAME:
+                raise CodecError(f"frame length {length} exceeds MAX_FRAME ({MAX_FRAME})")
+            if len(buf) < 4 + length:
+                return []
+            data = bytes(buf)
+            buf.clear()
+        decode = self._codec.decode
         messages: list[object] = []
         pos = 0
-        available = len(buf)
-        view = memoryview(buf)
+        available = len(data)
         try:
             while available - pos >= 4:
-                (length,) = _U32.unpack_from(buf, pos)
+                (length,) = _U32.unpack_from(data, pos)
                 if length > MAX_FRAME:
-                    raise CodecError(
-                        f"frame length {length} exceeds MAX_FRAME ({MAX_FRAME})"
-                    )
-                if available - pos < 4 + length:
+                    raise CodecError(f"frame length {length} exceeds MAX_FRAME ({MAX_FRAME})")
+                end = pos + 4 + length
+                if end > available:
                     break
-                body = view[pos + 4 : pos + 4 + length]
-                try:
-                    messages.append(self._codec.decode(body))
-                finally:
-                    body.release()
-                pos += 4 + length
+                messages.append(decode(data[pos + 4 : end]))
+                pos = end
         finally:
-            view.release()
-            if pos:
-                del buf[:pos]
+            if pos < available:
+                buf += memoryview(data)[pos:]
         return messages
 
 

@@ -30,7 +30,7 @@ frames.  Design points, in the order they matter operationally:
 :class:`NetContext` is the duck-typed
 :class:`~repro.sim.runner.NodeContext` the transport hands a node:
 wall-clock ``now`` in protocol Δ units (via ``time_scale`` seconds per
-Δ) and asyncio timers.  Its milestone reports keep nothing — sample
+Δ) and ``loop.call_later`` timers.  Its milestone reports keep nothing — sample
 lists nobody in a replica process reads would grow for as long as it is up.
 """
 
@@ -352,26 +352,33 @@ class NetTransport:
 
 
 class _NetTimerHandle:
-    """Duck-typed EventHandle over an asyncio task."""
+    """Duck-typed EventHandle over an asyncio ``TimerHandle``.
 
-    __slots__ = ("_task",)
+    Cancelling drops the handle from its context's live set at once, so
+    a node that cancels every slot timer on finalization (most timers
+    never fire) leaves nothing behind.
+    """
 
-    def __init__(self, task: asyncio.Task) -> None:
-        self._task = task
+    __slots__ = ("_handle", "_live")
+
+    def __init__(self, handle: asyncio.TimerHandle, live: set) -> None:
+        self._handle = handle
+        self._live = live
 
     def cancel(self) -> None:
-        self._task.cancel()
+        self._handle.cancel()
+        self._live.discard(self)
 
     @property
     def cancelled(self) -> bool:
-        return self._task.cancelled()
+        return self._handle.cancelled()
 
 
 class NetContext:
     """Duck-typed :class:`~repro.sim.runner.NodeContext` over a transport.
 
     ``time_scale`` is seconds of wall clock per protocol Δ: timers a
-    node arms in Δ units sleep ``delay * time_scale`` seconds, and
+    node arms in Δ units fire ``delay * time_scale`` seconds later, and
     ``now`` reports wall time elapsed since :meth:`start_clock` in Δ
     units, matching the simulated geometry.
     """
@@ -383,7 +390,7 @@ class NetContext:
         self.transport = transport
         self.time_scale = time_scale
         self._t0: float | None = None
-        self._timer_tasks: set[asyncio.Task] = set()
+        self._timers: set[_NetTimerHandle] = set()
 
     def start_clock(self) -> None:
         self._t0 = asyncio.get_event_loop().time()
@@ -403,8 +410,8 @@ class NetContext:
         self.transport.broadcast(message)
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> _NetTimerHandle:
-        async def fire() -> None:
-            await asyncio.sleep(delay * self.time_scale)
+        def fire() -> None:
+            self._timers.discard(handle)
             try:
                 callback()
             except Exception:
@@ -413,16 +420,15 @@ class NetContext:
                 # least we owe the operator is the same traceback
                 # instead of a silent dead timer.
                 _LOG.exception("node %s: timer callback failed", self.node_id)
-                raise
 
-        task = asyncio.ensure_future(fire())
-        self._timer_tasks.add(task)
-        task.add_done_callback(self._timer_tasks.discard)
-        return _NetTimerHandle(task)
+        loop = asyncio.get_event_loop()
+        handle = _NetTimerHandle(loop.call_later(delay * self.time_scale, fire), self._timers)
+        self._timers.add(handle)
+        return handle
 
     def cancel_timers(self) -> None:
-        for task in list(self._timer_tasks):
-            task.cancel()
+        for handle in list(self._timers):
+            handle.cancel()
 
     # -- milestone reporting --------------------------------------------------
 

@@ -6,17 +6,21 @@ is exhaustive by construction: a seeded fuzz generator exists for
 moment someone registers a new type without adding a generator), and
 each generated instance must round-trip to an identical object AND
 re-encode to identical bytes — byte stability is what makes frames
-hashable for trace comparison.
+hashable for trace comparison.  Beyond the golden frames, a SHA-256
+per registered type over 300 seeded instances pins the exact bytes.
 
 The error surface is tested as a contract too: unregistered types,
 truncated frames at every prefix length, magic/version mismatches,
 unknown type ids, trailing bytes, undecodable value tags and
-non-deterministic values (sets, dicts) are all hard
-:class:`~repro.net.codec.CodecError`\\ s, never silent misdecodes.
+non-deterministic values (sets, dicts), nesting beyond ``MAX_DEPTH``
+and counts or lengths past the frame end are all hard
+:class:`~repro.net.codec.CodecError`\\ s, never silent misdecodes; a
+seeded mutation fuzzer checks that nothing else ever escapes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 
@@ -45,8 +49,10 @@ from repro.multishot.messages import (
 )
 from repro.net.codec import (
     MAGIC,
+    MAX_DEPTH,
     MAX_FRAME,
     WIRE_CODEC,
+    WIRE_VERSION,
     ClientSubmit,
     ClientSubmitBatch,
     CodecError,
@@ -297,6 +303,68 @@ def test_encoding_is_deterministic_across_codec_instances():
         assert fresh.encode(message) == WIRE_CODEC.encode(message), cls
 
 
+#: SHA-256 over ``encode_frame`` of ``GENERATORS[cls](random.Random(seed))``
+#: for seeds 0-299, per registered type name.  Pinned when the encoder
+#: was rewritten, from the encoder it replaced: a byte-identity check
+#: over ten thousand frames, not five.
+FRAME_DIGESTS = {
+    "Hello": "8c717bc55932aa116a41c742ba8e16cf93488e6eeb5bd1a33d49a5f6ab94f120",
+    "ClientSubmit": "3616a6083f8ec4c009fa20546889aebe25bc9b489caca6d48fd19c3c2965c4ff",
+    "StartRun": "c6788231900f142173784ea6ee5b0499548a096cfe94137fcde57c8e3d4df214",
+    "CommitAck": "508fd24902218b5af4a64d9c82726b1fea1eee677908e318c8f47d104b069657",
+    "CollectRequest": "a49540f0482da9486c9a5ee9a10a20a22b54c9db91a1ab736075c8c1acfe63a1",
+    "CollectReply": "da5f3ea2f9c1a84e9eae9666f293f5c205766bec40eae1bd180c06015ac9080a",
+    "SnapshotRequest": "61721236d3454f9f75baffe88995ac49afc0032ae71262df97483abba1858428",
+    "ClientSubmitBatch": "b91b590b2625dd72ffd836a4e91b68c2264f2722705d8d626b76d08d09e7dba1",
+    "StateTransferRequest": "3ff681acd54847d72848f15c1d1f093848a17d6ca3a5455a859f9f0cd56066d7",
+    "StateTransferReply": "0f739b822357dedc820f2f8de48dbbf8d3929d7fdf0e783660360c31e3cf90d9",
+    "MetricsRequest": "cd4032f9cd9244f39cbcd3e5d12fb645c221342eb18522197794877c838747dd",
+    "MetricsReply": "65b0c862151b29d691d7dda99177e4d89deeb22241efbc917626db861d3a0ad5",
+    "CommitAckBatch": "bc887e52a70a256b05cfd33752c100b7cff448be530ce604f7880e053f32f229",
+    "VoteRecord": "e5965c410bfc7e1a98b38a856a4afda66dc1ca38050ae256cd5bac32006a96db",
+    "Block": "ec1ed5b2a677a8b4f6f6233173744b292f16246dbb9a8b2db680c6c267f4a300",
+    "Transaction": "d1655f482ac2a6c21316bf8e72b3d287b487c4a9db1feee78f0dbafb2066771c",
+    "Proposal": "f49d557a67561800c73b8de521e0e9902c1251248a5c33fa1fa419c3bd3b5729",
+    "Vote": "d5b948da72a85790a4c1fd61e948193a728aa6e3ff55b91ff768f122062c9058",
+    "Suggest": "a538a955da205c7922b611021f0e1dbf9c1d30d6cacc38429acc53e317e7cdf8",
+    "Proof": "aa5fdb2af2d25ce6542851ec9637da7e0e030421acc325ac22674a56756c2930",
+    "ViewChange": "40cfc1b428fb41b85901fe7376cd4d9db0a7fd16f24c25b0986d3258d8e34232",
+    "MSProposal": "17c3dedf94ed52e08ce5710155b1153a47da0bd99d53a6eaef878a737c9f8b81",
+    "MSVote": "f645396cad74103955c86d1db3a7a0067a8cf05f5e7ff826cb9a14a17f22ff09",
+    "MSViewChange": "74a3efe20edaf8c93321e0fb78a53fb0a01d86ad23a850ab7e6c48ce66a9d040",
+    "MSSuggest": "11217376c5de404e80a07293dbaff70e5cab796ea7d567a691c53eeb6767bf14",
+    "MSProof": "d9f951069edcf162a5ed0f7dc2d271728d5cb40633868202c212d2a1d0b74e9b",
+    "VoteBatch": "e569677f9d79db054d16592be09c2cf3bd0107b34ed2f436902596093f905af5",
+    "BProposal": "401ac5102a7ae602054bd7463d751acd406d61b2cc19ba0e43c69c93274d3070",
+    "BPhaseVote": "c48dbb6ba613d23d313200317c2f7d1d14184d6e0f80f1ee6be1c7b0a985919d",
+    "BViewChange": "2e907299565d789fd3a9def7d15d180d0c3fe3be722e0e1b443ec0080f287608",
+    "BRound": "a26d6e9ddffab9329a009f64c6b3a4147c77bd5b16a6fcb59348f1a6fa066893",
+    "SlotMessage": "522d40aadafb6da8fef65737a744e0a13a20a8ee15e39f5100ee22e7bc97746c",
+    "CatchUp": "cca62f177de1ea2f794fbf0e04a9d5b58f00682abff68e8c37b6817cd1a7d7ff",
+    "WalAppend": "c589daaa441980a43c69763057bd23dcd3ef6615d8104d3b473c877d15e7f7a5",
+    "WalSeal": "522d89822770802cdd81aa0221e5f5c9665c0fd95638c4ff5f0839d4ffa8275e",
+    "SnapshotImage": "c917a7a66221ab8613940176420bab29c8cbae0e15858eb56b5c7435b23f6439",
+}
+#: The same frames, every type in type-id order, through one hash.
+FRAME_DIGEST_ALL = "51a39ce68a5a613291708703b6992dc69d4e33698588c06a57f6009d6daca190"
+
+
+def test_fuzz_frames_match_the_pinned_digests():
+    """The wire bytes of every registered type are pinned beyond the
+    golden frames; CI reruns this under two PYTHONHASHSEEDs, so they
+    cannot depend on hash order either."""
+    assert list(FRAME_DIGESTS) == [cls.__name__ for cls in WIRE_CODEC.registered_types]
+    aggregate = hashlib.sha256()
+    for cls in WIRE_CODEC.registered_types:
+        per_type = hashlib.sha256()
+        for seed in range(300):
+            frame = WIRE_CODEC.encode_frame(GENERATORS[cls](random.Random(seed)))
+            per_type.update(frame)
+            aggregate.update(frame)
+        assert per_type.hexdigest() == FRAME_DIGESTS[cls.__name__], cls.__name__
+    assert aggregate.hexdigest() == FRAME_DIGEST_ALL
+
+
 def test_golden_frame_pins_the_wire_format():
     """v5 bytes are a contract: changing them must bump WIRE_VERSION."""
     assert WIRE_CODEC.encode(ViewChange(7)).hex() == "b7050024490000000000000007"
@@ -434,10 +502,115 @@ def test_out_of_range_phase_byte_is_a_hard_error():
         WIRE_CODEC.decode(bytes(body))
 
 
+def _nested_hello(levels: int) -> bytes:
+    """A Hello body whose ``node_id`` is ``levels`` nested one-item tuples."""
+    return (
+        bytes((MAGIC, WIRE_VERSION, 0, 1))
+        + b"U\x00\x00\x00\x01" * levels
+        + b"I"
+        + (7).to_bytes(8, "big")
+    )
+
+
+def test_hostile_nesting_is_a_codec_error_not_a_recursion_error():
+    """5,000 nested tuples (25 KB) used to escape as RecursionError from
+    both decode and the frame buffer the readers use."""
+    body = _nested_hello(5000)
+    assert len(body) > 25_000
+    with pytest.raises(CodecError, match="MAX_DEPTH"):
+        WIRE_CODEC.decode(body)
+    with pytest.raises(CodecError, match="MAX_DEPTH"):
+        FrameBuffer(WIRE_CODEC).feed(len(body).to_bytes(4, "big") + body)
+
+
+def test_nesting_cap_sits_exactly_at_max_depth():
+    """The message is level 1, so MAX_DEPTH - 1 nested tuples decode and
+    one more does not."""
+    node_id = 7
+    for _ in range(MAX_DEPTH - 1):
+        node_id = (node_id,)
+    assert WIRE_CODEC.decode(_nested_hello(MAX_DEPTH - 1)) == Hello(node_id)
+    with pytest.raises(CodecError, match="MAX_DEPTH"):
+        WIRE_CODEC.decode(_nested_hello(MAX_DEPTH))
+
+
+@pytest.mark.parametrize(
+    "tail, error",
+    [
+        (b"U\xff\xff\xff\xff", "4294967295 values in 0 bytes"),  # checked before looping
+        (b"U\x00\x00\x00\x03NN", "3 values in 2 bytes"),
+        (b"S\x00\x00\x10\x00abc", "string runs past"),  # checked before slicing
+        (b"B\x00\x00\x00\x09abc", "value runs past"),
+        (b"J\x7f\xff\xff\xffab", "value runs past"),
+        (b"I\x00\x00", "truncated frame"),  # a short int
+    ],
+)
+def test_counts_and_lengths_are_checked_against_the_frame(tail, error):
+    with pytest.raises(CodecError, match=error):
+        WIRE_CODEC.decode(bytes((MAGIC, WIRE_VERSION, 0, 1)) + tail)
+
+
 def test_trailing_bytes_are_a_hard_error():
     body = WIRE_CODEC.encode(ViewChange(1)) + b"\x00"
     with pytest.raises(CodecError, match="trailing"):
         WIRE_CODEC.decode(body)
+
+
+#: The messages the golden tests pin, as mutation seeds.
+_GOLDEN = (
+    ViewChange(7),
+    MSVote(3, 1, "abcd"),
+    VoteBatch((MSVote(3, 1, "abcd"), MSViewChange(4, 2))),
+    CommitAckBatch(2, 7, ("t1", "t2")),
+    CommitAck(2, "t1", 7),
+    MetricsRequest(),
+    MetricsReply(node_id=2, items=(("consensus.commits", 40.0),), events=5),
+    WalAppend(seq=5, block=Block(slot=1, parent="genesis", payload=(), digest="d1")),
+    WalSeal(seq=6, upto_slot=1, state_digest="sd"),
+    StateTransferRequest(since_slot=3),
+)
+
+
+def _mutate(rng: random.Random, frame: bytes, other: bytes) -> bytes:
+    """One hostile variant of ``frame``: flipped bytes, a cut, a splice
+    with ``other``, or garbage appended."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        out = bytearray(frame)
+        for _ in range(rng.randrange(1, 4)):
+            out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
+        return bytes(out)
+    if kind == 1:
+        return frame[: rng.randrange(len(frame))]
+    if kind == 2:
+        return frame[: rng.randrange(len(frame))] + other[rng.randrange(len(other)) :]
+    return frame + rng.randbytes(rng.randrange(1, 16))
+
+
+def test_mutated_frames_decode_or_raise_codec_error():
+    """A seeded mutation fuzzer over every golden frame and one fuzz
+    frame per registered type: whatever a hostile peer sends, the
+    readers (which catch only OSError, ConnectionError and CodecError)
+    see a message or a CodecError, never any other exception."""
+    rng = random.Random("codec-mutations")
+    seeds = [WIRE_CODEC.encode(m) for m in _GOLDEN]
+    seeds += [WIRE_CODEC.encode(GENERATORS[cls](rng)) for cls in WIRE_CODEC.registered_types]
+    seeds.append(_nested_hello(5000))
+    outcomes = {"decoded": 0, "rejected": 0}
+    for body in seeds:
+        for _ in range(300):
+            mutant = _mutate(rng, body, rng.choice(seeds))
+            try:
+                WIRE_CODEC.decode(mutant)
+                outcomes["decoded"] += 1
+            except CodecError:
+                outcomes["rejected"] += 1
+            # The same bytes behind a length word the stream reader trusts.
+            try:
+                FrameBuffer(WIRE_CODEC).feed(len(mutant).to_bytes(4, "big") + mutant)
+            except CodecError:
+                pass
+    assert outcomes["decoded"] and outcomes["rejected"]
 
 
 def test_registry_rejects_collisions_and_non_dataclasses():

@@ -186,14 +186,68 @@ def test_net_context_clock_and_timers():
         handle = ctx.set_timer(1.0, lambda: fired.append(ctx.now))  # 1Δ = 50ms
         cancelled = ctx.set_timer(10.0, lambda: fired.append(-1.0))
         cancelled.cancel()
+        cancelled.cancel()  # a second cancel is a no-op, as in the simulator
+        assert cancelled.cancelled
         await _wait_for(lambda: fired)
         assert not handle.cancelled
         # The timer fired around 1Δ of wall time, and `now` runs in Δ.
         assert 0.8 <= fired[0] <= 5.0
         await asyncio.sleep(0.02)
         assert -1.0 not in fired
+        assert not ctx._timers  # fired and cancelled handles both left the live set
 
     asyncio.run(scenario())
+
+
+def _timer_context() -> NetContext:
+    transport = NetTransport(0, HOST, allocate_ports(1)[0], {}, lambda s, m: None)
+    return NetContext(0, transport, time_scale=0.001)  # 1Δ = 1 ms
+
+
+def test_cancel_timers_stops_every_pending_timer():
+    async def scenario():
+        ctx = _timer_context()
+        fired: list[int] = []
+        handles = [ctx.set_timer(1.0 + k, lambda k=k: fired.append(k)) for k in range(20)]
+        ctx.cancel_timers()
+        assert all(handle.cancelled for handle in handles)
+        assert not ctx._timers
+        await asyncio.sleep(0.05)
+        assert fired == []
+
+    asyncio.run(scenario())
+
+
+def test_arm_and_cancel_cycles_leave_no_live_timer():
+    """A node cancels every slot timer when the slot finalizes, so most
+    timers never fire: cancelling must drop the handle, not just firing."""
+
+    async def scenario():
+        ctx = _timer_context()
+        for _ in range(10_000):
+            ctx.set_timer(1000.0, lambda: None).cancel()
+        assert not ctx._timers
+
+    asyncio.run(scenario())
+
+
+def test_raising_timer_callback_is_logged_with_its_traceback(caplog):
+    def boom() -> None:
+        raise RuntimeError("timer boom")
+
+    async def scenario():
+        ctx = _timer_context()
+        fired: list[bool] = []
+        ctx.set_timer(1.0, boom)
+        ctx.set_timer(2.0, lambda: fired.append(True))
+        await _wait_for(lambda: fired)  # the loop runs on after the failure
+        assert not ctx._timers
+
+    with caplog.at_level("ERROR", logger="repro.net.transport"):
+        asyncio.run(scenario())
+    [record] = [r for r in caplog.records if "timer callback failed" in r.getMessage()]
+    assert record.exc_info is not None and record.exc_info[0] is RuntimeError
+    assert "timer boom" in caplog.text
 
 
 def test_net_context_rejects_bad_time_scale():
