@@ -96,11 +96,24 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 #: Deepest tuple/dataclass nesting a frame may carry, the message itself
-#: counting as level 1.  The deepest legitimate frame (VoteBatch →
-#: messages → MSProposal → Block → payload → Transaction → op) is 7
-#: levels; a hostile frame of thousands of nested one-item tuples is a
-#: :class:`CodecError` here instead of a ``RecursionError``.
+#: counting as level 1 (see :meth:`WireCodec.nesting_depth`).  A hostile
+#: frame of thousands of nested one-item tuples is a :class:`CodecError`
+#: here instead of a ``RecursionError``.
 MAX_DEPTH = 32
+
+#: Deepest transaction the client port admits.  The deepest frame that
+#: carries a transaction, a chained baseline's batched proposal
+#: (VoteBatch → messages → SlotMessage → BProposal → Block → payload),
+#: wraps it in 6 levels; a batched MSProposal wraps it in 5, a WalAppend
+#: in 3.  A transaction within this bound decodes in every one of them,
+#: so no client can make a proposal or a WAL record undecodable.
+MAX_TXN_DEPTH = MAX_DEPTH - 6
+
+#: Deepest message a peer may send outside a VoteBatch.  The batch adds
+#: 2 levels (VoteBatch → messages); a bare message that leaves no room
+#: for them could not be re-batched when an honest replica relays or
+#: re-proposes what it carries, so peers drop it as Byzantine.
+MAX_UNBATCHED_DEPTH = MAX_DEPTH - 2
 
 
 class CodecError(ReproError):
@@ -174,6 +187,27 @@ class WireCodec:
             )
         return type_id
 
+    def nesting_depth(self, value: object) -> int:
+        """Levels ``value`` occupies in a frame: 0 for a scalar, one more
+        than its deepest item for a tuple or a registered dataclass.  A
+        message decodes only if its depth is at most :data:`MAX_DEPTH`.
+
+        Meant for decoded values, whose depth the decoder has already
+        bounded.
+        """
+        kind = type(value)
+        if kind is tuple:
+            items = value
+        elif kind in self._nested:
+            items = self._nested[kind][1](value)
+        else:
+            return 0
+        deepest = 0
+        for item in items:
+            if type(item) is tuple or type(item) in self._nested:
+                deepest = max(deepest, self.nesting_depth(item))
+        return deepest + 1
+
     # -- encoding -------------------------------------------------------------
 
     def encode(self, message: object) -> bytes:
@@ -210,20 +244,20 @@ class WireCodec:
         self._encode_items(self._nested[cls][1](message), buf)
 
     def _encode_items(self, values, buf: bytearray) -> None:
-        # Exact-type dispatch first: plain int, str, tuple and registered
+        # The common values first: plain int, str, tuple and registered
         # dataclasses are nearly every value on the wire.  bool and Phase
-        # are int subclasses, so ``is int`` never sends them down the I
-        # path; they, None, float, bytes, big ints and other subclasses
-        # take the isinstance chain below.
+        # are int subclasses, so only an exact ``is int`` takes the I
+        # path here; they, None, float, bytes, big ints and other int
+        # subclasses take the isinstance chain below.
         for value in values:
             kind = type(value)
             if kind is int and _I64_MIN <= value <= _I64_MAX:
                 buf += _TAG_I64.pack(0x49, value)  # I
-            elif kind is str:
+            elif isinstance(value, str):
                 raw = value.encode("utf-8")
                 buf += _TAG_U32.pack(0x53, len(raw))  # S
                 buf += raw
-            elif kind is tuple:
+            elif isinstance(value, tuple):
                 buf += _TAG_U32.pack(0x55, len(value))  # U
                 self._encode_items(value, buf)
             elif kind in self._nested:
@@ -245,16 +279,9 @@ class WireCodec:
                     buf += raw
             elif isinstance(value, float):
                 buf += _TAG_F64.pack(0x44, value)  # D
-            elif isinstance(value, str):
-                raw = value.encode("utf-8")
-                buf += _TAG_U32.pack(0x53, len(raw))  # S
-                buf += raw
             elif isinstance(value, bytes):
                 buf += _TAG_U32.pack(0x42, len(value))  # B
                 buf += value
-            elif isinstance(value, tuple):
-                buf += _TAG_U32.pack(0x55, len(value))  # U
-                self._encode_items(value, buf)
             elif isinstance(value, Phase):
                 buf += bytes((0x50, value.value))  # P
             else:

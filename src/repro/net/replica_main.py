@@ -41,6 +41,7 @@ from repro.core.config import ProtocolConfig
 from repro.metrics.smr_trackers import SMRTrackers
 from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
 from repro.net.codec import (
+    MAX_TXN_DEPTH,
     WIRE_CODEC,
     ClientSubmit,
     ClientSubmitBatch,
@@ -485,6 +486,14 @@ class ReplicaProcess:
 
     # -- client server --------------------------------------------------------
 
+    def _admit(self, txn: object) -> None:
+        """Submit a client transaction, unless it is not a
+        :class:`Transaction` or nests deeper than :data:`MAX_TXN_DEPTH`:
+        such a one decodes here but not inside the batched proposal or
+        the WAL record that would later carry it."""
+        if isinstance(txn, Transaction) and self.codec.nesting_depth(txn) <= MAX_TXN_DEPTH:
+            self.replica.submit(txn)
+
     async def _on_client_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -498,12 +507,10 @@ class ReplicaProcess:
                 for message in buffer.feed(data):
                     self._client_frames_in.inc()
                     if isinstance(message, ClientSubmit):
-                        if isinstance(message.txn, Transaction):
-                            self.replica.submit(message.txn)
+                        self._admit(message.txn)
                     elif isinstance(message, ClientSubmitBatch):
                         for txn in message.txns:
-                            if isinstance(txn, Transaction):
-                                self.replica.submit(txn)
+                            self._admit(txn)
                     elif isinstance(message, StartRun):
                         self._start_consensus()
                     elif isinstance(message, StateTransferRequest):

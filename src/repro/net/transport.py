@@ -41,7 +41,15 @@ import logging
 from collections.abc import Callable
 
 from repro.errors import ConfigurationError
-from repro.net.codec import WIRE_CODEC, CodecError, FrameBuffer, Hello, WireCodec
+from repro.multishot.messages import VoteBatch
+from repro.net.codec import (
+    MAX_UNBATCHED_DEPTH,
+    WIRE_CODEC,
+    CodecError,
+    FrameBuffer,
+    Hello,
+    WireCodec,
+)
 from repro.sim.trace import TraceKind
 
 _LOG = logging.getLogger(__name__)
@@ -330,6 +338,11 @@ class NetTransport:
                             return  # not a peer speaking our protocol
                         sender = message.node_id
                         continue
+                    if (
+                        type(message) is not VoteBatch
+                        and self.codec.nesting_depth(message) > MAX_UNBATCHED_DEPTH
+                    ):
+                        continue  # too deep to re-batch: only a Byzantine peer sends it
                     try:
                         self.on_message(sender, message)
                     except Exception:

@@ -38,8 +38,19 @@ from repro.net.cluster import (
     run_cluster_workload,
     sized_max_slots,
 )
-from repro.net.codec import WIRE_CODEC, CollectReply, CommitAck, CommitAckBatch, FrameBuffer
+from repro.net.codec import (
+    MAX_TXN_DEPTH,
+    WIRE_CODEC,
+    ClientSubmit,
+    ClientSubmitBatch,
+    CollectReply,
+    CommitAck,
+    CommitAckBatch,
+    FrameBuffer,
+)
+from repro.net.replica_main import ReplicaProcess
 from repro.smr.mempool import Transaction
+from repro.storage.wal import read_wal
 from repro.verification.audit import SafetyAuditor
 
 
@@ -104,6 +115,60 @@ def test_chained_engine_runs_over_sockets():
     assert result.completed and result.committed == 20
     report = SafetyAuditor(expected_txns=result.injected).audit_evidence(result.evidence)
     assert report.safe and report.live, report.violations
+
+
+def _deep_set(txid: str, depth: int) -> Transaction:
+    """A ``set`` whose value nests so the transaction has ``depth``."""
+    value: object = 1
+    for _ in range(depth - 2):  # the transaction and its op are 2 levels
+        value = (value,)
+    txn = Transaction(txid, ("set", txid, value))
+    assert WIRE_CODEC.nesting_depth(txn) == depth
+    return txn
+
+
+def test_deepest_admitted_transaction_finalizes_and_survives_the_wal(tmp_path):
+    """A transaction at the client port's depth limit rides the deepest
+    envelope there is (a chained engine's batched proposal) to every
+    replica, and each replica's WAL reads it back untorn."""
+    deep = _deep_set("deep", MAX_TXN_DEPTH)
+    schedule = _schedule(6) + [(0.7, deep)]
+    result = run_cluster_workload(
+        ClusterConfig(n=4, engine="pbft", deadline=25.0, data_dir=str(tmp_path)), schedule
+    )
+    assert result.completed and result.committed == 7
+    report = SafetyAuditor(expected_txns=result.injected).audit_evidence(result.evidence)
+    assert report.safe and report.live, report.violations
+    for node_id in range(4):
+        records, torn = read_wal(tmp_path / f"replica-{node_id}" / "wal.log")
+        assert not torn
+        assert deep in (txn for record in records for txn in record.block.payload)
+
+
+def test_client_port_drops_transactions_too_deep_for_a_batched_proposal():
+    """One level past MAX_TXN_DEPTH still decodes at the client port,
+    but not inside the chained engines' batched proposal: the replica
+    leaves it out of its mempool, and keeps the rest of the batch."""
+    fits = _deep_set("fits", MAX_TXN_DEPTH)
+    too_deep = _deep_set("too-deep", MAX_TXN_DEPTH + 1)
+    plain = Transaction("plain", ("set", "k", 1))
+
+    class _Writer:
+        def close(self) -> None:
+            pass
+
+    async def scenario() -> ReplicaProcess:
+        process = ReplicaProcess(build_specs(ClusterConfig(n=4, max_slots=8))[0])
+        reader = asyncio.StreamReader()
+        for message in (ClientSubmit(too_deep), ClientSubmitBatch((fits, too_deep, plain))):
+            reader.feed_data(WIRE_CODEC.encode_frame(message))
+        reader.feed_eof()
+        await process._on_client_connection(reader, _Writer())
+        return process
+
+    process = asyncio.run(scenario())
+    batch = process.replica.mempool.next_batch()
+    assert [txn.txid for txn in batch] == ["fits", "plain"]
 
 
 BURSTS = 6

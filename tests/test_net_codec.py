@@ -51,6 +51,7 @@ from repro.net.codec import (
     MAGIC,
     MAX_DEPTH,
     MAX_FRAME,
+    MAX_TXN_DEPTH,
     WIRE_CODEC,
     WIRE_VERSION,
     ClientSubmit,
@@ -75,6 +76,7 @@ from repro.net.codec import (
     wire_codec,
 )
 from repro.smr.mempool import Transaction
+from repro.storage.wal import WriteAheadLog, read_wal
 
 # -- seeded instance generators, one per registered type ----------------------
 
@@ -532,6 +534,75 @@ def test_nesting_cap_sits_exactly_at_max_depth():
     assert WIRE_CODEC.decode(_nested_hello(MAX_DEPTH - 1)) == Hello(node_id)
     with pytest.raises(CodecError, match="MAX_DEPTH"):
         WIRE_CODEC.decode(_nested_hello(MAX_DEPTH))
+
+
+def test_nesting_depth_counts_the_levels_the_decoder_counts():
+    for levels in (0, 1, 5, MAX_DEPTH - 1, MAX_DEPTH):
+        node_id = 7
+        for _ in range(levels):
+            node_id = (node_id,)
+        assert WIRE_CODEC.nesting_depth(Hello(node_id)) == levels + 1
+    assert WIRE_CODEC.nesting_depth(StartRun()) == 1
+    assert WIRE_CODEC.nesting_depth(Transaction("t", ("set", "k", 1))) == 2
+
+
+def _deep_txn(depth: int) -> Transaction:
+    """A transaction of nesting depth ``depth``: its op is ``depth - 1``
+    nested one-item tuples."""
+    op: object = 1
+    for _ in range(depth - 1):
+        op = (op,)
+    txn = Transaction("deep", op)
+    assert WIRE_CODEC.nesting_depth(txn) == depth
+    return txn
+
+
+def _txn_envelopes(txn: Transaction) -> list:
+    """Every frame shape that carries a client transaction: the client
+    port's, the batched proposals of both engine families, catch-up,
+    state transfer, collect, and the WAL and snapshot records."""
+    block = Block.create(slot=1, parent="genesis", payload=(txn,))
+    return [
+        ClientSubmit(txn),
+        ClientSubmitBatch((txn,)),
+        MSProposal(1, 0, block),
+        VoteBatch((MSProposal(1, 0, block), MSVote(1, 0, block.digest))),
+        VoteBatch((SlotMessage(1, BProposal("pbft", 0, block)), MSVote(1, 0, "d"))),
+        VoteBatch((SlotMessage(1, BRound("li", 0, 1, 0, block)), MSVote(1, 0, "d"))),
+        VoteBatch((SlotMessage(1, BViewChange("pbft", 1, 0, block)), MSVote(1, 0, "d"))),
+        CatchUp(1, (block,)),
+        StateTransferReply(node_id=0, tip_slot=1, blocks=(block,)),
+        CollectReply(0, (block,), "sd", ("deep",), 1, 1),
+        WalAppend(seq=1, block=block),
+        SnapshotImage(1, block.digest, "sd", ("deep",), (), (block,)),
+    ]
+
+
+def test_a_transaction_at_the_client_port_limit_decodes_in_every_envelope():
+    """MAX_TXN_DEPTH leaves room for the deepest envelope: a transaction
+    the client port admits can never make a proposal, a WAL record or a
+    snapshot undecodable at a peer or on restart."""
+    for message in _txn_envelopes(_deep_txn(MAX_TXN_DEPTH)):
+        assert WIRE_CODEC.decode(WIRE_CODEC.encode(message)) == message, type(message)
+    # The bound is tight: one level more breaks the chained batch.
+    deeper = _txn_envelopes(_deep_txn(MAX_TXN_DEPTH + 1))
+    assert WIRE_CODEC.decode(WIRE_CODEC.encode(deeper[1])) == deeper[1]
+    with pytest.raises(CodecError, match="MAX_DEPTH"):
+        WIRE_CODEC.decode(WIRE_CODEC.encode(deeper[4]))
+
+
+def test_wal_reads_back_a_block_carrying_the_deepest_admitted_transaction(tmp_path):
+    """A record read_wal could not decode would count as a torn tail and
+    take every later fsynced record with it."""
+    deep = Block.create(slot=1, parent="genesis", payload=(_deep_txn(MAX_TXN_DEPTH),))
+    after = Block.create(slot=2, parent=deep.digest, payload=())
+    wal = WriteAheadLog(tmp_path / "wal.log")
+    wal.append_block(deep)
+    wal.append_block(after)
+    wal.close()
+    records, torn = read_wal(tmp_path / "wal.log")
+    assert not torn
+    assert [record.block for record in records] == [deep, after]
 
 
 @pytest.mark.parametrize(

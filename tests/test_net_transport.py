@@ -17,8 +17,10 @@ import pytest
 
 from repro.core.messages import Proposal, ViewChange
 from repro.errors import ConfigurationError
+from repro.baselines.chained import SlotMessage
 from repro.multishot.messages import MSVote, VoteBatch
 from repro.net.cluster import allocate_ports
+from repro.net.codec import MAX_UNBATCHED_DEPTH
 from repro.net.transport import LinkLatency, NetContext, NetTransport
 from repro.obs import MetricsRegistry
 
@@ -161,6 +163,39 @@ def test_vote_batch_frames_cross_the_socket_as_one_unit():
 
     asyncio.run(scenario())
     assert inboxes[1] == [(0, batch)] * 4
+
+
+def _nested(levels: int) -> object:
+    value: object = 7
+    for _ in range(levels):
+        value = (value,)
+    return value
+
+
+def test_a_bare_message_too_deep_to_rebatch_is_dropped():
+    """Outside a VoteBatch a peer message must leave the batch's two
+    levels free; anything deeper could not be relayed or re-proposed in
+    a batch, so the reader drops it and delivers the rest."""
+    inboxes = {0: [], 1: []}
+    ports = allocate_ports(2)
+    fits = SlotMessage(1, _nested(MAX_UNBATCHED_DEPTH - 1))
+    too_deep = SlotMessage(2, _nested(MAX_UNBATCHED_DEPTH))
+    vote = MSVote(3, 0, "cc")
+
+    async def scenario():
+        a, b = _pair(ports, inboxes)
+        await a.start()
+        await b.start()
+        try:
+            for message in (fits, too_deep, vote):
+                a.send(1, message)
+            await _wait_for(lambda: inboxes[1] and inboxes[1][-1] == (0, vote))
+        finally:
+            await a.stop()
+            await b.stop()
+
+    asyncio.run(scenario())
+    assert inboxes[1] == [(0, fits), (0, vote)]
 
 
 def test_link_latency_validation_and_pairs():
