@@ -13,8 +13,9 @@ acceptance contract:
   tracks the offered rate — and report finite commit latency;
 * the saturation probe really saturates, which pins the bench's
   capacity-finding machinery itself;
-* the snapshot read path serves an executed value back over HTTP while
-  the cluster keeps running;
+* the read path (the gateway applying the blocks the replicas stream
+  to it) serves an executed value back over HTTP while the cluster
+  keeps running;
 * each level's identity, saturation flag and audit verdicts persist to
   ``BENCH_gateway.json`` (the wall-clock readings are printed, not
   persisted).

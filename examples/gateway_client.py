@@ -15,8 +15,8 @@ of it; and this script plays three clients:
    client, before a single frame reaches a replica mempool.
 
 Finally the script reads executed state back through ``GET
-/v1/state/…`` (served from live replica snapshots, no consensus
-traffic) and checks the cluster's health summary.
+/v1/state/…`` (served from the blocks the replicas stream to the
+gateway, no consensus traffic) and checks the cluster's health summary.
 
 Run:  python examples/gateway_client.py
 """
@@ -36,7 +36,7 @@ async def demo(specs) -> None:
     await pool.connect()
     service = GatewayService(
         pool,
-        GatewayConfig(n=n, rate=5.0, burst=3.0, snapshot_interval=0.0),
+        GatewayConfig(n=n, rate=5.0, burst=3.0),
     )
     await service.start()
     server = GatewayServer(service)
@@ -95,15 +95,15 @@ async def demo(specs) -> None:
     assert response.status == 429, "the burst should have been exhausted"
 
     # Wait until the flooder's accepted txns commit, then read state
-    # back from live replica snapshots — no consensus traffic involved.
+    # back: a commit is published after its block is applied, so the
+    # read sees every committed write — no consensus traffic involved.
     while service.metrics()["pending"] > 0:
         await asyncio.sleep(0.05)
-    await service.refresh_snapshots()
     read = await writer.request("GET", "/v1/state/counter")
     body = read.json()
     print(
-        f"\n-- read path: counter={body['value']} "
-        f"(snapshot supported by {body['supported_by']}/{n} replicas) --"
+        f"\n-- read path: counter={body['value']} at height {body['chain_length']} "
+        f"(tip vouched for by {body['supported_by']}/{n} replicas) --"
     )
     assert body["value"] == 3  # the writer's three incrs, flood was noops
 

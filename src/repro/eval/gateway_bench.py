@@ -23,9 +23,9 @@ Cross-validation is not optional here either: after the ramp the bench
 collects every replica's finalized chain and state digest and replays
 them through the same :class:`~repro.verification.audit.SafetyAuditor`
 as A6/A7 (safety-only — liveness under deliberate overload is not a
-protocol property).  The snapshot read path is exercised end to end:
-the gateway pulls ``SnapshotRequest`` state from the live cluster and
-the bench reads an incremented key back through ``GET /v1/state/…``.
+protocol property).  The read path is exercised end to end: the
+gateway applies the blocks the live replicas stream to it, and the
+bench reads an incremented key back through ``GET /v1/state/…``.
 
 ``BENCH_gateway.json`` keeps what every run of the ramp reproduces —
 each level's identity, whether it saturated, the audit verdicts (smoke
@@ -119,7 +119,7 @@ class GatewayCellResult:
     #: First offered rate whose level saturated (2x the top level when
     #: the ramp never saturated — "capacity is beyond the probe").
     saturation_offered: float
-    #: The snapshot read path returned the expected executed value.
+    #: The read path returned the expected executed value.
     reads_ok: bool
     #: Commit events observed by the WebSocket subscriber.
     ws_events: int
@@ -258,12 +258,7 @@ async def _drive_gateway(
     await pool.connect()
     service = GatewayService(
         pool,
-        GatewayConfig(
-            n=n,
-            rate=CLIENT_RATE,
-            burst=CLIENT_BURST,
-            snapshot_interval=0.0,  # refreshed explicitly after the ramp
-        ),
+        GatewayConfig(n=n, rate=CLIENT_RATE, burst=CLIENT_BURST),
     )
     await service.start()
     server = GatewayServer(service)
@@ -300,11 +295,11 @@ async def _drive_gateway(
             row.n = n
             rows.append(row)
 
-        # Read path: fresh snapshots from the *running* cluster, then a
-        # state read through the HTTP API for a key every level hit.
+        # Read path: the state the gateway applied from the *running*
+        # cluster's block streams, read through the HTTP API for a key
+        # every level hit.
         reads_ok = False
         try:
-            await service.refresh_snapshots()
             response = await http_clients[0].request("GET", "/v1/state/k000")
             body = response.json()
             reads_ok = response.status == 200 and isinstance(body, dict) and body.get(

@@ -15,7 +15,7 @@ This package is that plane, in three strict layers:
   token buckets, server-side submission batching (the client-plane
   sibling of the message plane's vote aggregation), f+1 quorum commit
   tracking, subscription fan-out with slow-consumer eviction, and the
-  snapshot read path;
+  read path, which follows every replica's executed-block stream;
 * **repository** (:mod:`repro.net.client`) — the same replica
   connection pool the A7 bench driver uses; the gateway adds no second
   wire implementation.

@@ -8,18 +8,13 @@ verb   path                         meaning
 ====== ============================ =======================================
 POST   ``/v1/transactions``         submit one transaction (202 Accepted)
 GET    ``/v1/transactions/<txid>``  commit status of one transaction
-GET    ``/v1/state/<key>``          executed-state read (snapshot path)
-GET    ``/v1/chain``                finalized chain summary
+GET    ``/v1/state/<key>``          executed-state read (followed chain)
+GET    ``/v1/chain``                applied chain summary
 GET    ``/v1/health``               liveness/quorum summary
 GET    ``/v1/metrics``              registry snapshot + latency percentiles
 GET    ``/v1/cluster/metrics``      in-band scrape of every live replica
 GET    ``/v1/ws``                   WebSocket commit-event subscription
 ====== ============================ =======================================
-
-The pre-versioned bare paths (``/transactions``, ``/state/<key>``,
-``/chain``, ``/health``, ``/metrics``) survive as deprecated aliases:
-they are rewritten onto the ``/v1`` routes and answered with a
-``Deprecation: true`` header.  New clients must use ``/v1``.
 
 Every rejection is a structured JSON error envelope; rate-limited
 submissions carry a ``Retry-After`` header (429), capacity rejections a
@@ -56,37 +51,11 @@ from repro.gateway.http import (
     websocket_handshake_response,
 )
 from repro.gateway.ratelimit import AdmissionDenied, RateLimited
-from repro.gateway.service import (
-    EVICTED,
-    DuplicateTransaction,
-    GatewayService,
-    SnapshotUnavailable,
-)
+from repro.gateway.service import EVICTED, DuplicateTransaction, GatewayService
 from repro.smr.mempool import Transaction
 
 #: KVStore operations a client may submit through the gateway.
 ALLOWED_OPS = ("set", "del", "incr", "noop")
-
-#: Bare-path roots from the pre-versioned API, still answered as
-#: aliases of their ``/v1`` successors.  Alias responses carry a
-#: ``Deprecation: true`` header (draft-ietf-httpapi-deprecation-header
-#: shape) so callers can find themselves before the aliases go away.
-DEPRECATED_ALIAS_ROOTS = ("/transactions", "/state", "/chain", "/health", "/metrics")
-
-
-def alias_to_v1(path: str) -> str | None:
-    """The ``/v1`` path a deprecated bare path maps to, or ``None``."""
-    for root in DEPRECATED_ALIAS_ROOTS:
-        if path == root or path.startswith(root + "/"):
-            return "/v1" + path
-    return None
-
-
-def _mark_deprecated(response: bytes) -> bytes:
-    """Inject the ``Deprecation`` header into a rendered response."""
-    head, sep, body = response.partition(b"\r\n\r\n")
-    return head + b"\r\nDeprecation: true" + sep + body
-
 
 def parse_transaction(payload: object) -> Transaction:
     """Validate one submission body into a Transaction.
@@ -172,21 +141,6 @@ class GatewayServer:
     # -- HTTP routes ----------------------------------------------------------
 
     def _dispatch(self, request: Request, peer_id: str) -> bytes:
-        path, sep, query = request.path.partition("?")
-        alias = alias_to_v1(path)
-        if alias is not None:
-            request = Request(
-                method=request.method,
-                path=alias + sep + query,
-                headers=request.headers,
-                body=request.body,
-            )
-        response = self._dispatch_versioned(request, peer_id)
-        if alias is not None:
-            response = _mark_deprecated(response)
-        return response
-
-    def _dispatch_versioned(self, request: Request, peer_id: str) -> bytes:
         try:
             return self._route(request, peer_id)
         except ProtocolError as exc:
@@ -201,8 +155,6 @@ class GatewayServer:
             return render_response(503, error_payload(exc.code, str(exc)))
         except DuplicateTransaction as exc:
             return render_response(409, error_payload("duplicate_txid", str(exc)))
-        except SnapshotUnavailable as exc:
-            return render_response(503, error_payload("snapshot_unavailable", str(exc)))
 
     def _route(self, request: Request, peer_id: str) -> bytes:
         method, path = request.method, request.path.split("?", 1)[0]
@@ -281,7 +233,6 @@ class GatewayServer:
                 "tip_slot": view.tip_slot,
                 "chain_length": view.chain_length,
                 "supported_by": view.supported_by,
-                "replica": view.replica,
             },
         )
 

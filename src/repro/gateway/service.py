@@ -18,12 +18,18 @@ The service owns everything stateful about serving clients:
   eviction: a subscriber that cannot drain its queue is cut loose
   (with a final eviction notice) rather than allowed to grow gateway
   memory without bound;
-* **reads** — executed state and chain history served from replica
-  ``SnapshotRequest`` replies, *without touching consensus*: the
-  service keeps the freshest snapshot per replica, picks the digest
-  supported by the most replicas (ties to the longest chain), and
-  replays it once into a :class:`~repro.smr.kvstore.KVStore` that
-  point-reads are answered from.
+* **reads** — executed state and chain history served *without
+  touching consensus*: the service follows every replica
+  (:meth:`~repro.net.client.ReplicaPool.follow`), which streams each
+  block it executes, and applies block h to its own
+  :class:`~repro.smr.kvstore.KVStore` once f+1 replicas sent the same
+  digest for h, a body hashing to that digest, and h's parent is the
+  applied tip.  At least one of the f+1 is honest, so the read state is
+  a prefix of every honest replica's, and a commit is published after
+  its block is applied (a read right after a ``commit`` event sees
+  the write).  What one replica can make the gateway hold is bounded:
+  only its first block per height counts, and nothing more than
+  :data:`FOLLOW_LEAD` heights above the applied one.
 """
 
 from __future__ import annotations
@@ -35,14 +41,23 @@ from dataclasses import dataclass, field
 from repro.config import repro_config
 from repro.gateway.ratelimit import AdmissionController
 from repro.metrics.smr_trackers import nearest_rank_percentiles
+from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
 from repro.net.client import AckCorrelator, ReplicaPool
 from repro.net.codec import CollectReply, CommitAck
 from repro.obs import CommitPathTracer, MetricsRegistry, items_to_dict
 from repro.smr.mempool import Transaction
-from repro.verification.audit import replay_chain
+from repro.verification.audit import BlockApplier
 
 #: Queue sentinel delivered to a subscriber that fell too far behind.
 EVICTED = object()
+
+#: Heights above the applied one the gateway holds a followed replica's
+#: blocks for.  A block further ahead is dropped along with the rest of
+#: that replica's stream, and the replica is followed again from the
+#: applied height once the gateway has caught up with what it held from
+#: it — so no replica can grow the gateway's memory, and an honest one
+#: that ran ahead (a long suffix on follow) still delivers every block.
+FOLLOW_LEAD = 1024
 
 #: Counter names the gateway maintains (``gateway.`` namespace on the
 #: registry; bare names through the :class:`_RegistryCounters` facade).
@@ -56,7 +71,6 @@ GATEWAY_COUNTERS = (
     "flushed_txns",
     "events_delivered",
     "subscribers_evicted",
-    "snapshot_refreshes",
 )
 
 
@@ -110,8 +124,6 @@ class GatewayConfig:
     max_batch: int = 64
     #: Per-subscriber event queue depth before eviction.
     subscriber_queue: int = 256
-    #: Seconds between background snapshot refreshes (0 = on demand).
-    snapshot_interval: float = 0.5
 
     @property
     def ack_quorum(self) -> int:
@@ -182,8 +194,8 @@ class StateView:
     found: bool
     tip_slot: int
     chain_length: int
+    #: Followed replicas that sent the tip's digest.
     supported_by: int
-    replica: int
 
 
 class GatewayService:
@@ -211,12 +223,18 @@ class GatewayService:
         self._batching = not repro_config().no_batch
         self._flush_handle: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._snapshot_task: asyncio.Task | None = None
-        self._snapshots: dict[int, CollectReply] = {}
-        self._chosen: CollectReply | None = None
-        self._chosen_support = 0
-        self._replay_cache_key: tuple[str, int] | None = None
-        self._replay_store = None
+        # The read path: the applied chain, its state, and what the
+        # followed replicas sent above it.
+        self._applier = BlockApplier()
+        self._chain: list[Block] = []
+        #: Replicas that sent the applied tip's digest.
+        self._tip_support: set[int] = set()
+        #: height → replica → the first block it sent for that height,
+        #: for heights above the applied one.
+        self._pending: dict[int, dict[int, Block]] = {}
+        #: Replicas whose stream ran past FOLLOW_LEAD → the applied
+        #: height at which they are followed again.
+        self._lapsed: dict[int, int] = {}
         self.started_at: float | None = None
         # Monotonic counters the metrics endpoint reports, living on
         # the gateway's own registry (``/v1/metrics`` is a view of it).
@@ -230,22 +248,20 @@ class GatewayService:
             sample_every=0 if cfg.no_obs else 16, clock=clock, terminal="ack"
         )
         pool.on_ack = self._on_ack
+        pool.on_block = self._on_block
 
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self, *, start_consensus: bool = True) -> None:
-        """Bind to the running loop; optionally start the cluster."""
+        """Bind to the running loop, follow every replica from the
+        applied height, and optionally start the cluster."""
         self._loop = asyncio.get_running_loop()
         self.started_at = self._clock()
+        self.pool.follow(lambda: self.height)
         if start_consensus:
             self.pool.start_run()
-        if self.config.snapshot_interval > 0:
-            self._snapshot_task = asyncio.ensure_future(self._snapshot_loop())
 
     async def stop(self) -> None:
-        if self._snapshot_task is not None:
-            self._snapshot_task.cancel()
-            self._snapshot_task = None
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -355,72 +371,88 @@ class GatewayService:
 
     # -- read path ------------------------------------------------------------
 
-    async def _snapshot_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.snapshot_interval)
-            try:
-                await self.refresh_snapshots()
-            except (OSError, ConnectionError):  # pragma: no cover - replica churn
-                continue
+    @property
+    def height(self) -> int:
+        """Height of the applied chain (0 before any block)."""
+        return len(self._chain)
 
-    async def refresh_snapshots(self, timeout: float | None = None) -> int:
-        """Pull a fresh snapshot from every live replica; returns the
-        support count of the chosen snapshot."""
-        replies = await self.pool.snapshot(timeout)
-        self._snapshots.update(replies)
-        self.counters["snapshot_refreshes"] += 1
-        return self._choose_snapshot()
+    def _on_block(self, node_id: int, block: Block) -> None:
+        """One block from ``node_id``'s stream: hold the first per height,
+        then apply whatever that lets through."""
+        height = block.slot
+        applied = len(self._chain)
+        if not isinstance(height, int) or height <= applied:
+            if height == applied > 0 and block.digest == self._chain[-1].digest:
+                self._tip_support.add(node_id)
+            return
+        if node_id in self._lapsed:
+            return
+        if height > applied + FOLLOW_LEAD:
+            self._lapsed[node_id] = applied + FOLLOW_LEAD
+            return
+        held = self._pending.setdefault(height, {})
+        if node_id not in held:
+            held[node_id] = block
+            if height == applied + 1:
+                self._advance()
+
+    def _advance(self) -> None:
+        """Apply the next block while f+1 replicas agree on it."""
+        while True:
+            held = self._pending.get(len(self._chain) + 1)
+            block = None if held is None else self._agreed(held)
+            if block is None:
+                break
+            del self._pending[block.slot]
+            self._applier.apply(block)
+            self._chain.append(block)
+            self._tip_support = {node for node, b in held.items() if b.digest == block.digest}
+        for node_id, at in list(self._lapsed.items()):
+            if len(self._chain) >= at:
+                del self._lapsed[node_id]
+                self.pool.refollow(node_id)
+
+    def _agreed(self, held: dict[int, Block]) -> Block | None:
+        """The block at this height to apply: a digest f+1 replicas sent,
+        with a body that hashes to it and extends the applied tip."""
+        votes: dict[object, list[Block]] = {}
+        for block in held.values():
+            votes.setdefault(block.digest, []).append(block)
+        tip = self._chain[-1].digest if self._chain else GENESIS_DIGEST
+        for digest, bodies in votes.items():
+            if len(bodies) < self.config.ack_quorum:
+                continue
+            for body in bodies:
+                if body.parent == tip and _compute_digest(body.slot, tip, body.payload) == digest:
+                    return body
+        return None
 
     def ingest_snapshots(self, replies: dict[int, CollectReply]) -> int:
-        """Feed externally collected snapshots (tests, offline replay)."""
-        self._snapshots.update(replies)
-        return self._choose_snapshot()
-
-    def _choose_snapshot(self) -> int:
-        """Pick the snapshot whose state digest has the widest replica
-        support; ties break to the longer chain.  With at least f+1
-        supporters the digest is vouched for by an honest replica."""
-        if not self._snapshots:
-            return 0
-        support: dict[tuple[str, int], list[CollectReply]] = {}
-        for reply in self._snapshots.values():
-            support.setdefault((reply.state_digest, len(reply.chain)), []).append(reply)
-        (digest, _length), group = max(
-            support.items(), key=lambda item: (len(item[1]), item[0][1])
-        )
-        self._chosen = group[0]
-        self._chosen_support = len(group)
-        key = (digest, len(self._chosen.chain))
-        if key != self._replay_cache_key:
-            self._replay_store = replay_chain(tuple(self._chosen.chain))
-            self._replay_cache_key = key
-        return self._chosen_support
-
-    @property
-    def has_snapshot(self) -> bool:
-        return self._chosen is not None
+        """Feed collected chains through the follow path, height by
+        height across the replies (tests, offline replay); returns how
+        many replicas vouch for the applied tip."""
+        chains = [(node_id, reply.chain) for node_id, reply in sorted(replies.items())]
+        for index in range(max((len(chain) for _node, chain in chains), default=0)):
+            for node_id, chain in chains:
+                if index < len(chain):
+                    self._on_block(node_id, chain[index])
+        return len(self._tip_support)
 
     def read_state(self, key: str) -> StateView:
-        """Point-read from the replayed majority snapshot."""
-        if self._chosen is None or self._replay_store is None:
-            raise SnapshotUnavailable("no replica snapshot ingested yet")
+        """Point-read from the applied state."""
         missing = object()
-        value = self._replay_store.get(key, missing)
-        chain = self._chosen.chain
+        value = self._applier.store.get(key, missing)
         return StateView(
             value=None if value is missing else value,
             found=value is not missing,
-            tip_slot=chain[-1].slot if chain else 0,
-            chain_length=len(chain),
-            supported_by=self._chosen_support,
-            replica=self._chosen.node_id,
+            tip_slot=self._chain[-1].slot if self._chain else 0,
+            chain_length=len(self._chain),
+            supported_by=len(self._tip_support),
         )
 
     def chain_history(self, start: int = 0, limit: int = 50) -> dict:
-        """Finalized chain summary from the majority snapshot."""
-        if self._chosen is None:
-            raise SnapshotUnavailable("no replica snapshot ingested yet")
-        chain = self._chosen.chain
+        """Summary of the applied chain."""
+        chain = self._chain
         blocks = []
         for block in chain:
             if block.slot < start:
@@ -439,7 +471,7 @@ class GatewayService:
         return {
             "height": len(chain),
             "tip": chain[-1].digest if chain else None,
-            "supported_by": self._chosen_support,
+            "supported_by": len(self._tip_support),
             "blocks": blocks,
         }
 
@@ -518,13 +550,9 @@ class GatewayService:
             "replicas_live": live,
             "replicas_total": self.config.n,
             "ack_quorum": self.config.ack_quorum,
-            "has_snapshot": self.has_snapshot,
+            "height": self.height,
         }
 
 
 class DuplicateTransaction(Exception):
     """A txid the gateway already tracks was submitted again."""
-
-
-class SnapshotUnavailable(Exception):
-    """The read path has no replica snapshot to serve from yet."""

@@ -14,8 +14,8 @@ points at:
   framing, with per-peer outbound queues, reconnect-with-backoff and
   optional injected link latency so the geo scenarios carry over;
 * :mod:`repro.net.client` — the client-side repository layer: a
-  replica-connection pool with commit-ack correlation, the snapshot
-  read path, and ``time_scale``-derived timeouts, shared by the A7
+  replica-connection pool with commit-ack correlation, the followed
+  block stream, and ``time_scale``-derived timeouts, shared by the A7
   bench driver and the gateway service;
 * :mod:`repro.net.cluster` — a multiprocess cluster launcher/driver:
   one OS process per replica (any registered engine), a TCP client

@@ -8,8 +8,10 @@ share it —
 * the A7 bench driver (:mod:`repro.net.cluster`), which submits a
   pre-timestamped schedule and collects end-of-run evidence; and
 * the client gateway (:mod:`repro.gateway`), which serves live HTTP/
-  WebSocket traffic and additionally uses the non-terminating
-  :class:`~repro.net.codec.SnapshotRequest` read path.
+  WebSocket traffic and *follows* every replica: each one streams its
+  executed blocks (:class:`~repro.net.codec.BlockExecuted`) instead of
+  txid-only acks, and the gateway serves reads from the blocks f+1 of
+  them agree on.
 
 Keeping one implementation is the point: the frame handling used to be
 inlined in ``net/cluster.py``, so a gateway would have re-grown its own
@@ -27,19 +29,22 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.config import repro_config
 from repro.errors import SimulationError
+from repro.multishot.block import Block
 from repro.net.codec import (
     WIRE_CODEC,
+    BlockExecuted,
     ClientSubmit,
     ClientSubmitBatch,
     CollectReply,
     CollectRequest,
     CommitAck,
     CommitAckBatch,
+    Follow,
     FrameBuffer,
     MetricsReply,
     MetricsRequest,
@@ -195,6 +200,12 @@ class ReplicaPool:
     correlated to the :meth:`collect` / :meth:`snapshot` call that
     requested them.
 
+    After :meth:`follow`, every replica sends each executed block
+    whole: the pool hands it to ``on_block(node_id, block)`` first,
+    then fans its transactions out to ``on_ack`` exactly as it does an
+    ack batch, so ack consumers see no difference.  A pool that never
+    follows gets the acks alone.
+
     Submissions are batched the same way: :meth:`submit` queues, and
     everything queued in one event-loop tick leaves as one frame per
     replica.  Every frame the pool writes goes through :meth:`_write`,
@@ -216,6 +227,9 @@ class ReplicaPool:
         self.collect_timeout = scaled_timeout(COLLECT_TIMEOUT_BASE, time_scale)
         self.on_ack = on_ack
         self.on_death = on_death
+        self.on_block = None
+        #: Set by :meth:`follow`: the height to (re)follow a replica from.
+        self._follow_from: Callable[[], int] | None = None
         self._conns = {
             node_id: ReplicaConnection(node_id, host, port, self)
             for node_id, (host, port) in sorted(addrs.items())
@@ -267,6 +281,23 @@ class ReplicaPool:
         self._conns[node_id] = conn
         await conn.connect(self.connect_timeout)
         self.live.add(node_id)
+        if self._follow_from is not None:
+            self.refollow(node_id)
+
+    def follow(self, since_height: Callable[[], int]) -> None:
+        """Ask every live replica for its executed-block stream.
+
+        ``since_height()`` is the height the caller already holds; it is
+        asked again whenever one replica is followed anew (:meth:`readmit`,
+        :meth:`refollow`), so a restarted replica resumes from what the
+        caller holds then.
+        """
+        self._follow_from = since_height
+        self.broadcast(Follow(since_height()))
+
+    def refollow(self, node_id: int) -> None:
+        """Restart ``node_id``'s block stream from ``since_height()``."""
+        self.send_to(node_id, Follow(self._follow_from()))
 
     def send_to(self, node_id: int, message: object) -> None:
         """Send one frame to one specific replica (e.g. a targeted
@@ -341,6 +372,16 @@ class ReplicaPool:
         elif isinstance(message, CommitAck):
             if self.on_ack is not None:
                 self.on_ack(node_id, message)
+        elif isinstance(message, BlockExecuted):
+            block = message.block
+            if not isinstance(block, Block):
+                return
+            if self.on_block is not None:
+                self.on_block(node_id, block)
+            if self.on_ack is not None and isinstance(block.payload, tuple):
+                for txn in block.payload:
+                    if isinstance(txn, Transaction):
+                        self.on_ack(node_id, CommitAck(message.node_id, txn.txid, block.slot))
         elif isinstance(message, (CollectReply, MetricsReply)):
             waiter = self._reply_waiters.get(node_id)
             if waiter is not None and not waiter.done():
@@ -391,7 +432,7 @@ class ReplicaPool:
             return replies
 
     async def snapshot(self, timeout: float | None = None) -> dict[int, CollectReply]:
-        """Read-path snapshot: current chain/state from every live
+        """Mid-run evidence: current chain/state from every live
         replica, *without* shutting anything down."""
         return await self._request_replies(SnapshotRequest(), timeout)
 

@@ -105,8 +105,9 @@ MAX_DEPTH = 32
 #: carries a transaction, a chained baseline's batched proposal
 #: (VoteBatch → messages → SlotMessage → BProposal → Block → payload),
 #: wraps it in 6 levels; a batched MSProposal wraps it in 5, a WalAppend
-#: in 3.  A transaction within this bound decodes in every one of them,
-#: so no client can make a proposal or a WAL record undecodable.
+#: or a BlockExecuted in 3.  A transaction within this bound decodes in
+#: every one of them, so no client can make a proposal or a WAL record
+#: undecodable.
 MAX_TXN_DEPTH = MAX_DEPTH - 6
 
 #: Deepest message a peer may send outside a VoteBatch.  The batch adds
@@ -485,9 +486,9 @@ class CollectRequest:
 class SnapshotRequest:
     """Client → replica: report your current state, keep running.
 
-    The gateway's read path: same :class:`CollectReply` shape as the
-    terminal collect, but the replica stays in consensus — reads are
-    served from finalized snapshots without touching the protocol.
+    Mid-run evidence: the same :class:`CollectReply` shape as the
+    terminal collect, but the replica stays in consensus (a rejoiner's
+    convergence check reads it; the gateway's reads use :class:`Follow`).
     """
 
 
@@ -518,6 +519,32 @@ class CommitAckBatch:
     node_id: int
     slot: int
     txids: tuple  # tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Follow:
+    """Client → replica: stream me the executed chain.
+
+    The replica answers with one :class:`BlockExecuted` per block it
+    executed above ``since_height`` (the finalized suffix the client
+    lacks), then one per block it executes from then on, in place of
+    the txid-only commit acks.  Sending it again restarts the suffix
+    from the new height; blocks the client already holds arrive twice.
+    """
+
+    since_height: int
+
+
+@dataclass(frozen=True)
+class BlockExecuted:
+    """Replica → following client: this replica executed ``block``.
+
+    Sent for every executed block, empty ones included, so a follower
+    sees the replica's whole chain in order and can apply it itself.
+    """
+
+    node_id: int
+    block: object  # a repro.multishot.block.Block
 
 
 @dataclass(frozen=True)
@@ -695,6 +722,9 @@ def wire_codec() -> WireCodec:
     codec.register(12, MetricsReply)
     # Per-block commit acks (appended within wire v5).
     codec.register(13, CommitAckBatch)
+    # The executed-chain stream a client follows (appended within v5).
+    codec.register(14, Follow)
+    codec.register(15, BlockExecuted)
     # Shared nested structures.
     codec.register(16, VoteRecord)
     codec.register(17, Block)

@@ -14,13 +14,19 @@ server:
   ``replica.submit`` (the batch form is the client pool's per-tick
   submission coalescing — many submissions, one frame);
 * ``SnapshotRequest`` answers with the same ``CollectReply`` evidence
-  as a collect but keeps the replica in consensus — the gateway's read
-  path serves executed state from these snapshots;
+  as a collect but keeps the replica in consensus (mid-run evidence for
+  drivers such as a rejoiner's convergence check);
 * every executed block is acknowledged to connected clients with one
   ``CommitAckBatch`` of the txids it applied (a bare ``CommitAck`` when
   it applied one), the acks of one loop tick as one write per
   connection, sent ahead of any reply that follows them (the client's
   wall-clock latency sample);
+* a connection that sends ``Follow(since_height)`` is a *follower*: it
+  gets one ``BlockExecuted`` per executed block above that height at
+  once, then one per block as it executes, empty blocks included, in
+  place of the acks and through the same per-tick write.  The
+  gateway's read path applies this stream itself, so no replica ever
+  ships its whole chain to serve a read;
 * ``CollectRequest`` answers with a ``CollectReply`` carrying the
   finalized chain, live state digest and applied-transaction log — the
   exact :class:`~repro.verification.audit.ReplicaEvidence` fields the
@@ -43,6 +49,7 @@ from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
 from repro.net.codec import (
     MAX_TXN_DEPTH,
     WIRE_CODEC,
+    BlockExecuted,
     ClientSubmit,
     ClientSubmitBatch,
     CodecError,
@@ -50,6 +57,7 @@ from repro.net.codec import (
     CollectRequest,
     CommitAck,
     CommitAckBatch,
+    Follow,
     FrameBuffer,
     MetricsReply,
     MetricsRequest,
@@ -134,8 +142,9 @@ class _AckingTrackers(SMRTrackers):
     it, and it grows by an entry per txid and a sample per commit.
     """
 
-    def __init__(self, ack, registry: MetricsRegistry, events: EventLog, tracer) -> None:
+    def __init__(self, executed, ack, registry: MetricsRegistry, events: EventLog, tracer) -> None:
         super().__init__()
+        self._executed = executed
         self._ack = ack
         self._events = events
         self._tracer = tracer
@@ -161,6 +170,7 @@ class _AckingTrackers(SMRTrackers):
         super().record_block(node, slot, txns, mempool_size, time)
         self._blocks.inc()
         self._events.emit("finalize", slot=slot, txns=txns, mempool=mempool_size)
+        self._executed(txns)
 
     def record_mempool(self, node: int, size: int) -> None:
         super().record_mempool(node, size)
@@ -218,7 +228,7 @@ class ReplicaProcess:
             terminal="finalize",
         )
         self.trackers = _AckingTrackers(
-            self._ack_commit, self.registry, self.events, self.tracer
+            self._block_executed, self._ack_commit, self.registry, self.events, self.tracer
         )
         self.storage = spec.build_storage()
         self.replica = Replica(
@@ -266,9 +276,13 @@ class ReplicaProcess:
         self._client_frames_out = self.registry.counter("net.client_frames_out")
         self._current_slot = 0
         self._clients: list[asyncio.StreamWriter] = []
-        #: Unsent acks, one (slot, txids) entry per executed block.
-        self._acks: list[tuple[int, list[str]]] = []
-        #: REPRO_NO_BATCH=1 sends every ack at once, as a bare CommitAck.
+        #: The client connections that sent ``Follow``.
+        self._followers: set[asyncio.StreamWriter] = set()
+        #: Unsent client frames, one (block, applied txids) entry per
+        #: executed block.
+        self._acks: list[tuple[Block, list[str]]] = []
+        #: REPRO_NO_BATCH=1 sends every block and every ack at once, an
+        #: ack as a bare CommitAck.
         self._coalesce_acks = not cfg.no_batch
         self._done = asyncio.Event()
         self._catch_up_task: asyncio.Task | None = None
@@ -316,38 +330,81 @@ class ReplicaProcess:
         if self.spec.data_dir is not None and self.spec.client_addrs:
             self._catch_up_task = asyncio.ensure_future(self._catch_up_loop())
 
-    def _ack_commit(self, txid: str) -> None:
-        """Queue the ack under the block being executed; the tick's
-        acks leave together via ``call_soon`` (never a timer)."""
-        executed = self.replica.executed_blocks
-        slot = executed[-1].slot if executed else 0
-        if self._acks and self._acks[-1][0] == slot:
-            self._acks[-1][1].append(txid)
-        else:
-            if not self._acks and self._coalesce_acks:
-                asyncio.get_running_loop().call_soon(self._flush_acks)
-            self._acks.append((slot, [txid]))
+    def _block_executed(self, txns: int) -> None:
+        """Queue the block being executed (``txns`` applied): followers
+        get every block, the other clients only the acks of a block that
+        applied something.  The tick's queue leaves via ``call_soon``
+        (never a timer)."""
+        block = self.replica.executed_blocks[-1]
         if not self._coalesce_acks:
-            self._flush_acks()
+            if self._followers:
+                frame = self.codec.encode_frame(BlockExecuted(self.spec.node_id, block))
+                self._write_clients(self._followers, frame, 1)
+            return
+        if txns or self._followers:
+            if not self._acks:
+                asyncio.get_running_loop().call_soon(self._flush_acks)
+            self._acks.append((block, []))
+
+    def _ack_commit(self, txid: str) -> None:
+        """Add ``txid`` to the ack of the block being executed."""
+        if self._coalesce_acks:
+            self._acks[-1][1].append(txid)
+            return
+        slot = self.replica.executed_blocks[-1].slot
+        frame = self.codec.encode_frame(CommitAck(self.spec.node_id, txid, slot))
+        self._write_clients(self._ack_clients(), frame, 1)
+
+    def _ack_clients(self) -> list[asyncio.StreamWriter]:
+        return [writer for writer in self._clients if writer not in self._followers]
+
+    def _write_clients(self, writers, data: bytes, frames: int) -> None:
+        for writer in writers:
+            if not writer.is_closing():
+                writer.write(data)
+                self._client_frames_out.inc(frames)
 
     def _flush_acks(self) -> None:
-        """One write per client connection: one ack frame per block."""
+        """One write per client connection, one frame per queued block:
+        ``BlockExecuted`` to a follower, the block's ack to the rest."""
         if not self._acks:
             return
         acks, self._acks = self._acks, []
         node_id = self.spec.node_id
+        encode_into = self.codec.encode_frame_into
+        ack_clients = self._ack_clients()
+        if ack_clients:
+            buf = bytearray()
+            frames = 0
+            for block, txids in acks:
+                if len(txids) == 1:
+                    encode_into(CommitAck(node_id, txids[0], block.slot), buf)
+                elif txids:
+                    encode_into(CommitAckBatch(node_id, block.slot, tuple(txids)), buf)
+                else:
+                    continue
+                frames += 1
+            if frames:
+                self._write_clients(ack_clients, bytes(buf), frames)
+        if self._followers:
+            buf = bytearray()
+            for block, _txids in acks:
+                encode_into(BlockExecuted(node_id, block), buf)
+            self._write_clients(self._followers, bytes(buf), len(acks))
+
+    async def _follow(self, writer: asyncio.StreamWriter, since_height: int) -> None:
+        """Make ``writer`` a follower: every executed block above
+        ``since_height`` now, each block executed later as it comes.
+        Queued acks leave first, so the suffix and the stream that
+        continues it have neither a gap nor an overlap."""
+        self._flush_acks()
+        self._followers.add(writer)
         buf = bytearray()
-        for slot, txids in acks:
-            if len(txids) == 1:
-                message = CommitAck(node_id, txids[0], slot)
-            else:
-                message = CommitAckBatch(node_id, slot, tuple(txids))
-            self.codec.encode_frame_into(message, buf)
-        data = bytes(buf)
-        for writer in self._clients:
-            if not writer.is_closing():
-                writer.write(data)
-                self._client_frames_out.inc(len(acks))
+        blocks = [b for b in self.replica.executed_blocks if b.slot > since_height]
+        for block in blocks:
+            self.codec.encode_frame_into(BlockExecuted(self.spec.node_id, block), buf)
+        self._write_clients((writer,), bytes(buf), len(blocks))
+        await writer.drain()
 
     async def _reply(self, writer: asyncio.StreamWriter, message: object) -> None:
         """Answer one client, behind every ack already queued for it."""
@@ -513,6 +570,8 @@ class ReplicaProcess:
                             self._admit(txn)
                     elif isinstance(message, StartRun):
                         self._start_consensus()
+                    elif isinstance(message, Follow) and type(message.since_height) is int:
+                        await self._follow(writer, message.since_height)
                     elif isinstance(message, StateTransferRequest):
                         chain = self.replica.finalized_chain
                         blocks = tuple(b for b in chain if b.slot > message.since_slot)
@@ -542,8 +601,8 @@ class ReplicaProcess:
                             ),
                         )
                     elif isinstance(message, SnapshotRequest):
-                        # Read path: answer with the same evidence shape
-                        # as a collect, but stay in consensus.
+                        # Mid-run evidence: the same shape as a
+                        # collect, but stay in consensus.
                         await self._reply(writer, self._collect_reply())
                     elif isinstance(message, CollectRequest):
                         # Dump forensics BEFORE answering: the driver
@@ -563,6 +622,7 @@ class ReplicaProcess:
         finally:
             if writer in self._clients:
                 self._clients.remove(writer)
+            self._followers.discard(writer)
             writer.close()
 
     # -- lifecycle ------------------------------------------------------------

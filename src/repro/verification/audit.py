@@ -99,6 +99,32 @@ class AuditReport:
         return self.safe and self.live is not False
 
 
+class BlockApplier:
+    """Executes finalized blocks one at a time on a fresh state machine.
+
+    The first-execution-wins rule in one place: a transaction whose
+    txid an earlier block already applied is skipped, exactly as the
+    live replica skips it.  :func:`replay_chain` is a loop over
+    :meth:`apply`; the gateway's read path applies its followed blocks
+    through the same method as they arrive.
+    """
+
+    def __init__(self) -> None:
+        self.store = KVStore()
+        self._seen: set[str] = set()
+
+    def apply(self, block: Block) -> None:
+        """Apply ``block``'s transactions, in payload order."""
+        payload = block.payload
+        if not isinstance(payload, tuple):
+            return
+        for txn in payload:
+            if not isinstance(txn, Transaction) or txn.txid in self._seen:
+                continue
+            self._seen.add(txn.txid)
+            self.store.apply(txn.txid, txn.op)
+
+
 def replay_chain(chain: tuple[Block, ...]) -> KVStore:
     """Re-execute one finalized chain on a fresh state machine.
 
@@ -107,18 +133,10 @@ def replay_chain(chain: tuple[Block, ...]) -> KVStore:
     divergence between the returned store's digest and the replica's
     live digest means the execution path and the ledger disagree.
     """
-    store = KVStore()
-    seen: set[str] = set()
+    applier = BlockApplier()
     for block in chain:
-        payload = block.payload
-        if not isinstance(payload, tuple):
-            continue
-        for txn in payload:
-            if not isinstance(txn, Transaction) or txn.txid in seen:
-                continue
-            seen.add(txn.txid)
-            store.apply(txn.txid, txn.op)
-    return store
+        applier.apply(block)
+    return applier.store
 
 
 class SafetyAuditor:

@@ -17,6 +17,7 @@ from repro.smr import Replica, Transaction
 from repro.verification import (
     CHAIN_INVARIANTS,
     AuditReport,
+    BlockApplier,
     ReplicaEvidence,
     SafetyAuditor,
     chain_links,
@@ -70,6 +71,24 @@ def test_honest_cluster_audit_passes_end_to_end():
     assert report.safe and report.live and report.ok
     assert report.violations == []
     assert set(report.checks) == set(SAFETY_CHECKS)
+
+
+def test_block_by_block_apply_matches_replay_chain():
+    """The incremental applier the gateway follows the chain with is the
+    replay the auditor runs: same digest at every prefix, duplicates
+    (first execution wins), empty and non-tuple payloads included."""
+    chain = _chain(
+        _txn_payload("a", "b"),
+        (),
+        _txn_payload("b", "c"),  # b again: skipped
+        "synthetic",
+        (Transaction("d", ("set", "x", 5)), "not a txn", Transaction("a", ("del", "x"))),
+    )
+    applier = BlockApplier()
+    for height, block in enumerate(chain, start=1):
+        applier.apply(block)
+        assert applier.store.state_digest() == replay_chain(chain[:height]).state_digest()
+    assert applier.store.applied_txids == ["a", "b", "c", "d"]
 
 
 def test_consistent_evidence_passes():

@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.gateway.app import GatewayServer, alias_to_v1, parse_transaction
+from repro.gateway.app import GatewayServer, parse_transaction
 from repro.gateway.http import (
     HTTPClient,
     ProtocolError,
@@ -21,7 +21,9 @@ from repro.gateway.http import (
     websocket_accept_value,
 )
 from repro.gateway.service import GatewayConfig, GatewayService
+from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.net.codec import CommitAck, MetricsReply
+from repro.smr.mempool import Transaction
 
 from tests.test_gateway_service import FakeClock, StubPool, _chain, _reply
 
@@ -33,9 +35,7 @@ def _commit(service: GatewayService, txid: str, *, slot: int = 1) -> None:
 
 async def _started_server(**overrides) -> tuple[GatewayServer, GatewayService, StubPool]:
     pool = StubPool(4)
-    defaults = dict(
-        n=4, rate=10.0, burst=2.0, max_batch=1000, snapshot_interval=0.0
-    )
+    defaults = dict(n=4, rate=10.0, burst=2.0, max_batch=1000)
     defaults.update(overrides)
     service = GatewayService(pool, GatewayConfig(**defaults), clock=FakeClock())
     await service.start(start_consensus=False)
@@ -175,10 +175,11 @@ def test_state_chain_health_and_metrics_routes():
     async def scenario():
         server, service, _pool = await _started_server()
         client = HTTPClient(server.host, server.port)
-        # Before any snapshot the read path reports 503, not a crash.
-        unavailable = await client.request("GET", "/v1/state/x")
-        assert unavailable.status == 503
-        assert unavailable.json()["error"]["code"] == "snapshot_unavailable"
+        # Before any block the read path serves the empty genesis state.
+        unknown = await client.request("GET", "/v1/state/x")
+        assert unknown.status == 404
+        assert unknown.json()["error"]["code"] == "unknown_key"
+        assert unknown.json()["error"]["chain_length"] == 0
         chain = _chain(("set", "x", 41), ("incr", "x", 1))
         service.ingest_snapshots({i: _reply(i, chain) for i in range(3)})
         found = await client.request("GET", "/v1/state/x")
@@ -262,6 +263,42 @@ def test_ws_subscriber_streams_commit_events():
     run(scenario)
 
 
+def test_a_read_after_the_commit_event_sees_the_write():
+    """Read-your-commits over HTTP: the replicas stream the block, the
+    WebSocket announces the commit, and the very next state read shows
+    the write."""
+
+    async def scenario():
+        server, service, pool = await _started_server(rate=1000.0, burst=1000.0)
+        http = HTTPClient(server.host, server.port)
+        ws = WSClient(server.host, server.port)
+        await ws.connect()
+        await asyncio.sleep(0.05)  # subscription registered
+        accepted = await http.request(
+            "POST",
+            "/v1/transactions",
+            payload={"txid": "w1", "op": ["set", "x", 7]},
+            headers={"x-client-id": "a"},
+        )
+        assert accepted.status == 202
+        await asyncio.sleep(0.05)  # the batch window flushes
+        block = Block.create(1, GENESIS_DIGEST, (Transaction("w1", ("set", "x", 7)),))
+        for node_id in range(4):
+            pool.stream(node_id, block)
+        event = await asyncio.wait_for(ws.next_json(), timeout=5.0)
+        assert event["type"] == "commit" and event["txid"] == "w1"
+        read = await http.request("GET", "/v1/state/x")
+        assert read.status == 200
+        assert read.json()["value"] == 7 and read.json()["chain_length"] == 1
+        ws.close()
+        http.close()
+        await asyncio.sleep(0.05)
+        await service.stop()
+        await server.stop()
+
+    run(scenario)
+
+
 def test_ws_slow_consumer_is_closed_with_1013():
     async def scenario():
         server, service, _pool = await _started_server(
@@ -292,59 +329,6 @@ def test_ws_slow_consumer_is_closed_with_1013():
         assert service.subscriptions == []
         ws.close()
         http.close()
-        await service.stop()
-        await server.stop()
-
-    run(scenario)
-
-
-# -- deprecated bare-path aliases ---------------------------------------------
-
-
-def test_alias_to_v1_mapping():
-    assert alias_to_v1("/transactions") == "/v1/transactions"
-    assert alias_to_v1("/transactions/t1") == "/v1/transactions/t1"
-    assert alias_to_v1("/state/k") == "/v1/state/k"
-    assert alias_to_v1("/health") == "/v1/health"
-    assert alias_to_v1("/v1/health") is None  # already versioned
-    assert alias_to_v1("/nope") is None
-    assert alias_to_v1("/statements") is None  # prefix, not a path segment
-
-
-def test_bare_paths_alias_to_v1_with_deprecation_header():
-    async def scenario():
-        server, service, pool = await _started_server(rate=1000.0, burst=1000.0)
-        client = HTTPClient(server.host, server.port)
-        accepted = await client.request(
-            "POST", "/transactions", payload=_submission(0), headers={"x-client-id": "a"}
-        )
-        assert accepted.status == 202
-        assert accepted.headers.get("deprecation") == "true"
-        # Byte-equal payload to the versioned route, header aside.
-        versioned = await client.request("GET", "/v1/transactions/t0")
-        bare = await client.request("GET", "/transactions/t0")
-        assert bare.status == versioned.status == 200
-        assert bare.json() == versioned.json()
-        assert bare.headers.get("deprecation") == "true"
-        assert "deprecation" not in versioned.headers
-        for path in ("/chain", "/health", "/metrics"):
-            versioned_twin = await client.request("GET", "/v1" + path)
-            response = await client.request("GET", path)
-            assert response.status == versioned_twin.status, path
-            assert response.json() == versioned_twin.json(), path
-            assert response.headers.get("deprecation") == "true", path
-            assert "deprecation" not in versioned_twin.headers, path
-        # Errors on an aliased path carry the header too (no snapshot
-        # ingested in this stub setup, so the read is a 503).
-        missing = await client.request("GET", "/state/absent")
-        assert missing.status == 503
-        assert missing.json()["error"]["code"] == "snapshot_unavailable"
-        assert missing.headers.get("deprecation") == "true"
-        # Unknown bare paths stay plain 404s, no alias involved.
-        unknown = await client.request("GET", "/nope")
-        assert unknown.status == 404
-        assert "deprecation" not in unknown.headers
-        client.close()
         await service.stop()
         await server.stop()
 

@@ -3,6 +3,9 @@
 Pure in-process tests — the service runs over a stub pool (no sockets,
 no subprocesses) and an injected fake clock, so token refill
 arithmetic, quorum arithmetic and eviction policy are pinned exactly.
+The stub streams blocks through the real pool's frame dispatch, so the
+read path sees exactly what a followed replica would send, hostile
+streams included.
 """
 
 from __future__ import annotations
@@ -17,23 +20,25 @@ from repro.gateway.ratelimit import (
     RateLimited,
     TokenBucket,
 )
+from repro.gateway import service as gateway_service
 from repro.gateway.service import (
     EVICTED,
     DuplicateTransaction,
     GatewayConfig,
     GatewayService,
-    SnapshotUnavailable,
 )
+from repro.multishot.block import GENESIS_DIGEST, Block
+from repro.net.client import ReplicaPool
 from repro.net.codec import (
+    BlockExecuted,
     ClientSubmit,
     ClientSubmitBatch,
     CollectReply,
     CommitAck,
     MetricsReply,
 )
-from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Transaction
-from repro.multishot.block import GENESIS_DIGEST, Block
+from repro.verification.audit import replay_chain
 from tests.conftest import FakeTimer
 
 
@@ -49,20 +54,38 @@ class FakeClock:
 
 
 class StubPool:
-    """Records submissions; snapshot() serves canned replies."""
+    """Records submissions and follow requests; scrape() serves canned
+    replies; :meth:`stream` plays a replica's block stream."""
 
     def __init__(self, n: int = 4) -> None:
         self.live = set(range(n))
         self.on_ack = None
+        self.on_block = None
         self.on_death = None
         self.sent: list[object] = []
-        self.canned_snapshots: dict[int, CollectReply] = {}
         self.canned_scrapes: dict[int, MetricsReply] = {}
         self.scrape_error: Exception | None = None
         self.started = False
+        self.since_height = None
+        #: (replica, height) per follow request, in order.
+        self.follows: list[tuple[int, int]] = []
 
     def start_run(self) -> None:
         self.started = True
+
+    def follow(self, since_height) -> None:
+        self.since_height = since_height
+        self.follows.extend((node_id, since_height()) for node_id in sorted(self.live))
+
+    def refollow(self, node_id: int) -> None:
+        self.follows.append((node_id, self.since_height()))
+
+    def stream(self, node_id: int, *blocks: Block) -> None:
+        """``node_id`` executed ``blocks``: each arrives as the
+        BlockExecuted frame it would be, through the real pool's
+        dispatch (block hook first, then one ack per transaction)."""
+        for block in blocks:
+            ReplicaPool._on_message(self, node_id, BlockExecuted(node_id, block))
 
     def submit(self, txn: Transaction) -> None:
         self.sent.append(ClientSubmit(txn))
@@ -72,9 +95,6 @@ class StubPool:
             self.submit(txns[0])
         elif txns:
             self.sent.append(ClientSubmitBatch(tuple(txns)))
-
-    async def snapshot(self, timeout=None) -> dict[int, CollectReply]:
-        return dict(self.canned_snapshots)
 
     async def scrape(self, timeout=None) -> dict[int, MetricsReply]:
         if self.scrape_error is not None:
@@ -91,7 +111,7 @@ def _service(
 ) -> tuple[GatewayService, StubPool, FakeClock]:
     clock = clock or FakeClock()
     pool = StubPool(n)
-    defaults = dict(n=n, rate=10.0, burst=3.0, max_batch=4, snapshot_interval=0.0)
+    defaults = dict(n=n, rate=10.0, burst=3.0, max_batch=4)
     defaults.update(overrides)
     service = GatewayService(pool, GatewayConfig(**defaults), clock=clock)
     return service, pool, clock
@@ -405,14 +425,15 @@ def test_unsubscribed_subscriber_stops_counting():
     asyncio.run(scenario())
 
 
-# -- snapshot read path -------------------------------------------------------
+# -- read path: the followed chain --------------------------------------------
 
 
 def _chain(*ops: tuple) -> tuple[Block, ...]:
-    """A linked chain, one txn per block, with honest digests."""
+    """A linked chain from slot 1, one txn per block (txid ``c<slot>``),
+    with honest digests."""
     blocks: list[Block] = []
     parent = GENESIS_DIGEST
-    for slot, op in enumerate(ops):
+    for slot, op in enumerate(ops, start=1):
         payload = (Transaction(txid=f"c{slot}", op=op),)
         block = Block.create(slot=slot, parent=parent, payload=payload)
         blocks.append(block)
@@ -421,60 +442,173 @@ def _chain(*ops: tuple) -> tuple[Block, ...]:
 
 
 def _reply(node_id: int, chain: tuple[Block, ...]) -> CollectReply:
-    store = KVStore()
-    for block in chain:
-        for txn in block.payload:
-            store.apply(txn.txid, txn.op)
+    store = replay_chain(chain)
     return CollectReply(
         node_id=node_id,
         chain=chain,
         state_digest=store.state_digest(),
-        applied_txids=tuple(txn.txid for block in chain for txn in block.payload),
+        applied_txids=tuple(store.applied_txids),
         blocks_applied=len(chain),
         txns_applied=len(chain),
     )
 
 
-def test_read_state_serves_the_majority_snapshot():
+def _held(service: GatewayService) -> int:
+    """Blocks the read path holds above its applied height."""
+    return sum(len(held) for held in service._pending.values())
+
+
+def test_start_follows_every_replica_from_the_applied_height():
     async def scenario():
         service, pool, _clock = _service(n=4)
         await service.start(start_consensus=False)
-        long_chain = _chain(("set", "x", 1), ("set", "x", 2))
-        short_chain = long_chain[:1]
-        pool.canned_snapshots = {
-            0: _reply(0, long_chain),
-            1: _reply(1, long_chain),
-            2: _reply(2, long_chain),
-            3: _reply(3, short_chain),  # a laggard
-        }
-        support = await service.refresh_snapshots()
-        assert support == 3
-        view = service.read_state("x")
-        assert view.found and view.value == 2
-        assert view.supported_by == 3
-        assert view.chain_length == 2
-        missing = service.read_state("nope")
-        assert not missing.found and missing.value is None
+        assert pool.follows == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert not pool.started
         await service.stop()
 
     asyncio.run(scenario())
 
 
+def test_a_block_applies_once_f_plus_one_replicas_sent_it():
+    service, pool, _clock = _service(n=4)
+    chain = _chain(("set", "x", 1), ("set", "x", 2))
+    pool.stream(0, *chain)
+    assert service.height == 0  # one replica is not f+1
+    pool.stream(1, chain[0])
+    assert service.height == 1 and service.read_state("x").value == 1
+    pool.stream(1, chain[1])
+    view = service.read_state("x")
+    assert view.value == 2 and view.chain_length == view.tip_slot == 2
+    assert view.supported_by == 2
+    pool.stream(2, *chain)  # a late replica only adds support
+    assert service.height == 2 and service.read_state("x").supported_by == 3
+
+
+def test_read_state_serves_the_majority_snapshot():
+    """``ingest_snapshots`` feeds collected chains through the same
+    per-block apply: the state f+1 replicas agree on, however far each
+    reply reaches (a laggard holds nothing back)."""
+    service, _pool, _clock = _service(n=4)
+    long_chain = _chain(("set", "x", 1), ("set", "x", 2))
+    support = service.ingest_snapshots(
+        {
+            0: _reply(0, long_chain),
+            1: _reply(1, long_chain),
+            2: _reply(2, long_chain),
+            3: _reply(3, long_chain[:1]),  # a laggard
+        }
+    )
+    assert support == 3
+    view = service.read_state("x")
+    assert view.found and view.value == 2
+    assert view.supported_by == 3
+    assert view.chain_length == 2
+    missing = service.read_state("nope")
+    assert not missing.found and missing.value is None
+
+
 def test_snapshot_ties_break_to_the_longest_chain():
-    service, pool, _clock = _service(n=2)
+    """At n=2 (f=0) one replica is f+1, so the longer of two consistent
+    chains is applied in full."""
+    service, _pool, _clock = _service(n=2)
     long_chain = _chain(("set", "x", 1), ("set", "x", 2))
     service.ingest_snapshots({0: _reply(0, long_chain[:1]), 1: _reply(1, long_chain)})
     view = service.read_state("x")
-    assert view.value == 2  # the longer chain won the 1-1 tie
+    assert view.value == 2  # the longer chain is applied
     assert view.supported_by == 1
 
 
-def test_read_state_without_snapshot_raises():
+def test_read_state_before_any_block_serves_the_empty_genesis_state():
     service, _pool, _clock = _service(n=4)
-    with pytest.raises(SnapshotUnavailable):
-        service.read_state("x")
-    with pytest.raises(SnapshotUnavailable):
-        service.chain_history()
+    view = service.read_state("x")
+    assert not view.found and view.value is None
+    assert view.chain_length == view.tip_slot == view.supported_by == 0
+    history = service.chain_history()
+    assert history["height"] == 0 and history["tip"] is None and history["blocks"] == []
+
+
+def test_a_hostile_follower_can_neither_lie_nor_grow_the_read_path():
+    """One Byzantine feed (replica 3 of n=4) sends, ahead of the honest
+    replicas each time: a forged body under the honest digest, a block
+    under a conflicting digest, a second block for a height it already
+    sent, and 10^5 far-future heights.  The gateway applies exactly the
+    honest chain, and what it holds above the applied height stays
+    flat."""
+    service, pool, _clock = _service(n=4)
+    honest = _chain(*[("incr", f"k{i % 5}", i) for i in range(60)])
+    peak = 0
+    for index, block in enumerate(honest):
+        evil = (Transaction("evil", ("set", "k0", -1)),)
+        forged = Block(block.slot, block.parent, evil, block.digest)
+        conflicting = Block.create(block.slot, block.parent, (Transaction(f"x{index}", ("noop",)),))
+        first, second = (forged, conflicting) if index % 2 else (conflicting, forged)
+        pool.stream(3, first, second)  # the second for this height is ignored
+        if index == 30:
+            before = _held(service)
+            for k in range(100_000):
+                pool.on_block(3, Block(10**6 + k, "p", (), "junk"))
+            assert _held(service) == before
+        for node_id in (0, 1, 2):
+            pool.stream(node_id, block)
+        peak = max(peak, _held(service))
+    assert service.height == len(honest)
+    assert service._applier.store.state_digest() == replay_chain(honest).state_digest()
+    assert "evil" not in service._applier.store.applied_txids
+    assert peak <= 2
+    assert _held(service) == 0
+    # The flood lapsed replica 3, and it is followed again only once the
+    # gateway has applied FOLLOW_LEAD blocks past the flood.
+    assert pool.follows == []
+
+
+def test_a_stream_far_ahead_is_dropped_and_followed_again(monkeypatch):
+    """Replicas whose suffix runs past FOLLOW_LEAD (streamed one whole
+    replica at a time, the worst interleaving) are cut off and followed
+    again from the applied height once it reaches what the gateway held
+    from them: every block still applies, once, with bounded holding."""
+    monkeypatch.setattr(gateway_service, "FOLLOW_LEAD", 8)
+    service, pool, _clock = _service(n=4)
+    pool.follow(lambda: service.height)  # what start() does
+    pool.follows.clear()
+    chain = _chain(*[("incr", "k", 1) for _ in range(40)])
+    peak = refollows = 0
+    todo = [(0, 0), (1, 0)]
+    while todo:
+        node_id, since = todo.pop(0)
+        for block in chain[since:]:
+            pool.stream(node_id, block)
+            peak = max(peak, _held(service))
+        todo.extend(pool.follows)
+        refollows += len(pool.follows)
+        pool.follows.clear()
+    assert refollows == 4  # at applied heights 8, 16, 24 and 32
+    assert service.height == 40
+    assert service.read_state("k").value == 40
+    assert service._applier.store.applied_txids == [f"c{slot}" for slot in range(1, 41)]
+    assert peak <= 2 * 8
+
+
+def test_a_commit_is_published_after_its_block_is_applied():
+    """Read-your-commits: when the ``commit`` event for a txid goes out,
+    a read already sees its write."""
+    service, pool, _clock = _service(n=4, rate=1000.0, burst=1000.0)
+    sub = service.subscribe()
+    seen_at_publish = []
+    publish = service._publish
+
+    def spy(event: dict) -> None:
+        seen_at_publish.append((event["txid"], service.read_state("x").value))
+        publish(event)
+
+    service._publish = spy
+    txn = Transaction("w1", ("set", "x", 7))
+    service.submit("alice", txn)
+    block = Block.create(1, GENESIS_DIGEST, (txn,))
+    for node_id in range(4):
+        pool.stream(node_id, block)
+    assert seen_at_publish == [("w1", 7)]
+    assert sub.queue.get_nowait()["txid"] == "w1"
+    assert service.txn_view("w1")["slot"] == 1
 
 
 def test_chain_history_reports_slots_and_txids():

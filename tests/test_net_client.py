@@ -5,7 +5,7 @@ subprocesses): the :mod:`repro.net.client` layer is what both the A7
 bench driver and the gateway stand on, so its contracts are pinned
 here — the ``time_scale`` → wall-clock timeout derivation, the
 ack-correlation bookkeeping, and the pool's broadcast / batch /
-snapshot / collect behaviour against scripted replicas.
+snapshot / collect / follow behaviour against scripted replicas.
 """
 
 from __future__ import annotations
@@ -23,15 +23,19 @@ from repro.net.client import (
     ReplicaPool,
     scaled_timeout,
 )
+from repro.gateway.service import GatewayConfig, GatewayService
+from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.net.cluster import allocate_ports
 from repro.net.codec import (
     WIRE_CODEC,
+    BlockExecuted,
     ClientSubmit,
     ClientSubmitBatch,
     CollectReply,
     CollectRequest,
     CommitAck,
     CommitAckBatch,
+    Follow,
     FrameBuffer,
     MetricsReply,
     MetricsRequest,
@@ -39,6 +43,7 @@ from repro.net.codec import (
     StartRun,
 )
 from repro.smr.mempool import Transaction
+from repro.verification.audit import replay_chain
 
 HOST = "127.0.0.1"
 
@@ -123,16 +128,27 @@ def test_correlator_first_ack_wins_the_slot():
 
 class FakeReplica:
     """A scripted replica client port: acks submissions, answers
-    snapshot/collect, records everything it saw."""
+    snapshot/collect, streams :attr:`chain` to followers, records
+    everything it saw."""
 
     def __init__(self, node_id: int, port: int) -> None:
         self.node_id = node_id
         self.port = port
         self.received: list[object] = []
         self.server: asyncio.Server | None = None
+        #: The blocks this replica has executed, in order.
+        self.chain: list[Block] = []
+        self.followers: list[asyncio.StreamWriter] = []
 
     async def start(self) -> None:
         self.server = await asyncio.start_server(self._serve, HOST, self.port)
+
+    def execute(self, *blocks: Block) -> None:
+        """Execute ``blocks``: each goes to every follower as it would."""
+        for block in blocks:
+            self.chain.append(block)
+            for writer in self.followers:
+                writer.write(WIRE_CODEC.encode_frame(BlockExecuted(self.node_id, block)))
 
     async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         buffer = FrameBuffer(WIRE_CODEC)
@@ -143,6 +159,8 @@ class FakeReplica:
                     break
                 for message in buffer.feed(data):
                     self.received.append(message)
+                    if isinstance(message, Follow):
+                        self.followers.append(writer)
                     for reply in self._replies(message):
                         writer.write(WIRE_CODEC.encode_frame(reply))
                     await writer.drain()
@@ -162,6 +180,12 @@ class FakeReplica:
             return [CommitAckBatch(node_id=self.node_id, slot=slot, txids=txids)]
         if isinstance(message, MetricsRequest):
             return [MetricsReply(node_id=self.node_id)]
+        if isinstance(message, Follow):
+            return [
+                BlockExecuted(self.node_id, block)
+                for block in self.chain
+                if block.slot > message.since_height
+            ]
         if isinstance(message, (SnapshotRequest, CollectRequest)):
             return [
                 CollectReply(
@@ -178,6 +202,8 @@ class FakeReplica:
     def close(self) -> None:
         if self.server is not None:
             self.server.close()
+        for writer in self.followers:
+            writer.close()
 
 
 async def _fake_cluster(n: int) -> tuple[list[FakeReplica], dict[int, tuple[str, int]]]:
@@ -417,3 +443,90 @@ def test_pool_collect_skips_a_replica_that_dies_mid_request():
         pool.close()
 
     asyncio.run(scenario())
+
+
+def _kv_chain(count: int) -> list[Block]:
+    """An honest chain of ``count`` blocks, one increment each, with an
+    empty block every third slot."""
+    chain: list[Block] = []
+    parent = GENESIS_DIGEST
+    for slot in range(1, count + 1):
+        payload = () if slot % 3 == 0 else (Transaction(f"b{slot}", ("incr", "k", slot)),)
+        chain.append(Block.create(slot, parent, payload))
+        parent = chain[-1].digest
+    return chain
+
+
+def test_pool_hands_a_followed_block_to_on_block_then_its_txns_to_on_ack():
+    calls = []
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(1)
+        replicas[0].chain = _kv_chain(3)
+        pool = ReplicaPool(
+            addrs, on_ack=lambda nid, ack: calls.append(("ack", nid, ack.txid, ack.slot))
+        )
+        pool.on_block = lambda nid, block: calls.append(("block", nid, block.slot))
+        await pool.connect()
+        pool.follow(lambda: 1)
+        await _wait_for(lambda: len(calls) == 3)
+        replicas[0].close()
+        pool.close()
+
+    asyncio.run(scenario())
+    # The suffix above height 1: block 2 (one txn), then the empty block 3.
+    assert calls == [("block", 0, 2), ("ack", 0, "b2", 2), ("block", 0, 3)]
+
+
+def test_a_restarted_replica_resumes_its_stream_with_no_gap_and_no_double_apply():
+    """The gateway follows four replicas; replica 3 dies and comes back
+    on the same port.  ``readmit`` follows it again from the gateway's
+    applied height, and once only replicas 2 and 3 (f+1) are left the
+    gateway's progress rests on the resumed stream."""
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(4)
+        chain = _kv_chain(12)
+        for replica in replicas:
+            replica.chain = chain[:3]
+        pool = ReplicaPool(addrs)
+        service = GatewayService(pool, GatewayConfig(n=4))
+        await pool.connect()
+        await service.start(start_consensus=False)
+        await _wait_for(lambda: service.height == 3)
+
+        dead = replicas[3]
+        dead.close()
+        dead.server.close()
+        await dead.server.wait_closed()
+        await _wait_for(lambda: 3 not in pool.live)
+        for replica in replicas[:3]:
+            replica.execute(*chain[3:6])
+        await _wait_for(lambda: service.height == 6)
+
+        # Back from disk with a chain that ends short of the gateway's.
+        reborn = FakeReplica(3, dead.port)
+        reborn.chain = chain[:5]
+        await reborn.start()
+        await pool.readmit(3)
+        await _wait_for(lambda: any(isinstance(m, Follow) for m in reborn.received))
+        assert [m for m in reborn.received if isinstance(m, Follow)] == [Follow(since_height=6)]
+        reborn.execute(chain[5])  # it catches up to where the gateway is
+
+        for replica in replicas[:2]:
+            replica.close()
+        for replica in (replicas[2], reborn):
+            replica.execute(*chain[6:])
+        await _wait_for(lambda: service.height == 12)
+        assert service.read_state("k").supported_by == 2
+        for replica in (replicas[2], reborn):
+            replica.close()
+        pool.close()
+        return service
+
+    service = asyncio.run(scenario())
+    assert service._chain == _kv_chain(12)
+    expected = replay_chain(tuple(_kv_chain(12)))
+    assert service._applier.store.state_digest() == expected.state_digest()
+    applied = [f"b{slot}" for slot in range(1, 13) if slot % 3]
+    assert service._applier.store.applied_txids == applied

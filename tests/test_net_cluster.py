@@ -13,7 +13,11 @@ acceptance surface of the deployment subsystem:
   identical client path over sockets;
 * a replica acks per block: a raw client connection sees at most one
   ack frame per executed block, covering exactly the applied log
-  (one bare ``CommitAck`` per txid under ``REPRO_NO_BATCH=1``).
+  (one bare ``CommitAck`` per txid under ``REPRO_NO_BATCH=1``);
+* a connection that sends ``Follow`` mid-run gets the executed suffix
+  and then every block as it executes, empty ones included, with no
+  gap and no repeat, while the ack connections beside it are served
+  as before.
 
 Each run takes on the order of a second; the module stays tier-1 so
 the deployment path cannot rot silently between PRs.
@@ -41,11 +45,13 @@ from repro.net.cluster import (
 from repro.net.codec import (
     MAX_TXN_DEPTH,
     WIRE_CODEC,
+    BlockExecuted,
     ClientSubmit,
     ClientSubmitBatch,
     CollectReply,
     CommitAck,
     CommitAckBatch,
+    Follow,
     FrameBuffer,
 )
 from repro.net.replica_main import ReplicaProcess
@@ -175,25 +181,39 @@ BURSTS = 6
 BURST = 5
 
 
-async def _watch_acks(specs) -> tuple[dict[int, list], dict[int, CollectReply]]:
+#: The height a mid-run follower asks for the chain above.
+FOLLOW_SINCE = 2
+
+
+async def _watch_acks(specs, follow: bool) -> tuple[dict, dict, dict[int, CollectReply]]:
     """Drive bursts of submits through a pool while a second, raw client
-    connection per replica records every frame that replica pushes."""
+    connection per replica records every frame that replica pushes, and
+    (``follow``) a third one sends ``Follow(FOLLOW_SINCE)`` halfway
+    through and records what it is streamed."""
     pool = ReplicaPool.from_specs(specs)
     await pool.connect()
     seen: dict[int, list] = {spec.node_id: [] for spec in specs}
+    followed: dict[int, list] = {spec.node_id: [] for spec in specs}
 
-    async def record(node_id: int, reader: asyncio.StreamReader) -> None:
+    async def record(frames: list, reader: asyncio.StreamReader) -> None:
         buffer = FrameBuffer(WIRE_CODEC)
         while data := await reader.read(65536):
-            seen[node_id].extend(buffer.feed(data))
+            frames.extend(buffer.feed(data))
+
+    async def open_raw(spec, frames: list) -> None:
+        reader, writer = await asyncio.open_connection(spec.host, spec.client_port)
+        raw.append((asyncio.ensure_future(record(frames, reader)), writer))
 
     raw = []
     for spec in specs:
-        reader, writer = await asyncio.open_connection(spec.host, spec.client_port)
-        raw.append((asyncio.ensure_future(record(spec.node_id, reader)), writer))
+        await open_raw(spec, seen[spec.node_id])
     pool.start_run()
     txids = set()
     for burst in range(BURSTS):
+        if follow and burst == BURSTS // 2:
+            for spec in specs:
+                await open_raw(spec, followed[spec.node_id])
+                raw[-1][1].write(WIRE_CODEC.encode_frame(Follow(FOLLOW_SINCE)))
         for k in range(BURST):
             txn = Transaction(f"blk-{burst}-{k}", ("set", f"key-{k}", burst))
             pool.submit(txn)
@@ -208,7 +228,7 @@ async def _watch_acks(specs) -> tuple[dict[int, list], dict[int, CollectReply]]:
         await task  # the replica closes the connection once collected
         writer.close()
     pool.close()
-    return seen, replies
+    return seen, followed, replies
 
 
 def _acked_txids(frames) -> list[str]:
@@ -219,15 +239,15 @@ def _acked_txids(frames) -> list[str]:
     ]
 
 
-def _run_watched() -> tuple[dict[int, list], dict[int, CollectReply]]:
+def _run_watched(follow: bool = False) -> tuple[dict, dict, dict[int, CollectReply]]:
     config = ClusterConfig(n=4, engine="tetrabft", deadline=25.0)
     config = replace(config, max_slots=sized_max_slots(config, BURSTS * BURST))
     with cluster_processes(config) as (specs, _processes):
-        return asyncio.run(_watch_acks(specs))
+        return asyncio.run(_watch_acks(specs, follow))
 
 
 def test_replicas_ack_once_per_block_over_real_sockets():
-    seen, replies = _run_watched()
+    seen, _followed, replies = _run_watched()
     assert sorted(replies) == [0, 1, 2, 3]
     for node_id, frames in seen.items():
         reply = replies[node_id]
@@ -253,11 +273,31 @@ def test_replicas_ack_once_per_block_over_real_sockets():
 
 def test_repro_no_batch_acks_every_txid_alone_over_real_sockets(monkeypatch):
     monkeypatch.setenv("REPRO_NO_BATCH", "1")  # inherited by the replicas
-    seen, replies = _run_watched()
+    seen, _followed, replies = _run_watched()
     for node_id, frames in seen.items():
         assert all(type(f) is CommitAck for f in frames)
         assert _acked_txids(frames) == list(replies[node_id].applied_txids)
         assert reply_metric(replies[node_id], "net.client_frames_in") == BURSTS * BURST + 2
+
+
+@pytest.mark.parametrize("no_batch", [False, True], ids=["coalesced", "no-batch"])
+def test_a_follower_is_streamed_every_executed_block_over_real_sockets(monkeypatch, no_batch):
+    if no_batch:
+        monkeypatch.setenv("REPRO_NO_BATCH", "1")  # inherited by the replicas
+    seen, followed, replies = _run_watched(follow=True)
+    for node_id, frames in followed.items():
+        reply = replies[node_id]
+        assert all(type(f) is BlockExecuted and f.node_id == node_id for f in frames)
+        # The suffix above FOLLOW_SINCE, then every block as it executed
+        # (possibly a few past the collect): no gap, no repeat, and the
+        # very blocks the replica reports as its chain.
+        blocks = [f.block for f in frames if f.block.slot > FOLLOW_SINCE]
+        first = FOLLOW_SINCE + 1
+        assert [b.slot for b in blocks] == list(range(first, first + len(blocks)))
+        assert blocks[: len(reply.chain) - FOLLOW_SINCE] == list(reply.chain[FOLLOW_SINCE:])
+        assert any(not block.payload for block in blocks)  # empty blocks included
+        # The ack connection beside it sees what it always saw.
+        assert _acked_txids(seen[node_id]) == list(reply.applied_txids)
 
 
 def test_cluster_config_validation():

@@ -54,6 +54,7 @@ from repro.net.codec import (
     MAX_TXN_DEPTH,
     WIRE_CODEC,
     WIRE_VERSION,
+    BlockExecuted,
     ClientSubmit,
     ClientSubmitBatch,
     CodecError,
@@ -61,6 +62,7 @@ from repro.net.codec import (
     CollectRequest,
     CommitAck,
     CommitAckBatch,
+    Follow,
     FrameBuffer,
     Hello,
     MetricsReply,
@@ -162,6 +164,8 @@ GENERATORS = {
         rng.randrange(0, 500),
         tuple(f"tx-{rng.randrange(1 << 20)}" for _ in range(rng.randrange(2, 12))),
     ),
+    Follow: lambda rng: Follow(since_height=rng.randrange(0, 5000)),
+    BlockExecuted: lambda rng: BlockExecuted(node_id=rng.randrange(0, 16), block=_block(rng)),
     CollectReply: lambda rng: CollectReply(
         node_id=rng.randrange(0, 16),
         chain=tuple(_block(rng) for _ in range(rng.randrange(0, 5))),
@@ -323,6 +327,8 @@ FRAME_DIGESTS = {
     "MetricsRequest": "cd4032f9cd9244f39cbcd3e5d12fb645c221342eb18522197794877c838747dd",
     "MetricsReply": "65b0c862151b29d691d7dda99177e4d89deeb22241efbc917626db861d3a0ad5",
     "CommitAckBatch": "bc887e52a70a256b05cfd33752c100b7cff448be530ce604f7880e053f32f229",
+    "Follow": "2dc69807acba670a7a7bbeb949da7ed92dbe28737e3ff71e72edd84917386dda",
+    "BlockExecuted": "808661e8873e75bdabfe8518850a46370485ce1b61c01f7bddb12870f989383d",
     "VoteRecord": "e5965c410bfc7e1a98b38a856a4afda66dc1ca38050ae256cd5bac32006a96db",
     "Block": "ec1ed5b2a677a8b4f6f6233173744b292f16246dbb9a8b2db680c6c267f4a300",
     "Transaction": "d1655f482ac2a6c21316bf8e72b3d287b487c4a9db1feee78f0dbafb2066771c",
@@ -347,8 +353,9 @@ FRAME_DIGESTS = {
     "WalSeal": "522d89822770802cdd81aa0221e5f5c9665c0fd95638c4ff5f0839d4ffa8275e",
     "SnapshotImage": "c917a7a66221ab8613940176420bab29c8cbae0e15858eb56b5c7435b23f6439",
 }
-#: The same frames, every type in type-id order, through one hash.
-FRAME_DIGEST_ALL = "51a39ce68a5a613291708703b6992dc69d4e33698588c06a57f6009d6daca190"
+#: The same frames, every type in type-id order, through one hash (it
+#: moves whenever a type is appended; the per-type pins above do not).
+FRAME_DIGEST_ALL = "05317c5b5c7c432c158da5835d2bd88fc0715c509082c0a04a89f273bd3ee2c4"
 
 
 def test_fuzz_frames_match_the_pinned_digests():
@@ -399,6 +406,21 @@ def test_golden_commit_ack_batch_frame_pins_the_per_block_ack():
         "b7050004490000000000000002"
         "53000000027431"
         "490000000000000007"
+    )
+
+
+def test_golden_follow_frames_pin_the_block_stream():
+    """Types 14 and 15 were appended within v5 like type 13: the stream a
+    following client reads is a contract from here on."""
+    assert WIRE_CODEC.type_id_of(Follow) == 14
+    assert WIRE_CODEC.type_id_of(BlockExecuted) == 15
+    assert WIRE_CODEC.encode_frame(Follow(since_height=9)).hex() == (
+        "0000000db705000e490000000000000009"
+    )
+    block = Block(slot=1, parent="genesis", payload=(), digest="d1")
+    assert WIRE_CODEC.encode(BlockExecuted(1, block)).hex() == (
+        "b705000f490000000000000001"
+        "430011490000000000000001530000000767656e65736973550000000053000000026431"
     )
 
 
@@ -571,6 +593,7 @@ def _txn_envelopes(txn: Transaction) -> list:
         VoteBatch((SlotMessage(1, BRound("li", 0, 1, 0, block)), MSVote(1, 0, "d"))),
         VoteBatch((SlotMessage(1, BViewChange("pbft", 1, 0, block)), MSVote(1, 0, "d"))),
         CatchUp(1, (block,)),
+        BlockExecuted(0, block),
         StateTransferReply(node_id=0, tip_slot=1, blocks=(block,)),
         CollectReply(0, (block,), "sd", ("deep",), 1, 1),
         WalAppend(seq=1, block=block),
@@ -634,6 +657,8 @@ _GOLDEN = (
     VoteBatch((MSVote(3, 1, "abcd"), MSViewChange(4, 2))),
     CommitAckBatch(2, 7, ("t1", "t2")),
     CommitAck(2, "t1", 7),
+    Follow(since_height=9),
+    BlockExecuted(1, Block(slot=1, parent="genesis", payload=(), digest="d1")),
     MetricsRequest(),
     MetricsReply(node_id=2, items=(("consensus.commits", 40.0),), events=5),
     WalAppend(seq=5, block=Block(slot=1, parent="genesis", payload=(), digest="d1")),

@@ -174,8 +174,13 @@ def test_replica_trackers_keep_no_per_txn_samples():
     per transaction in the latency tracker nobody there reads."""
     registry = MetricsRegistry()
     acked: list[str] = []
+    executed: list[int] = []
     trackers = _AckingTrackers(
-        acked.append, registry, EventLog(replica=0), CommitPathTracer(sample_every=0)
+        executed.append,
+        acked.append,
+        registry,
+        EventLog(replica=0),
+        CommitPathTracer(sample_every=0),
     )
     for k in range(100):
         trackers.record_submit(f"tx-{k}", float(k))
@@ -185,3 +190,4 @@ def test_replica_trackers_keep_no_per_txn_samples():
     assert trackers.throughput.txns_applied(0) == 100
     assert registry.snapshot()["consensus.commits"] == 100
     assert len(acked) == 100
+    assert executed == [100]  # the block hook, once per block
