@@ -11,8 +11,9 @@ points at:
   wire-crossing dataclass (core single-shot, multi-shot, the chained
   baselines, and the net layer's own control frames);
 * :mod:`repro.net.transport` — an asyncio TCP transport speaking that
-  framing, with per-peer outbound queues, reconnect-with-backoff and
-  optional injected link latency so the geo scenarios carry over;
+  framing in protocol callbacks, with per-peer outbound lanes,
+  reconnect-with-backoff and optional injected link latency so the geo
+  scenarios carry over;
 * :mod:`repro.net.client` — the client-side repository layer: a
   replica-connection pool with commit-ack correlation, the followed
   block stream, and ``time_scale``-derived timeouts, shared by the A7

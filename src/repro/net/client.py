@@ -13,9 +13,9 @@ share it —
   txid-only acks, and the gateway serves reads from the blocks f+1 of
   them agree on.
 
-Keeping one implementation is the point: the frame handling used to be
-inlined in ``net/cluster.py``, so a gateway would have re-grown its own
-subtly different copy.  Now ``net/cluster.py`` is orchestration only.
+Each connection is a :class:`~repro.net.transport.FrameProtocol`:
+replies are decoded and dispatched in ``data_received``, with no
+reader task per replica.
 
 Timeouts derive from the cluster's ``time_scale`` (seconds of wall
 clock per protocol Δ) via :func:`scaled_timeout`: the historical
@@ -45,13 +45,13 @@ from repro.net.codec import (
     CommitAck,
     CommitAckBatch,
     Follow,
-    FrameBuffer,
     MetricsReply,
     MetricsRequest,
     SnapshotRequest,
     StartRun,
     WireCodec,
 )
+from repro.net.transport import FrameProtocol
 from repro.smr.mempool import Transaction
 
 #: The seconds-per-Δ the A7 smoke cells run at; the base timeouts below
@@ -134,25 +134,28 @@ class AckCorrelator:
         return all(self.expected <= self.acked.get(node_id, set()) for node_id in live)
 
 
-class ReplicaConnection:
-    """One connection to one replica's client port."""
+class ReplicaConnection(FrameProtocol):
+    """One connection to one replica's client port, and its protocol.
+
+    Bytes that do not decode end the connection exactly as a replica
+    that hung up would: the pool marks it dead.
+    """
 
     def __init__(self, node_id: int, host: str, port: int, pool: "ReplicaPool") -> None:
+        super().__init__(pool.codec)
         self.node_id = node_id
         self.host = host
         self.port = port
         self._pool = pool
-        self.reader: asyncio.StreamReader | None = None
-        self.writer: asyncio.StreamWriter | None = None
         self.dead = False
-        self._task: asyncio.Task | None = None
 
     async def connect(self, timeout: float) -> None:
+        loop = asyncio.get_running_loop()
         deadline = time.monotonic() + timeout
         while True:
             try:
-                self.reader, self.writer = await asyncio.open_connection(self.host, self.port)
-                break
+                await loop.create_connection(lambda: self, self.host, self.port)
+                return
             except OSError:
                 if time.monotonic() >= deadline:
                     raise SimulationError(
@@ -160,33 +163,22 @@ class ReplicaConnection:
                         f"{self.host}:{self.port} within {timeout}s"
                     ) from None
                 await asyncio.sleep(0.05)
-        self._task = asyncio.ensure_future(self._read_loop())
 
     def send_frame(self, frame: bytes) -> None:
-        if self.writer is not None and not self.writer.is_closing():
-            self.writer.write(frame)
+        if self.sock is not None and not self.sock.is_closing():
+            self.sock.write(frame)
 
-    async def _read_loop(self) -> None:
-        assert self.reader is not None
-        buffer = FrameBuffer(self._pool.codec)
-        try:
-            while True:
-                data = await self.reader.read(65536)
-                if not data:
-                    break
-                for message in buffer.feed(data):
-                    self._pool._on_message(self.node_id, message)
-        except (OSError, ConnectionError):
-            pass
-        finally:
-            self.dead = True
-            self._pool._on_conn_death(self)
+    def on_messages(self, messages: list) -> None:
+        for message in messages:
+            self._pool._on_message(self.node_id, message)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.dead = True
+        self._pool._on_conn_death(self)
 
     def close(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-        if self.writer is not None:
-            self.writer.close()
+        if self.sock is not None:
+            self.sock.close()
 
 
 class ReplicaPool:
@@ -210,7 +202,8 @@ class ReplicaPool:
     everything queued in one event-loop tick leaves as one frame per
     replica.  Every frame the pool writes goes through :meth:`_write`,
     which sends the queue first, so each connection sees frames in call
-    order.
+    order.  A replica whose connection closes, or sends bytes that do
+    not decode, leaves :attr:`live` and is reported to ``on_death``.
     """
 
     def __init__(

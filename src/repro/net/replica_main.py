@@ -5,7 +5,8 @@ Spawned by :mod:`repro.net.cluster` with a picklable
 simulator drives — a :class:`~repro.smr.replica.Replica` over any
 registered :class:`~repro.smr.engine.ConsensusEngine` — on top of a
 :class:`~repro.net.transport.NetTransport`, plus a client-facing TCP
-server:
+server whose connections are protocol callbacks (a client whose bytes
+do not decode is closed and leaves an ``anomaly`` event):
 
 * peer frames are decoded and fed to ``replica.receive`` (buffered
   until the driver's ``StartRun`` arrives — over real sockets a fast
@@ -58,7 +59,6 @@ from repro.net.codec import (
     CommitAck,
     CommitAckBatch,
     Follow,
-    FrameBuffer,
     MetricsReply,
     MetricsRequest,
     SnapshotRequest,
@@ -67,7 +67,7 @@ from repro.net.codec import (
     StateTransferRequest,
 )
 from repro.net.client import REFERENCE_TIME_SCALE
-from repro.net.transport import LinkLatency, NetContext, NetTransport
+from repro.net.transport import FrameProtocol, LinkLatency, NetContext, NetTransport
 from repro.obs import CommitPathTracer, EventLog, MetricsRegistry
 from repro.sim.trace import TraceKind
 from repro.smr.engine import engine_factory
@@ -274,10 +274,10 @@ class ReplicaProcess:
         self._messages_in = self.registry.counter("net.messages_in")
         self._client_frames_in = self.registry.counter("net.client_frames_in")
         self._client_frames_out = self.registry.counter("net.client_frames_out")
-        self._current_slot = 0
-        self._clients: list[asyncio.StreamWriter] = []
+        #: Open client connections, in accept order.
+        self._clients: list[asyncio.Transport] = []
         #: The client connections that sent ``Follow``.
-        self._followers: set[asyncio.StreamWriter] = set()
+        self._followers: set[asyncio.Transport] = set()
         #: Unsent client frames, one (block, applied txids) entry per
         #: executed block.
         self._acks: list[tuple[Block, list[str]]] = []
@@ -355,13 +355,13 @@ class ReplicaProcess:
         frame = self.codec.encode_frame(CommitAck(self.spec.node_id, txid, slot))
         self._write_clients(self._ack_clients(), frame, 1)
 
-    def _ack_clients(self) -> list[asyncio.StreamWriter]:
-        return [writer for writer in self._clients if writer not in self._followers]
+    def _ack_clients(self) -> list[asyncio.Transport]:
+        return [sock for sock in self._clients if sock not in self._followers]
 
-    def _write_clients(self, writers, data: bytes, frames: int) -> None:
-        for writer in writers:
-            if not writer.is_closing():
-                writer.write(data)
+    def _write_clients(self, socks, data: bytes, frames: int) -> None:
+        for sock in socks:
+            if not sock.is_closing():
+                sock.write(data)
                 self._client_frames_out.inc(frames)
 
     def _flush_acks(self) -> None:
@@ -392,26 +392,24 @@ class ReplicaProcess:
                 encode_into(BlockExecuted(node_id, block), buf)
             self._write_clients(self._followers, bytes(buf), len(acks))
 
-    async def _follow(self, writer: asyncio.StreamWriter, since_height: int) -> None:
-        """Make ``writer`` a follower: every executed block above
+    def _follow(self, sock: asyncio.Transport, since_height: int) -> None:
+        """Make ``sock`` a follower: every executed block above
         ``since_height`` now, each block executed later as it comes.
         Queued acks leave first, so the suffix and the stream that
         continues it have neither a gap nor an overlap."""
         self._flush_acks()
-        self._followers.add(writer)
+        self._followers.add(sock)
         buf = bytearray()
         blocks = [b for b in self.replica.executed_blocks if b.slot > since_height]
         for block in blocks:
             self.codec.encode_frame_into(BlockExecuted(self.spec.node_id, block), buf)
-        self._write_clients((writer,), bytes(buf), len(blocks))
-        await writer.drain()
+        self._write_clients((sock,), bytes(buf), len(blocks))
 
-    async def _reply(self, writer: asyncio.StreamWriter, message: object) -> None:
+    def _reply(self, sock: asyncio.Transport, message: object) -> None:
         """Answer one client, behind every ack already queued for it."""
         self._flush_acks()
-        writer.write(self.codec.encode_frame(message))
+        sock.write(self.codec.encode_frame(message))
         self._client_frames_out.inc()
-        await writer.drain()
 
     def _metrics_items(self) -> tuple[tuple[str, float], ...]:
         """One obs-registry snapshot: the scrape/collect wire payload.
@@ -481,31 +479,25 @@ class ReplicaProcess:
             peer_index += 1
             try:
                 await asyncio.wait_for(self._state_transfer(addr, tip), timeout=10 * interval)
-            except (OSError, ConnectionError, CodecError, asyncio.TimeoutError):
+            except (OSError, ConnectionError, asyncio.TimeoutError):
                 continue  # that peer is down or slow; try the next one
 
     async def _state_transfer(self, addr: tuple[int, str, int], tip: tuple[int, str]) -> None:
         """One fetch: ask ``addr`` for finalized blocks above ``tip``."""
         peer_id, host, port = addr
         since_slot, tip_digest = tip
-        reader, writer = await asyncio.open_connection(host, port)
+        loop = asyncio.get_running_loop()
+        replied: asyncio.Future = loop.create_future()
+        sock, _ = await loop.create_connection(
+            lambda: _TransferFetch(self.codec, replied), host, port
+        )
         try:
-            writer.write(self.codec.encode_frame(StateTransferRequest(since_slot=since_slot)))
-            await writer.drain()
-            buffer = FrameBuffer(self.codec)
-            reply: StateTransferReply | None = None
-            while reply is None:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                for message in buffer.feed(data):
-                    # The peer's client port also pushes commit acks at
-                    # everyone connected; skip anything but our reply.
-                    if isinstance(message, StateTransferReply):
-                        reply = message
-                        break
+            sock.write(self.codec.encode_frame(StateTransferRequest(since_slot=since_slot)))
+            reply = await replied
         finally:
-            writer.close()
+            sock.close()
+        if reply is None:
+            return
         blocks = self._validate_transfer(reply.blocks, since_slot, tip_digest)
         if blocks:
             advanced = self.replica.offer_blocks(blocks)
@@ -551,86 +543,57 @@ class ReplicaProcess:
         if isinstance(txn, Transaction) and self.codec.nesting_depth(txn) <= MAX_TXN_DEPTH:
             self.replica.submit(txn)
 
-    async def _on_client_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._clients.append(writer)
-        buffer = FrameBuffer(self.codec)
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                for message in buffer.feed(data):
-                    self._client_frames_in.inc()
-                    if isinstance(message, ClientSubmit):
-                        self._admit(message.txn)
-                    elif isinstance(message, ClientSubmitBatch):
-                        for txn in message.txns:
-                            self._admit(txn)
-                    elif isinstance(message, StartRun):
-                        self._start_consensus()
-                    elif isinstance(message, Follow) and type(message.since_height) is int:
-                        await self._follow(writer, message.since_height)
-                    elif isinstance(message, StateTransferRequest):
-                        chain = self.replica.finalized_chain
-                        blocks = tuple(b for b in chain if b.slot > message.since_slot)
-                        self.events.emit(
-                            "state_transfer",
-                            slot=chain[-1].slot if chain else 0,
-                            served=len(blocks),
-                            since=message.since_slot,
-                        )
-                        await self._reply(
-                            writer,
-                            StateTransferReply(
-                                node_id=self.spec.node_id,
-                                tip_slot=chain[-1].slot if chain else 0,
-                                blocks=blocks,
-                            ),
-                        )
-                    elif isinstance(message, MetricsRequest):
-                        # In-band scrape: the registry snapshot, no
-                        # chain copy, replica stays in consensus.
-                        await self._reply(
-                            writer,
-                            MetricsReply(
-                                node_id=self.spec.node_id,
-                                items=self._metrics_items(),
-                                events=len(self.events),
-                            ),
-                        )
-                    elif isinstance(message, SnapshotRequest):
-                        # Mid-run evidence: the same shape as a
-                        # collect, but stay in consensus.
-                        await self._reply(writer, self._collect_reply())
-                    elif isinstance(message, CollectRequest):
-                        # Dump forensics BEFORE answering: the driver
-                        # reaps the process as soon as every reply is
-                        # in, and SIGTERM does not unwind the finally
-                        # block — the reply is the dump's barrier.
-                        self._dump_events()
-                        await self._reply(writer, self._collect_reply())
-                        self._done.set()
-                        return
-                    else:
-                        # A frame a client port has no business seeing
-                        # is a protocol anomaly worth forensics.
-                        self.events.emit("anomaly", frame=type(message).__name__)
-        except (OSError, ConnectionError, CodecError):
-            return
-        finally:
-            if writer in self._clients:
-                self._clients.remove(writer)
-            self._followers.discard(writer)
-            writer.close()
+    def _on_client_messages(self, sock: asyncio.Transport, messages: list) -> None:
+        """Serve the frames one client connection sent, in order."""
+        for message in messages:
+            self._client_frames_in.inc()
+            if isinstance(message, ClientSubmit):
+                self._admit(message.txn)
+            elif isinstance(message, ClientSubmitBatch):
+                for txn in message.txns:
+                    self._admit(txn)
+            elif isinstance(message, StartRun):
+                self._start_consensus()
+            elif isinstance(message, Follow) and type(message.since_height) is int:
+                self._follow(sock, message.since_height)
+            elif isinstance(message, StateTransferRequest):
+                chain = self.replica.finalized_chain
+                tip = chain[-1].slot if chain else 0
+                blocks = tuple(b for b in chain if b.slot > message.since_slot)
+                self.events.emit(
+                    "state_transfer", slot=tip, served=len(blocks), since=message.since_slot
+                )
+                self._reply(sock, StateTransferReply(self.spec.node_id, tip, blocks))
+            elif isinstance(message, MetricsRequest):
+                # In-band scrape: the registry snapshot, no chain copy,
+                # replica stays in consensus.
+                items = self._metrics_items()
+                self._reply(sock, MetricsReply(self.spec.node_id, items, len(self.events)))
+            elif isinstance(message, SnapshotRequest):
+                # Mid-run evidence: the same shape as a collect, but
+                # stay in consensus.
+                self._reply(sock, self._collect_reply())
+            elif isinstance(message, CollectRequest):
+                # Dump forensics BEFORE answering: the driver reaps the
+                # process as soon as every reply is in, and SIGTERM
+                # does not unwind the finally block — the reply is the
+                # dump's barrier.
+                self._dump_events()
+                self._reply(sock, self._collect_reply())
+                self._done.set()
+                sock.close()
+                return
+            else:
+                # A frame a client port has no business seeing is a
+                # protocol anomaly worth forensics.
+                self.events.emit("anomaly", frame=type(message).__name__)
 
     # -- lifecycle ------------------------------------------------------------
 
     async def run(self) -> None:
         await self.transport.start()
-        server = await asyncio.start_server(
-            self._on_client_connection, self.spec.host, self.spec.client_port
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _ClientPort(self), self.spec.host, self.spec.client_port
         )
         try:
             await self._done.wait()
@@ -638,6 +601,8 @@ class ReplicaProcess:
             if self._catch_up_task is not None:
                 self._catch_up_task.cancel()
             self.ctx.cancel_timers()
+            for sock in list(self._clients):
+                sock.close()
             server.close()
             await server.wait_closed()
             await self.transport.stop()
@@ -657,6 +622,58 @@ class ReplicaProcess:
             and not self.events.streaming
         ):
             self.events.dump(self._events_path)
+
+
+class _ClientPort(FrameProtocol):
+    """One connection on a replica's client port.
+
+    Bytes that do not decode close it and leave one ``anomaly`` event.
+    While its send buffer is over the high-water mark the port stops
+    reading it, so a client that never reads cannot grow our memory.
+    """
+
+    def __init__(self, process: ReplicaProcess) -> None:
+        super().__init__(process.codec)
+        self.process = process
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        super().connection_made(transport)
+        self.process._clients.append(transport)
+
+    def on_messages(self, messages: list) -> None:
+        self.process._on_client_messages(self.sock, messages)
+
+    def on_decode_error(self, exc: CodecError) -> None:
+        self.process.events.emit("anomaly", error=str(exc))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.process._clients.remove(self.sock)
+        self.process._followers.discard(self.sock)
+
+    def pause_writing(self) -> None:
+        self.sock.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.sock.resume_reading()
+
+
+class _TransferFetch(FrameProtocol):
+    """One state-transfer fetch: resolves ``replied`` with the peer's
+    :class:`StateTransferReply`, or ``None`` if the connection ends
+    first.  The peer also pushes commit acks; they are skipped."""
+
+    def __init__(self, codec, replied: asyncio.Future) -> None:
+        super().__init__(codec)
+        self.replied = replied
+
+    def on_messages(self, messages: list) -> None:
+        for message in messages:
+            if isinstance(message, StateTransferReply) and not self.replied.done():
+                self.replied.set_result(message)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if not self.replied.done():
+            self.replied.set_result(None)
 
 
 def run_replica(spec: ReplicaSpec) -> None:

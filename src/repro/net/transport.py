@@ -2,30 +2,33 @@
 
 One :class:`NetTransport` per replica process: it listens on the
 replica's peer port, dials every other replica, and moves encoded
-frames.  Design points, in the order they matter operationally:
+frames, all in ``asyncio.Protocol`` callbacks (no task, queue or sleep
+between a frame and the socket).  Design points, in the order they
+matter operationally:
 
-* **Per-peer outbound queues** — sends never block the protocol state
-  machine; each peer has a queue drained by its own writer task.
-* **Coalesced writes** — each writer wakeup drains every already-due
-  frame in its queue into a single ``writev``-style buffer and hands
-  the socket one write, so a burst of aggregated vote frames costs one
-  syscall, not one per frame.  A frame leaves on the first wakeup
-  after it is due.  Per-lane ``flushes`` / ``frames`` / ``bytes``
-  counters feed the bench layer through ``CollectReply``.
-* **Reconnect with backoff** — replicas start at different instants
-  and may crash mid-run; a writer that cannot connect (or loses its
-  connection) retries with exponential backoff while its queue keeps
-  absorbing messages, so a rebooted peer picks up from the live
+* **Per-peer lanes, coalesced writes** — sends never block the
+  protocol state machine: each peer's frames wait in a ``deque``, and
+  the lane keeps at most one loop handle scheduled (``call_soon``, or
+  ``call_at`` the first frame's due time under injected latency) that
+  writes every due frame in one ``write``.  Per-lane ``flushes`` /
+  ``frames`` / ``bytes`` counters feed the bench layer.
+* **Backpressure and loss** — past 1 MiB of unsent socket buffer the
+  lane pauses and frames wait in order; past
+  :data:`MAX_OUTBOUND_QUEUE` waiting frames the oldest are dropped
+  (consensus tolerates loss).
+* **Reconnect with backoff** — a lane that cannot connect, or loses
+  its connection, redials with exponential backoff while its queue
+  keeps absorbing messages, so a rebooted peer picks up from the live
   traffic without any node noticing at the protocol layer.
 * **Injected link latency** — an optional per-link one-way delay,
-  applied as a FIFO pipe (each frame is written no earlier than
-  ``enqueue time + latency``): localhost RTTs are tens of
-  microseconds, far below any interesting Δ geometry, and the
-  injected delay is what lets the sync/geo scenarios of the simulated
-  experiments carry over to real sockets.
+  applied as a FIFO pipe (a frame is written no earlier than
+  ``enqueue time + latency``): it lets the sync/geo scenarios of the
+  simulated experiments carry over to localhost sockets.
 * **Loopback included** — ``broadcast`` delivers to the sender too
   (a node processes its own votes, exactly as in the simulator), via
   the event loop with the same injected latency as any other link.
+* **Hostile bytes** — an inbound connection that does not decode is
+  closed and counted (``transport.decode_errors``).
 
 :class:`NetContext` is the duck-typed
 :class:`~repro.sim.runner.NodeContext` the transport hands a node:
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from collections import deque
 from collections.abc import Callable
 
 from repro.errors import ConfigurationError
@@ -62,6 +66,9 @@ BACKOFF_CAP = 1.0
 #: dead peer must not grow our memory without bound; consensus already
 #: tolerates message loss (that is what view changes are for).
 MAX_OUTBOUND_QUEUE = 65_536
+
+#: Bytes a peer socket may buffer before its lane pauses.
+WRITE_HIGH_WATER = 1 << 20
 
 
 class LinkLatency:
@@ -96,31 +103,189 @@ class LinkLatency:
         return cls(default, {(s, d): v for s, d, v in pairs})
 
 
-class _PeerLane:
-    """Outbound state for one peer: queue + reconnecting writer task.
+class _PeerLane(asyncio.Protocol):
+    """Outbound state for one peer, and the protocol of its connection.
 
-    Queue entries are ``(enqueue time, frame bytes)``; the counters are
-    what the bench layer reports per peer.
+    ``frames`` holds ``(enqueue time, frame bytes)`` in send order.
+    ``handle`` is the one loop callback the lane has scheduled, if any:
+    the next flush while connected, the next dial while not.  The
+    counters are what the bench layer reports per peer.
     """
 
-    __slots__ = (
-        "queue",
-        "task",
-        "dropped",
-        "flushes",
-        "frames_flushed",
-        "bytes_flushed",
-        "connects",
-    )
-
-    def __init__(self) -> None:
-        self.queue: asyncio.Queue[tuple[float, bytes]] = asyncio.Queue()
-        self.task: asyncio.Task | None = None
+    def __init__(self, owner: "NetTransport", peer_id: int) -> None:
+        self.owner = owner
+        self.loop = owner._loop
+        self.addr = owner.peers[peer_id]
+        self.latency = owner.latency.of(owner.node_id, peer_id)
+        self.frames: deque[tuple[float, bytes]] = deque()
+        self.sock: asyncio.Transport | None = None
+        self.handle: asyncio.Handle | None = None
+        self.dialing: asyncio.Future | None = None
+        self.paused = False
+        self.backoff = BACKOFF_INITIAL
         self.dropped = 0
         self.flushes = 0
         self.frames_flushed = 0
         self.bytes_flushed = 0
         self.connects = 0
+
+    def enqueue(self, now: float, frame: bytes) -> None:
+        frames = self.frames
+        if len(frames) >= MAX_OUTBOUND_QUEUE:
+            frames.popleft()
+            self.dropped += 1
+        frames.append((now, frame))
+        self._schedule()
+
+    def _schedule(self) -> None:
+        if self.handle is not None or self.sock is None or self.paused or not self.frames:
+            return
+        if self.latency > 0:
+            self.handle = self.loop.call_at(self.frames[0][0] + self.latency, self.flush)
+        else:
+            self.handle = self.loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Write every due frame in one ``write``; re-arm for the rest."""
+        self.handle = None
+        sock = self.sock
+        if sock is None or self.paused:
+            return
+        frames = self.frames
+        due = self.loop.time() - self.latency
+        batch = []
+        while frames and frames[0][0] <= due:
+            batch.append(frames.popleft()[1])
+        if batch:
+            data = b"".join(batch)
+            self.flushes += 1
+            self.frames_flushed += len(batch)
+            self.bytes_flushed += len(data)
+            sock.write(data)
+        self._schedule()
+
+    # -- connection ----------------------------------------------------------
+
+    def dial(self) -> None:
+        self.handle = None
+        host, port = self.addr
+        self.dialing = asyncio.ensure_future(self.loop.create_connection(lambda: self, host, port))
+        self.dialing.add_done_callback(self._dialed)
+
+    def _dialed(self, dialing: asyncio.Future) -> None:
+        self.dialing = None
+        if not dialing.cancelled() and dialing.exception() is not None:
+            self._redial()
+
+    def _redial(self) -> None:
+        if self.owner._closed:
+            return
+        self.handle = self.loop.call_later(self.backoff, self.dial)
+        self.backoff = min(self.backoff * 2, BACKOFF_CAP)
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
+        transport.write(self.owner.hello)
+        self.sock = transport
+        self.backoff = BACKOFF_INITIAL
+        self.connects += 1
+        self._schedule()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # Frames already handed to the socket are lost with it
+        # (consensus tolerates loss); the queue carries over.
+        self.sock = None
+        self.paused = False
+        if self.handle is not None:
+            self.handle.cancel()
+        self._redial()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._schedule()
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self.handle.cancel()
+        if self.dialing is not None:
+            self.dialing.cancel()
+        if self.sock is not None:
+            self.sock.close()
+
+
+class FrameProtocol(asyncio.Protocol):
+    """A connection that reads wire frames: each chunk's decoded messages
+    go to ``on_messages``; bytes that do not decode close the connection
+    and call :meth:`on_decode_error` to leave the endpoint's evidence."""
+
+    def __init__(self, codec: WireCodec) -> None:
+        self.buffer = FrameBuffer(codec)
+        self.sock: asyncio.Transport | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.sock = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            messages = self.buffer.feed(data)
+        except CodecError as exc:
+            self.sock.close()
+            self.on_decode_error(exc)
+            return
+        self.on_messages(messages)
+
+    def on_decode_error(self, exc: CodecError) -> None:
+        pass
+
+
+class _PeerInbound(FrameProtocol):
+    """One accepted peer connection: a ``Hello``, then protocol frames."""
+
+    def __init__(self, owner: "NetTransport") -> None:
+        super().__init__(owner.codec)
+        self.owner = owner
+        self.sender: int | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        super().connection_made(transport)
+        self.owner._inbound.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.owner._inbound.discard(self.sock)
+
+    def on_decode_error(self, exc: CodecError) -> None:
+        self.owner.decode_errors += 1
+
+    def on_messages(self, messages: list) -> None:
+        owner = self.owner
+        sender = self.sender
+        for message in messages:
+            if sender is None:
+                if not isinstance(message, Hello):
+                    self.sock.close()  # not a peer speaking our protocol
+                    return
+                sender = self.sender = message.node_id
+                continue
+            if (
+                type(message) is not VoteBatch
+                and owner.codec.nesting_depth(message) > MAX_UNBATCHED_DEPTH
+            ):
+                continue  # too deep to re-batch: only a Byzantine peer sends it
+            try:
+                owner.on_message(sender, message)
+            except Exception:
+                # A dispatch bug must be loud (the simulator fails the
+                # whole run here) but one poisoned message must not
+                # silently drop the rest of the decoded batch.
+                _LOG.exception(
+                    "node %s: dispatch of %s from peer %s failed",
+                    owner.node_id,
+                    type(message).__name__,
+                    sender,
+                )
 
 
 class NetTransport:
@@ -143,29 +308,32 @@ class NetTransport:
         self.on_message = on_message
         self.codec = codec
         self.latency = latency if latency is not None else LinkLatency()
+        self.hello = codec.encode_frame(Hello(node_id))
+        #: Inbound connections closed for bytes that did not decode.
+        self.decode_errors = 0
         self._lanes: dict[int, _PeerLane] = {}
+        self._inbound: set[asyncio.BaseTransport] = set()
         self._server: asyncio.Server | None = None
-        self._reader_tasks: set[asyncio.Task] = set()
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_peer_connection, self.listen_host, self.listen_port
+        loop = self._loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _PeerInbound(self), self.listen_host, self.listen_port
         )
-        for peer_id in self.peers:
-            lane = _PeerLane()
-            lane.task = asyncio.ensure_future(self._writer(peer_id, lane))
-            self._lanes[peer_id] = lane
+        for peer_id in sorted(self.peers):
+            lane = self._lanes[peer_id] = _PeerLane(self, peer_id)
+            lane.dial()
 
     async def stop(self) -> None:
         self._closed = True
         for lane in self._lanes.values():
-            if lane.task is not None:
-                lane.task.cancel()
-        for task in list(self._reader_tasks):
-            task.cancel()
+            lane.close()
+        for sock in list(self._inbound):
+            sock.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -180,26 +348,15 @@ class NetTransport:
         lane = self._lanes.get(dst)
         if lane is None:
             return  # unknown peer: mirrors the simulator's closed world
-        if lane.queue.qsize() >= MAX_OUTBOUND_QUEUE:
-            lane.queue.get_nowait()
-            lane.dropped += 1
-        loop = asyncio.get_event_loop()
-        lane.queue.put_nowait((loop.time(), self.codec.encode_frame(message)))
+        lane.enqueue(self._loop.time(), self.codec.encode_frame(message))
 
     def broadcast(self, message: object) -> None:
         """Send to every peer and to ourselves (loopback semantics)."""
-        frame: bytes | None = None
-        loop = asyncio.get_event_loop()
-        for dst in sorted(self.peers):
-            lane = self._lanes.get(dst)
-            if lane is None:
-                continue
-            if frame is None:
-                frame = self.codec.encode_frame(message)
-            if lane.queue.qsize() >= MAX_OUTBOUND_QUEUE:
-                lane.queue.get_nowait()
-                lane.dropped += 1
-            lane.queue.put_nowait((loop.time(), frame))
+        if self._lanes:
+            frame = self.codec.encode_frame(message)
+            now = self._loop.time()
+            for lane in self._lanes.values():
+                lane.enqueue(now, frame)
         self._loopback(message)
 
     def publish_metrics(self, registry) -> None:
@@ -222,18 +379,19 @@ class NetTransport:
             registry.counter(f"{prefix}.dropped").set(lane.dropped)
             reconnects = max(0, lane.connects - 1)
             registry.counter(f"{prefix}.reconnects").set(reconnects)
-            registry.gauge(f"{prefix}.queue_lag").set(lane.queue.qsize())
+            registry.gauge(f"{prefix}.queue_lag").set(len(lane.frames))
             total_flushes += lane.flushes
             total_frames += lane.frames_flushed
             total_bytes += lane.bytes_flushed
             total_dropped += lane.dropped
             total_reconnects += reconnects
-            max_queue = max(max_queue, lane.queue.qsize())
+            max_queue = max(max_queue, len(lane.frames))
         registry.counter("transport.flushes").set(total_flushes)
         registry.counter("transport.frames_flushed").set(total_frames)
         registry.counter("transport.bytes_flushed").set(total_bytes)
         registry.counter("transport.dropped").set(total_dropped)
         registry.counter("transport.reconnects").set(total_reconnects)
+        registry.counter("transport.decode_errors").set(self.decode_errors)
         registry.gauge("transport.queue_lag").set(max_queue)
 
     def _loopback(self, message: object) -> None:
@@ -243,125 +401,6 @@ class NetTransport:
             loop.call_later(delay, self.on_message, self.node_id, message)
         else:
             loop.call_soon(self.on_message, self.node_id, message)
-
-    # -- outbound lanes -------------------------------------------------------
-
-    async def _writer(self, peer_id: int, lane: _PeerLane) -> None:
-        """Drain one peer's queue over a connection that self-heals."""
-        host, port = self.peers[peer_id]
-        latency = self.latency.of(self.node_id, peer_id)
-        hello = self.codec.encode_frame(Hello(self.node_id))
-        backoff = BACKOFF_INITIAL
-        reconnect_delay = 0.0
-        pending: tuple[float, bytes] | None = None
-        while not self._closed:
-            if reconnect_delay > 0:
-                await asyncio.sleep(reconnect_delay)
-                reconnect_delay = 0.0
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-            except OSError:
-                await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, BACKOFF_CAP)
-                continue
-            try:
-                writer.write(hello)
-                await writer.drain()
-                # Only a landed handshake proves the link is real: a
-                # listener that accepts and immediately resets must
-                # keep escalating the backoff, not spin at full speed.
-                backoff = BACKOFF_INITIAL
-                lane.connects += 1
-                loop = asyncio.get_event_loop()
-                queue = lane.queue
-                while True:
-                    if pending is None:
-                        pending = await lane.queue.get()
-                    enqueued, frame = pending
-                    if latency > 0:
-                        wait = enqueued + latency - loop.time()
-                        if wait > 0:
-                            await asyncio.sleep(wait)
-                    if writer.is_closing():
-                        break  # peer went away: keep the frame, reconnect
-                    # Coalesce every other already-due frame into the
-                    # same write: one writev-style buffer per wakeup
-                    # instead of one write per frame.  The first
-                    # not-yet-due frame stays pending for the next
-                    # wakeup, so injected latency is still a FIFO pipe.
-                    pending = None
-                    batch = bytearray(frame)
-                    frames = 1
-                    due_before = loop.time() - latency
-                    while not queue.empty():
-                        nxt = queue.get_nowait()
-                        if latency > 0 and nxt[0] > due_before:
-                            pending = nxt
-                            break
-                        batch.extend(nxt[1])
-                        frames += 1
-                    lane.flushes += 1
-                    lane.frames_flushed += frames
-                    lane.bytes_flushed += len(batch)
-                    writer.write(batch)
-                    if writer.transport.get_write_buffer_size() > 1 << 20:
-                        await writer.drain()
-            except (OSError, ConnectionError):
-                # Connection lost mid-write: the frame in flight is
-                # dropped (consensus tolerates loss); pause one backoff
-                # step, then reconnect and carry on with the queue.
-                pending = None
-                reconnect_delay = backoff
-                backoff = min(backoff * 2, BACKOFF_CAP)
-            finally:
-                writer.close()
-
-    # -- inbound --------------------------------------------------------------
-
-    async def _on_peer_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
-        buffer = FrameBuffer(self.codec)
-        sender: int | None = None
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                for message in buffer.feed(data):
-                    if sender is None:
-                        if not isinstance(message, Hello):
-                            return  # not a peer speaking our protocol
-                        sender = message.node_id
-                        continue
-                    if (
-                        type(message) is not VoteBatch
-                        and self.codec.nesting_depth(message) > MAX_UNBATCHED_DEPTH
-                    ):
-                        continue  # too deep to re-batch: only a Byzantine peer sends it
-                    try:
-                        self.on_message(sender, message)
-                    except Exception:
-                        # A dispatch bug must be loud (the simulator
-                        # fails the whole run here) but one poisoned
-                        # message must not silently drop the rest of
-                        # the decoded batch.
-                        _LOG.exception(
-                            "node %s: dispatch of %s from peer %s failed",
-                            self.node_id,
-                            type(message).__name__,
-                            sender,
-                        )
-        except (OSError, ConnectionError, CodecError):
-            return
-        except asyncio.CancelledError:
-            return  # transport shutdown: a cancelled reader is clean
-        finally:
-            writer.close()
 
 
 class _NetTimerHandle:

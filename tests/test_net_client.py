@@ -434,12 +434,40 @@ def test_pool_collect_skips_a_replica_that_dies_mid_request():
         replicas[1].server.close()
         await replicas[1].server.wait_closed()
         for conn in pool._conns.values():
-            if conn.node_id == 1 and conn.writer is not None:
-                conn.writer.close()
+            if conn.node_id == 1 and conn.sock is not None:
+                conn.sock.close()
         await _wait_for(lambda: 1 in deaths)
         replies = await pool.collect(timeout=5.0)
         assert sorted(replies) == [0]
         replicas[0].close()
+        pool.close()
+
+    asyncio.run(scenario())
+
+
+def test_pool_reports_a_replica_whose_bytes_do_not_decode_as_dead():
+    """A replica connection that sends garbage is closed and reported
+    through ``on_death``; the pool keeps serving the other replica."""
+    deaths = []
+    hung_up = []
+
+    async def babble(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        writer.write(b"\x00\x00\x00\x05" + b"\xff" * 5)
+        hung_up.append(await reader.read() == b"")  # EOF: the pool closed it
+        writer.close()
+
+    async def scenario():
+        replicas, addrs = await _fake_cluster(1)
+        rogue_port = allocate_ports(1)[0]
+        rogue = await asyncio.start_server(babble, HOST, rogue_port)
+        pool = ReplicaPool({**addrs, 1: (HOST, rogue_port)}, on_death=deaths.append)
+        await pool.connect()
+        await _wait_for(lambda: deaths == [1] and hung_up == [True])
+        assert pool.live == {0}
+        replies = await pool.snapshot(timeout=5.0)
+        assert sorted(replies) == [0]
+        replicas[0].close()
+        rogue.close()
         pool.close()
 
     asyncio.run(scenario())

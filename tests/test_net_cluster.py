@@ -49,12 +49,15 @@ from repro.net.codec import (
     ClientSubmit,
     ClientSubmitBatch,
     CollectReply,
+    CollectRequest,
     CommitAck,
     CommitAckBatch,
     Follow,
     FrameBuffer,
+    MetricsReply,
+    MetricsRequest,
 )
-from repro.net.replica_main import ReplicaProcess
+from repro.net.replica_main import ReplicaProcess, _ClientPort
 from repro.smr.mempool import Transaction
 from repro.storage.wal import read_wal
 from repro.verification.audit import SafetyAuditor
@@ -159,22 +162,62 @@ def test_client_port_drops_transactions_too_deep_for_a_batched_proposal():
     too_deep = _deep_set("too-deep", MAX_TXN_DEPTH + 1)
     plain = Transaction("plain", ("set", "k", 1))
 
-    class _Writer:
+    class _Transport:
         def close(self) -> None:
             pass
 
     async def scenario() -> ReplicaProcess:
         process = ReplicaProcess(build_specs(ClusterConfig(n=4, max_slots=8))[0])
-        reader = asyncio.StreamReader()
+        port = _ClientPort(process)
+        port.connection_made(_Transport())
         for message in (ClientSubmit(too_deep), ClientSubmitBatch((fits, too_deep, plain))):
-            reader.feed_data(WIRE_CODEC.encode_frame(message))
-        reader.feed_eof()
-        await process._on_client_connection(reader, _Writer())
+            port.data_received(WIRE_CODEC.encode_frame(message))
+        port.connection_lost(None)
         return process
 
     process = asyncio.run(scenario())
     batch = process.replica.mempool.next_batch()
     assert [txn.txid for txn in batch] == ["fits", "plain"]
+
+
+def test_client_port_closes_only_a_connection_whose_bytes_do_not_decode():
+    """Garbage on one client connection closes that connection and
+    leaves one ``anomaly`` event; a second connection is served."""
+    spec = build_specs(ClusterConfig(n=4, max_slots=8))[0]
+    garbage = b"\x00\x00\x00\x05" + b"\xff" * 5
+
+    async def connect():
+        for _ in range(200):
+            try:
+                return await asyncio.open_connection(spec.host, spec.client_port)
+            except OSError:
+                await asyncio.sleep(0.01)
+        raise AssertionError("client port never opened")
+
+    async def scenario() -> tuple[ReplicaProcess, object]:
+        process = ReplicaProcess(spec)
+        run = asyncio.ensure_future(process.run())
+        reader, writer = await connect()
+        writer.write(garbage)
+        assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed on us
+        writer.close()
+        reader, writer = await connect()
+        writer.write(WIRE_CODEC.encode_frame(MetricsRequest()))
+        buffer = FrameBuffer(WIRE_CODEC)
+        reply = None
+        while reply is None:
+            data = await asyncio.wait_for(reader.read(65536), 5.0)
+            assert data, "the second connection was closed too"
+            reply = next((m for m in buffer.feed(data) if isinstance(m, MetricsReply)), None)
+        writer.write(WIRE_CODEC.encode_frame(CollectRequest()))
+        await asyncio.wait_for(run, 10.0)
+        writer.close()
+        return process, reply
+
+    process, reply = asyncio.run(scenario())
+    assert reply.node_id == spec.node_id
+    anomalies = [event for event in process.events.tail() if event["kind"] == "anomaly"]
+    assert len(anomalies) == 1 and "magic" in anomalies[0]["payload"]["error"]
 
 
 BURSTS = 6

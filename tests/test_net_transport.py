@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,8 @@ from repro.errors import ConfigurationError
 from repro.baselines.chained import SlotMessage
 from repro.multishot.messages import MSVote, VoteBatch
 from repro.net.cluster import allocate_ports
-from repro.net.codec import MAX_UNBATCHED_DEPTH
+from repro.net import transport as transport_module
+from repro.net.codec import MAX_UNBATCHED_DEPTH, WIRE_CODEC, FrameBuffer, Hello
 from repro.net.transport import LinkLatency, NetContext, NetTransport
 from repro.obs import MetricsRegistry
 
@@ -322,3 +324,233 @@ def test_flush_stats_report_per_peer_counters():
     assert 0 < scrape["transport.flushes"] <= 10
     assert scrape["transport.bytes_flushed"] > 0
     assert not [name for name in scrape if "held" in name]
+
+
+# -- callback I/O: coalescing, latency, backpressure, hostile bytes ------------
+
+#: Four bytes of length, then a body that is no wire frame.
+GARBAGE = b"\x00\x00\x00\x05" + b"\xff" * 5
+
+
+class _CountingLoop:
+    """Stands in for a lane's loop and counts the callbacks the lane has
+    scheduled that neither ran nor were cancelled yet."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+        self.live: set[object] = set()
+        self.peak = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self._loop, name)
+
+    def _track(self, schedule, *args):
+        *head, callback = args
+        token = object()
+        self.live.add(token)
+        self.peak = max(self.peak, len(self.live))
+
+        def fire() -> None:
+            self.live.discard(token)
+            callback()
+
+        handle = schedule(*head, fire)
+        live = self.live
+
+        class _Handle:
+            def cancel(self) -> None:
+                handle.cancel()
+                live.discard(token)
+
+        return _Handle()
+
+    def call_soon(self, callback):
+        return self._track(self._loop.call_soon, callback)
+
+    def call_at(self, when, callback):
+        return self._track(self._loop.call_at, when, callback)
+
+    def call_later(self, delay, callback):
+        return self._track(self._loop.call_later, delay, callback)
+
+
+def test_one_tick_of_sends_leaves_in_one_flush_in_order():
+    inboxes = {0: [], 1: []}
+    ports = allocate_ports(2)
+    votes = [MSVote(k, 0, "aa") for k in range(1000)]
+
+    async def scenario():
+        a, b = _pair(ports, inboxes)
+        await a.start()
+        await b.start()
+        lane = a._lanes[1]
+        try:
+            await _wait_for(lambda: lane.sock is not None)
+            for vote in votes:
+                a.send(1, vote)
+            await _wait_for(lambda: len(inboxes[1]) == len(votes))
+            return lane.flushes, lane.frames_flushed
+        finally:
+            await a.stop()
+            await b.stop()
+
+    flushes, frames = asyncio.run(scenario())
+    assert inboxes[1] == [(0, vote) for vote in votes]
+    assert (flushes, frames) == (1, 1000)
+
+
+def test_latency_holds_every_frame_its_full_delay_with_one_handle_per_lane():
+    latency = 0.005
+    arrivals: list[tuple[object, float]] = []
+    ports = allocate_ports(2)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        link = LinkLatency(latency)
+        a = NetTransport(0, HOST, ports[0], {1: (HOST, ports[1])}, lambda s, m: None, latency=link)
+        b = NetTransport(1, HOST, ports[1], {}, lambda s, m: arrivals.append((m, loop.time())))
+        await a.start()
+        await b.start()
+        lane = a._lanes[1]
+        counting = lane.loop = _CountingLoop(loop)
+        sent: dict[object, float] = {}
+        try:
+            await _wait_for(lambda: lane.sock is not None)
+            for k in range(40):
+                for j in range(k % 3 + 1):  # bursts of 1-3 frames per tick
+                    vote = MSVote(k, j, "aa")
+                    sent[vote] = loop.time()
+                    a.send(1, vote)
+                await asyncio.sleep(0.001 * (k % 4))
+            await _wait_for(lambda: len(arrivals) == len(sent))
+        finally:
+            await a.stop()
+            await b.stop()
+        return sent, counting.peak
+
+    sent, peak = asyncio.run(scenario())
+    assert [message for message, _ in arrivals] == list(sent)
+    assert all(at >= sent[message] + latency for message, at in arrivals)
+    assert peak == 1
+
+
+class _StalledPeer(asyncio.Protocol):
+    """A peer that accepts and then stops reading until told to resume."""
+
+    def __init__(self) -> None:
+        self.sock: asyncio.Transport | None = None
+        self.received = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.sock = transport
+        transport.pause_reading()
+
+    def data_received(self, data: bytes) -> None:
+        self.received += data
+
+
+def test_a_peer_that_stops_reading_pauses_its_lane_and_loses_nothing(monkeypatch):
+    """The lane pauses at the 1 MiB high-water mark; frames sent while
+    it is paused wait in order (the oldest dropped only past
+    MAX_OUTBOUND_QUEUE) and all of them arrive after the peer resumes."""
+    monkeypatch.setattr(transport_module, "MAX_OUTBOUND_QUEUE", 16)
+    ports = allocate_ports(2)
+    payload = "x" * 65536
+    peer = _StalledPeer()
+    buffered_at_pause: list[int] = []
+    pause_writing = transport_module._PeerLane.pause_writing
+
+    def record_pause(lane) -> None:
+        buffered_at_pause.append(lane.sock.get_write_buffer_size())
+        pause_writing(lane)
+
+    monkeypatch.setattr(transport_module._PeerLane, "pause_writing", record_pause)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        server = await loop.create_server(lambda: peer, HOST, ports[1])
+        a = NetTransport(0, HOST, ports[0], {1: (HOST, ports[1])}, lambda s, m: None)
+        await a.start()
+        lane = a._lanes[1]
+        try:
+            await _wait_for(lambda: lane.sock is not None)
+            assert lane.sock.get_write_buffer_limits()[1] == 1 << 20
+            before: list[object] = []
+            while not lane.paused and len(before) < 4096:
+                for _ in range(8):
+                    message = Proposal(len(before), payload)
+                    before.append(message)
+                    a.send(1, message)
+                await asyncio.sleep(0)
+            assert lane.paused and lane.dropped == 0
+            flushes = lane.flushes
+            queued = [ViewChange(view) for view in range(19)]
+            for message in queued:
+                a.send(1, message)
+            await asyncio.sleep(0.05)
+            assert lane.flushes == flushes  # nothing written while paused
+            assert [frame for _, frame in lane.frames] == [
+                WIRE_CODEC.encode_frame(message) for message in queued[3:]
+            ]
+            assert lane.dropped == 3
+            peer.sock.resume_reading()
+            expected = [Hello(0), *before, *queued[3:]]
+            received: list[object] = []
+
+            def drained() -> bool:
+                received[:] = FrameBuffer(WIRE_CODEC).feed(bytes(peer.received))
+                return len(received) == len(expected)
+
+            await _wait_for(drained, timeout=20.0)
+            assert not lane.paused and lane.dropped == 3
+            return received, expected
+        finally:
+            await a.stop()
+            peer.sock.close()
+            server.close()
+            await server.wait_closed()
+
+    received, expected = asyncio.run(scenario())
+    assert buffered_at_pause and buffered_at_pause[0] > 1 << 20
+    assert received == expected
+
+
+def test_an_undecodable_peer_connection_is_closed_and_counted():
+    inboxes = {0: [], 1: []}
+    ports = allocate_ports(2)
+    registry = MetricsRegistry()
+
+    async def scenario():
+        a, b = _pair(ports, inboxes)
+        await a.start()
+        await b.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, ports[1])
+            writer.write(WIRE_CODEC.encode_frame(Hello(0)) + GARBAGE)
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed on us
+            writer.close()
+            assert b.decode_errors == 1
+            # Another connection from the same peer is served as before.
+            a.send(1, ViewChange(7))
+            await _wait_for(lambda: inboxes[1] == [(0, ViewChange(7))])
+            b.publish_metrics(registry)
+        finally:
+            await a.stop()
+            await b.stop()
+
+    asyncio.run(scenario())
+    assert registry.snapshot()["transport.decode_errors"] == 1
+
+
+def test_the_replica_plane_has_one_io_style():
+    """Everything under ``repro/net`` does its socket I/O through
+    ``asyncio.Protocol`` callbacks: no stream objects, no queues."""
+    forbidden = ("asyncio.Queue", "open_connection", "start_server", "StreamReader", "StreamWriter")
+    net_dir = Path(transport_module.__file__).parent
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(net_dir.glob("*.py"))
+        for name in forbidden
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
