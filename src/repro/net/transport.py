@@ -19,7 +19,8 @@ matter operationally:
 * **Reconnect with backoff** — a lane that cannot connect, or loses
   its connection, redials with exponential backoff while its queue
   keeps absorbing messages, so a rebooted peer picks up from the live
-  traffic without any node noticing at the protocol layer.
+  traffic without any node noticing at the protocol layer.  A peer's
+  ``Hello`` on our port ends the backoff towards it: it is listening.
 * **Injected link latency** — an optional per-link one-way delay,
   applied as a FIFO pipe (a frame is written no earlier than
   ``enqueue time + latency``): it lets the sync/geo scenarios of the
@@ -183,6 +184,15 @@ class _PeerLane(asyncio.Protocol):
         self.handle = self.loop.call_later(self.backoff, self.dial)
         self.backoff = min(self.backoff * 2, BACKOFF_CAP)
 
+    def peer_is_up(self) -> None:
+        """The peer has just dialed us, so it is listening: a pending
+        backoff is cut short.  Replicas start one after another, and a
+        peer that restarts would otherwise wait out up to a full
+        :data:`BACKOFF_CAP` before anyone dials it."""
+        if self.handle is not None and self.sock is None and self.dialing is None:
+            self.handle.cancel()
+            self.dial()
+
     def connection_made(self, transport: asyncio.Transport) -> None:
         transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
         transport.write(self.owner.hello)
@@ -210,6 +220,7 @@ class _PeerLane(asyncio.Protocol):
     def close(self) -> None:
         if self.handle is not None:
             self.handle.cancel()
+            self.handle = None
         if self.dialing is not None:
             self.dialing.cancel()
         if self.sock is not None:
@@ -268,6 +279,9 @@ class _PeerInbound(FrameProtocol):
                     self.sock.close()  # not a peer speaking our protocol
                     return
                 sender = self.sender = message.node_id
+                lane = owner._lanes.get(sender)
+                if lane is not None:
+                    lane.peer_is_up()
                 continue
             if (
                 type(message) is not VoteBatch

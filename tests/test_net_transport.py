@@ -105,6 +105,29 @@ def test_messages_queue_until_a_late_peer_arrives():
     assert inboxes[1] == [(0, ViewChange(view)) for view in range(5)]
 
 
+def test_a_peer_that_dials_in_ends_the_backoff_towards_it(monkeypatch):
+    """Once the late peer dials us it is listening, so our lane to it
+    dials at once instead of waiting out its (here 30 s) backoff."""
+    monkeypatch.setattr(transport_module, "BACKOFF_INITIAL", 30.0)
+    inboxes = {0: [], 1: []}
+    ports = allocate_ports(2)
+
+    async def scenario():
+        a, b = _pair(ports, inboxes)
+        await a.start()
+        try:
+            lane = a._lanes[1]
+            await _wait_for(lambda: lane.handle is not None)  # the first dial failed
+            a.send(1, ViewChange(1))
+            await b.start()
+            await _wait_for(lambda: inboxes[1] == [(0, ViewChange(1))])
+        finally:
+            await a.stop()
+            await b.stop()
+
+    asyncio.run(scenario())
+
+
 def test_injected_latency_delays_delivery():
     inboxes = {0: [], 1: []}
     ports = allocate_ports(2)
