@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 from repro.baselines.base import BaselineSpec, BViewChange, ChainVotingNode
 from repro.core.config import ProtocolConfig
-from repro.multishot.batching import BatchingContext, batching_enabled
+from repro.multishot.batching import BatchingContext
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
 from repro.multishot.messages import VoteBatch
 from repro.multishot.node import (
@@ -202,7 +202,7 @@ class ChainedEngine:
         payload_fn: PayloadFn | None = None,
         on_finalize: FinalizeCallback | None = None,
         max_slots: int | None = None,
-        batching: bool | None = None,
+        batching: bool = True,
     ) -> None:
         self.node_id = node_id
         self.base = base
@@ -210,7 +210,6 @@ class ChainedEngine:
         self.payload_fn = payload_fn if payload_fn is not None else default_payload
         self.on_finalize = on_finalize
         self.max_slots = max_slots
-        # None → consult the REPRO_NO_BATCH escape hatch at start().
         self._batching = batching
         self._batch_ctx: BatchingContext | None = None
         self.store = BlockStore()
@@ -244,8 +243,6 @@ class ChainedEngine:
     # -- lifecycle ----------------------------------------------------------------
 
     def start(self, ctx: NodeContext) -> None:
-        if self._batching is None:
-            self._batching = batching_enabled()
         if self._batching:
             self._batch_ctx = BatchingContext(ctx)
             ctx = self._batch_ctx

@@ -1,11 +1,11 @@
 """The typed process-wide configuration surface (``REPRO_*`` env vars).
 
 Every behavioural escape hatch used to be a private ``os.environ``
-lookup buried in the module it toggled — batching in
-:mod:`repro.multishot.batching`, the heavy-grid flag in each ``eval``
-CLI.  That sprawl made the knob set unenumerable: nothing stated which
-variables existed, which spellings counted as "on", or what the
-defaults were.  :class:`ReproConfig` is the one typed answer.
+lookup buried in the module it toggled — the heavy-grid flag in each
+``eval`` CLI, for one.  That sprawl made the knob set unenumerable:
+nothing stated which variables existed, which spellings counted as
+"on", or what the defaults were.  :class:`ReproConfig` is the one
+typed answer.
 
 Design constraints, in order:
 
@@ -31,10 +31,8 @@ from dataclasses import dataclass
 
 #: Raw variables the config is parsed from, fingerprint order.
 _ENV_KEYS = (
-    "REPRO_NO_BATCH",
     "REPRO_HEAVY",
     "REPRO_DATA_DIR",
-    "REPRO_NO_OBS",
     "REPRO_EVENT_LOG",
 )
 
@@ -49,20 +47,12 @@ def _flag(raw: str | None) -> bool:
 class ReproConfig:
     """One immutable snapshot of every ``REPRO_*`` behavioural knob."""
 
-    #: ``REPRO_NO_BATCH`` — disable message-plane (and gateway
-    #: submission) batching; the A/B ablation's off switch.
-    no_batch: bool = False
     #: ``REPRO_HEAVY`` — truthy string enables the full bench grids
     #: (historically any non-empty value, not the flag spelling).
     heavy: bool = False
     #: ``REPRO_DATA_DIR`` — default per-process durability root; when
     #: unset, replicas run with :class:`~repro.storage.MemoryStorage`.
     data_dir: str | None = None
-    #: ``REPRO_NO_OBS`` — disable observability *sampling*: structured
-    #: event recording and commit-path trace sampling go quiet.  The
-    #: metrics registry's plain counters stay on (the collect/scrape
-    #: wire payloads are built from them); this is the do-no-harm arm.
-    no_obs: bool = False
     #: ``REPRO_EVENT_LOG`` — stream every structured event to an NDJSON
     #: file under the replica's data dir (or ``REPRO_DATA_DIR``) as it
     #: happens, instead of only keeping the in-memory ring buffer.
@@ -72,10 +62,8 @@ class ReproConfig:
     def from_env(cls, env: os._Environ | dict[str, str] = os.environ) -> "ReproConfig":
         """Parse one snapshot; each knob keeps its historical parse."""
         return cls(
-            no_batch=_flag(env.get("REPRO_NO_BATCH")),
             heavy=bool(env.get("REPRO_HEAVY")),
             data_dir=env.get("REPRO_DATA_DIR") or None,
-            no_obs=_flag(env.get("REPRO_NO_OBS")),
             event_log=_flag(env.get("REPRO_EVENT_LOG")),
         )
 

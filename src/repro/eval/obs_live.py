@@ -17,10 +17,6 @@ This is the same scrape path :meth:`GatewayService.cluster_metrics`
 serves over ``/v1/cluster/metrics`` and the A7 bench persists into
 ``BENCH_net.json`` — here it just refreshes a terminal table until the
 workload is fully acked (or ``--rounds`` snapshots have been taken).
-
-``REPRO_NO_OBS=1`` demonstrates the kill switch: counters still flow
-(collect/scrape payloads are built from them) but windowed sampling,
-tracing and event logging are off.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import asyncio
 import time
 from dataclasses import replace
 
-from repro.config import repro_config
 from repro.eval.report import format_table
 from repro.eval.smr_bench import build_workload
 from repro.net.client import AckCorrelator, ReplicaPool
@@ -159,10 +154,6 @@ def run_obs_live(
 def main() -> None:  # pragma: no cover - CLI entry
     import tempfile
 
-    cfg = repro_config()
-    if cfg.no_obs:
-        print("(REPRO_NO_OBS=1: windowed sampling, tracing and event logs are off;")
-        print(" counters still flow — the scrape payload is built from them)")
     # A durable cluster (throwaway data dir) so the storage columns —
     # fsyncs, WAL bytes, snapshot cadence — are live too.
     with tempfile.TemporaryDirectory(prefix="repro-obs-") as tmp:

@@ -142,7 +142,7 @@ def run_smr_bench(
     seed: int = 0,
     horizon: float = 400.0,
     engine: str = "tetrabft",
-    batching: bool | None = None,
+    batching: bool = True,
 ) -> SMRRow:
     """One full SMR run: n replicas, one workload, one network scenario.
 

@@ -38,7 +38,6 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
-from repro.config import repro_config
 from repro.gateway.ratelimit import AdmissionController
 from repro.metrics.smr_trackers import nearest_rank_percentiles
 from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
@@ -217,10 +216,6 @@ class GatewayService:
         self.txns: dict[str, TxnStatus] = {}
         self.subscriptions: list[Subscription] = []
         self._buffer: list[Transaction] = []
-        #: REPRO_NO_BATCH=1 disables ClientSubmitBatch coalescing here
-        #: exactly as it disables VoteBatch coalescing in the engines —
-        #: the ablation knob means one thing repo-wide.
-        self._batching = not repro_config().no_batch
         self._flush_handle: asyncio.TimerHandle | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         # The read path: the applied chain, its state, and what the
@@ -240,13 +235,10 @@ class GatewayService:
         # the gateway's own registry (``/v1/metrics`` is a view of it).
         self.registry = MetricsRegistry(clock=clock)
         self.counters = _RegistryCounters(self.registry, GATEWAY_COUNTERS)
-        cfg = repro_config()
         #: Gateway end of the commit-path trace: admission → quorum ack.
         #: Same deterministic txid sampling as the replica tracers, so
         #: a sampled transaction is sampled at every hop.
-        self.tracer = CommitPathTracer(
-            sample_every=0 if cfg.no_obs else 16, clock=clock, terminal="ack"
-        )
+        self.tracer = CommitPathTracer(clock=clock, terminal="ack")
         pool.on_ack = self._on_ack
         pool.on_block = self._on_block
 
@@ -293,13 +285,6 @@ class GatewayService:
         state.txids.add(txn.txid)
         self.counters["submitted"] += 1
         self.tracer.record(txn.txid, "admit", at=now)
-        if not self._batching:
-            # Batching disabled: every submission travels alone, now.
-            self.pool.submit(txn)
-            self.tracer.record(txn.txid, "submit")
-            self.counters["flushes"] += 1
-            self.counters["flushed_txns"] += 1
-            return status
         self._buffer.append(txn)
         if len(self._buffer) >= self.config.max_batch:
             self._flush()

@@ -3,7 +3,6 @@
 from repro.multishot.batching import (
     MAX_BATCH,
     BatchingContext,
-    batching_enabled,
     iter_logical,
 )
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore, Digest
@@ -43,7 +42,6 @@ __all__ = [
     "MultiShotNode",
     "RETENTION_SLOTS",
     "VoteBatch",
-    "batching_enabled",
     "default_payload",
     "iter_logical",
 ]

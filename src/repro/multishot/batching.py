@@ -31,9 +31,8 @@ longer run of broadcasts leaves as several envelopes.  The cap only
 decides how many logical messages share a physical frame, never what
 or when anything is delivered.
 
-``REPRO_NO_BATCH=1`` disables batching process-wide (the A/B escape
-hatch the ablation benches use); engines also accept an explicit
-``batching=`` override for in-process A/B runs.
+Engines take ``batching=False`` to run the unbatched reference path
+(the batching ablation record and the equivalence suite run it).
 
 Note on randomized delay policies: batching reduces the number of
 ``DelayPolicy.delay`` calls, so RNG-consuming policies draw a different
@@ -46,22 +45,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro.config import repro_config
 from repro.multishot.messages import VoteBatch
 
 #: Most logical messages one envelope may carry.  One activation emits
 #: a handful of broadcasts, so the cap only guards pathological
 #: adversarial fan-out.
 MAX_BATCH = 32
-
-
-def batching_enabled() -> bool:
-    """Whether the message plane batches broadcasts (default: yes).
-
-    ``REPRO_NO_BATCH=1`` (or ``true``/``yes``) turns batching off for
-    A/B comparisons without touching any call site.
-    """
-    return not repro_config().no_batch
 
 
 def iter_logical(message: object) -> Iterable[object]:

@@ -57,7 +57,7 @@ from repro.core.rules import find_safe_value, proposal_is_safe
 from repro.core.storage import VoteStorage
 from repro.core.values import Phase
 from repro.errors import ConfigurationError
-from repro.multishot.batching import BatchingContext, batching_enabled
+from repro.multishot.batching import BatchingContext
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore, Digest
 from repro.multishot.chain import FINALITY_WINDOW, ChainState
 from repro.multishot.messages import (
@@ -146,7 +146,7 @@ class MultiShotNode(SimNode):
         config: MultiShotConfig,
         payload_fn: PayloadFn | None = None,
         on_finalize: FinalizeCallback | None = None,
-        batching: bool | None = None,
+        batching: bool = True,
     ) -> None:
         self.node_id = node_id
         self.config = config
@@ -156,7 +156,6 @@ class MultiShotNode(SimNode):
         self.chain = ChainState(self.store)
         self.slots: dict[int, _SlotState] = {}
         self._ctx: NodeContext | None = None
-        # None → consult the REPRO_NO_BATCH escape hatch at start().
         self._batching = batching
         self._batch_ctx: BatchingContext | None = None
 
@@ -184,8 +183,6 @@ class MultiShotNode(SimNode):
     # -- lifecycle ------------------------------------------------------------------
 
     def start(self, ctx: NodeContext) -> None:
-        if self._batching is None:
-            self._batching = batching_enabled()
         if self._batching:
             self._batch_ctx = BatchingContext(ctx)
             ctx = self._batch_ctx

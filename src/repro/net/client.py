@@ -32,7 +32,6 @@ import time
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 
-from repro.config import repro_config
 from repro.errors import SimulationError
 from repro.multishot.block import Block
 from repro.net.codec import (
@@ -49,7 +48,6 @@ from repro.net.codec import (
     MetricsRequest,
     SnapshotRequest,
     StartRun,
-    WireCodec,
 )
 from repro.net.transport import FrameProtocol
 from repro.smr.mempool import Transaction
@@ -148,6 +146,10 @@ class ReplicaConnection(FrameProtocol):
         self.port = port
         self._pool = pool
         self.dead = False
+        #: Replies this replica still owes to requests the pool stopped
+        #: waiting for.  A replica answers requests in order, so that
+        #: many of its next replies answer those, not the current one.
+        self.abandoned_replies = 0
 
     async def connect(self, timeout: float) -> None:
         loop = asyncio.get_running_loop()
@@ -211,11 +213,10 @@ class ReplicaPool:
         addrs: Mapping[int, tuple[str, int]],
         *,
         time_scale: float = REFERENCE_TIME_SCALE,
-        codec: WireCodec = WIRE_CODEC,
         on_ack=None,
         on_death=None,
     ) -> None:
-        self.codec = codec
+        self.codec = WIRE_CODEC
         self.connect_timeout = scaled_timeout(CONNECT_TIMEOUT_BASE, time_scale)
         self.collect_timeout = scaled_timeout(COLLECT_TIMEOUT_BASE, time_scale)
         self.on_ack = on_ack
@@ -232,8 +233,6 @@ class ReplicaPool:
         self._reply_lock = asyncio.Lock()
         #: Submits queued since the last flush, in call order.
         self._pending: list[Transaction] = []
-        #: REPRO_NO_BATCH=1 makes every submit its own immediate flush.
-        self._coalesce = not repro_config().no_batch
 
     @classmethod
     def from_specs(cls, specs, **kwargs) -> "ReplicaPool":
@@ -329,13 +328,10 @@ class ReplicaPool:
 
         The queue is flushed once per event-loop tick (``call_soon``,
         never a timer), so N submits in one tick cost one encode and one
-        frame per replica.  Under ``REPRO_NO_BATCH=1`` each submit
-        flushes at once: one bare ``ClientSubmit`` apiece.
+        frame per replica.
         """
         self._pending.append(txn)
-        if not self._coalesce:
-            self._flush()
-        elif len(self._pending) == 1:
+        if len(self._pending) == 1:
             asyncio.get_running_loop().call_soon(self._flush)
 
     def _flush(self) -> None:
@@ -376,6 +372,10 @@ class ReplicaPool:
                     if isinstance(txn, Transaction):
                         self.on_ack(node_id, CommitAck(message.node_id, txn.txid, block.slot))
         elif isinstance(message, (CollectReply, MetricsReply)):
+            conn = self._conns[node_id]
+            if conn.abandoned_replies:
+                conn.abandoned_replies -= 1
+                return
             waiter = self._reply_waiters.get(node_id)
             if waiter is not None and not waiter.done():
                 waiter.set_result(message)
@@ -397,19 +397,21 @@ class ReplicaPool:
         """Send ``request`` to every live replica; gather their replies.
 
         Replicas that die or stay silent are simply absent from the
-        result — the caller decides whether that is fatal.
+        result — the caller decides whether that is fatal.  A silent
+        replica's reply, should it come later, is dropped.
         """
         if timeout is None:
             timeout = self.collect_timeout
         async with self._reply_lock:
             targets = self._live_conns()
             loop = asyncio.get_running_loop()
-            self._reply_waiters = {conn.node_id: loop.create_future() for conn in targets}
+            waiters = {conn.node_id: loop.create_future() for conn in targets}
+            self._reply_waiters = waiters
             self._write(targets, self.codec.encode_frame(request))
             replies: dict[int, CollectReply] = {}
             deadline = time.monotonic() + timeout
             try:
-                for node_id, waiter in self._reply_waiters.items():
+                for node_id, waiter in waiters.items():
                     remaining = deadline - time.monotonic()
                     try:
                         replies[node_id] = await asyncio.wait_for(waiter, max(remaining, 0.001))
@@ -422,6 +424,10 @@ class ReplicaPool:
                             raise
             finally:
                 self._reply_waiters = {}
+                for conn in targets:
+                    waiter = waiters[conn.node_id]
+                    if not conn.dead and (waiter.cancelled() or not waiter.done()):
+                        conn.abandoned_replies += 1
             return replies
 
     async def snapshot(self, timeout: float | None = None) -> dict[int, CollectReply]:

@@ -87,10 +87,6 @@ class ClusterConfig:
     #: ``<data_dir>/replica-<id>``.  ``None`` (default) runs every
     #: replica on MemoryStorage — no persistence, no restart support.
     data_dir: str | None = None
-    #: WAL group-commit window, seconds (durable clusters only).
-    wal_fsync_window: float = 0.005
-    #: Finalized blocks between snapshots (durable clusters only).
-    snapshot_interval: int = 32
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -220,8 +216,6 @@ def build_specs(config: ClusterConfig) -> list[ReplicaSpec]:
                 batch=config.batch,
                 client_addrs=client_addrs,
                 data_dir=data_dir,
-                wal_fsync_window=config.wal_fsync_window,
-                snapshot_interval=config.snapshot_interval,
             )
         )
     return specs

@@ -78,10 +78,6 @@ from repro.storage.api import MemoryStorage
 #: Events kept in a replica's in-memory forensics ring.
 EVENT_RING_CAPACITY = 256
 
-#: Trace one txn in this many (deterministic in the txid, so every
-#: process samples the same population).
-TRACE_SAMPLE_EVERY = 16
-
 #: Sliding window of the live commit-rate meter, seconds.
 COMMIT_RATE_WINDOW = 2.0
 
@@ -109,8 +105,6 @@ class ReplicaSpec:
     #: Durability root for this replica; ``None`` runs MemoryStorage
     #: (no persistence — the historical behavior).
     data_dir: str | None = None
-    wal_fsync_window: float = 0.005
-    snapshot_interval: int = 32
 
     def build_latency(self) -> LinkLatency:
         return LinkLatency.from_pairs(self.latency_default, self.latency_pairs)
@@ -124,11 +118,7 @@ class ReplicaSpec:
         # that cycle (net.cluster -> replica_main -> storage -> net).
         from repro.storage.disk import DiskStorage
 
-        return DiskStorage(
-            self.data_dir,
-            wal_fsync_window=self.wal_fsync_window,
-            snapshot_interval=self.snapshot_interval,
-        )
+        return DiskStorage(self.data_dir)
 
 
 class _AckingTrackers(SMRTrackers):
@@ -212,21 +202,15 @@ class ReplicaProcess:
             spec.engine, ProtocolConfig.create(spec.n), max_slots=spec.max_slots
         )
         # The obs plane: one registry + event log + tracer per replica
-        # process.  REPRO_NO_OBS=1 silences event recording and trace
-        # sampling; the registry's counters stay on (collect/scrape
-        # payloads are built from them).
+        # process.
         self.registry = MetricsRegistry()
         self._events_path = self._event_log_path(cfg)
         self.events = EventLog(
             replica=spec.node_id,
             capacity=EVENT_RING_CAPACITY,
             stream_path=self._events_path if cfg.event_log else None,
-            enabled=not cfg.no_obs,
         )
-        self.tracer = CommitPathTracer(
-            sample_every=0 if cfg.no_obs else TRACE_SAMPLE_EVERY,
-            terminal="finalize",
-        )
+        self.tracer = CommitPathTracer(terminal="finalize")
         self.trackers = _AckingTrackers(
             self._block_executed, self._ack_commit, self.registry, self.events, self.tracer
         )
@@ -260,7 +244,6 @@ class ReplicaProcess:
             spec.peer_port,
             {pid: (host, port) for pid, host, port in spec.peer_addrs},
             self._on_peer_message,
-            codec=self.codec,
             latency=spec.build_latency(),
         )
         self.ctx = _ObsNetContext(
@@ -281,9 +264,6 @@ class ReplicaProcess:
         #: Unsent client frames, one (block, applied txids) entry per
         #: executed block.
         self._acks: list[tuple[Block, list[str]]] = []
-        #: REPRO_NO_BATCH=1 sends every block and every ack at once, an
-        #: ack as a bare CommitAck.
-        self._coalesce_acks = not cfg.no_batch
         self._done = asyncio.Event()
         self._catch_up_task: asyncio.Task | None = None
 
@@ -335,25 +315,14 @@ class ReplicaProcess:
         get every block, the other clients only the acks of a block that
         applied something.  The tick's queue leaves via ``call_soon``
         (never a timer)."""
-        block = self.replica.executed_blocks[-1]
-        if not self._coalesce_acks:
-            if self._followers:
-                frame = self.codec.encode_frame(BlockExecuted(self.spec.node_id, block))
-                self._write_clients(self._followers, frame, 1)
-            return
         if txns or self._followers:
             if not self._acks:
                 asyncio.get_running_loop().call_soon(self._flush_acks)
-            self._acks.append((block, []))
+            self._acks.append((self.replica.executed_blocks[-1], []))
 
     def _ack_commit(self, txid: str) -> None:
         """Add ``txid`` to the ack of the block being executed."""
-        if self._coalesce_acks:
-            self._acks[-1][1].append(txid)
-            return
-        slot = self.replica.executed_blocks[-1].slot
-        frame = self.codec.encode_frame(CommitAck(self.spec.node_id, txid, slot))
-        self._write_clients(self._ack_clients(), frame, 1)
+        self._acks[-1][1].append(txid)
 
     def _ack_clients(self) -> list[asyncio.Transport]:
         return [sock for sock in self._clients if sock not in self._followers]
@@ -574,11 +543,12 @@ class ReplicaProcess:
                 # stay in consensus.
                 self._reply(sock, self._collect_reply())
             elif isinstance(message, CollectRequest):
-                # Dump forensics BEFORE answering: the driver reaps the
-                # process as soon as every reply is in, and SIGTERM
-                # does not unwind the finally block — the reply is the
-                # dump's barrier.
+                # Dump forensics and fsync the WAL tail BEFORE answering:
+                # the driver reaps the process as soon as every reply is
+                # in, and SIGTERM does not unwind the finally block — the
+                # reply is the barrier for both.
                 self._dump_events()
+                self.storage.flush()
                 self._reply(sock, self._collect_reply())
                 self._done.set()
                 sock.close()
@@ -615,12 +585,7 @@ class ReplicaProcess:
         ``REPRO_DATA_DIR``) so a post-mortem — a SafetyAuditor
         violation, a CI failure artifact — has the last N events per
         replica.  A streaming log already has everything on disk."""
-        if (
-            self.events.enabled
-            and self._events_path is not None
-            and len(self.events)
-            and not self.events.streaming
-        ):
+        if self._events_path is not None and len(self.events) and not self.events.streaming:
             self.events.dump(self._events_path)
 
 

@@ -312,7 +312,6 @@ class NetTransport:
         listen_port: int,
         peers: dict[int, tuple[str, int]],
         on_message: Callable[[int, object], None],
-        codec: WireCodec = WIRE_CODEC,
         latency: LinkLatency | None = None,
     ) -> None:
         self.node_id = node_id
@@ -320,9 +319,9 @@ class NetTransport:
         self.listen_port = listen_port
         self.peers = dict(peers)
         self.on_message = on_message
-        self.codec = codec
+        self.codec = WIRE_CODEC
         self.latency = latency if latency is not None else LinkLatency()
-        self.hello = codec.encode_frame(Hello(node_id))
+        self.hello = WIRE_CODEC.encode_frame(Hello(node_id))
         #: Inbound connections closed for bytes that did not decode.
         self.decode_errors = 0
         self._lanes: dict[int, _PeerLane] = {}

@@ -15,10 +15,6 @@ clocks:
 * :mod:`repro.obs.trace` — sampled commit-path spans following a
   txn from gateway admission through finalization to the CommitAck,
   correlated by txid and summarised as per-stage latency breakdowns.
-
-``REPRO_NO_OBS=1`` (see :class:`repro.config.ReproConfig`) disables
-event recording and trace sampling; the registry's plain counters
-stay on because the collect/scrape wire payloads are built from them.
 """
 
 from repro.obs.events import EVENT_FIELDS, EventLog, encode_event

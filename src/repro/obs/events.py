@@ -16,8 +16,7 @@ tail is what gets dumped next to the WAL when a run needs forensics
 (:meth:`EventLog.dump`).  With ``stream_path`` set (the
 ``REPRO_EVENT_LOG=1`` path), every event is also appended to an
 NDJSON file as it happens, so a replica that dies mid-run still
-leaves evidence.  ``enabled=False`` (``REPRO_NO_OBS=1``) turns
-:meth:`emit` into a no-op.
+leaves evidence.
 """
 
 from __future__ import annotations
@@ -57,21 +56,16 @@ class EventLog:
         capacity: int = 256,
         clock=time.time,
         stream_path=None,
-        enabled: bool = True,
     ) -> None:
         self.replica = replica
         self.clock = clock
-        self.enabled = enabled
         self._ring: deque = deque(maxlen=capacity)
         self._stream = None
-        self._stream_path = stream_path
-        if enabled and stream_path is not None:
+        if stream_path is not None:
             stream_path.parent.mkdir(parents=True, exist_ok=True)
             self._stream = open(stream_path, "a", encoding="utf-8")
 
     def emit(self, kind: str, view: int = -1, slot: int = -1, **payload) -> None:
-        if not self.enabled:
-            return
         event = {
             "ts": round(float(self.clock()), 6),
             "replica": self.replica,

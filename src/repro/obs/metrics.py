@@ -26,6 +26,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.metrics.smr_trackers import nearest_rank_percentiles
+
 
 @dataclass
 class Counter:
@@ -90,25 +92,23 @@ class WindowedHistogram:
         """Events per second over the window."""
         return len(self._live()) / self.window if self.window > 0 else 0.0
 
-    def percentile(self, q: float) -> float:
+    def percentile(self, q: int) -> float:
         """Nearest-rank percentile of the windowed samples (0 if empty)."""
-        live = sorted(self._live())
-        if not live:
-            return 0.0
-        rank = max(1, -(-len(live) * int(q) // 100))  # ceil(n*q/100)
-        return live[min(rank, len(live)) - 1]
+        live = self._live()
+        return nearest_rank_percentiles(live, (q,))[q] if live else 0.0
 
     def stats(self) -> dict[str, float]:
         live = sorted(self._live())
         if not live:
             return {"count": 0.0, "rate": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
         n = len(live)
+        ranked = nearest_rank_percentiles(live, (50, 95))
         return {
             "count": float(n),
             "rate": n / self.window if self.window > 0 else 0.0,
             "mean": sum(live) / n,
-            "p50": live[max(1, -(-n * 50 // 100)) - 1],
-            "p95": live[max(1, -(-n * 95 // 100)) - 1],
+            "p50": ranked[50],
+            "p95": ranked[95],
             "max": live[-1],
         }
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import time
 import zlib
 
+from repro.metrics.smr_trackers import nearest_rank_percentiles
+
 #: Canonical stage order of the commit path.
 TRACE_STAGES = ("admit", "submit", "propose", "finalize", "ack")
 
@@ -35,8 +37,9 @@ TRACE_STAGES = ("admit", "submit", "propose", "finalize", "ack")
 class CommitPathTracer:
     """Sampled commit-path spans for one process.
 
-    ``sample_every=0`` disables tracing entirely (the ``REPRO_NO_OBS``
-    arm); ``sample_every=1`` traces every txn (tests).
+    Every deployed process keeps the default ``sample_every``, so all
+    of them sample the same txids; ``sample_every=1`` traces every txn
+    (tests).
     """
 
     def __init__(
@@ -54,8 +57,6 @@ class CommitPathTracer:
         self._done: list[dict] = []
 
     def sampled(self, txid: str) -> bool:
-        if self.sample_every <= 0:
-            return False
         return zlib.crc32(txid.encode("utf-8")) % self.sample_every == 0
 
     def record(self, txid: str, stage: str, at: float | None = None) -> bool:
@@ -103,11 +104,12 @@ class CommitPathTracer:
         for key, values in sorted(deltas.items()):
             values.sort()
             n = len(values)
+            ranked = nearest_rank_percentiles(values, (50, 95))
             out[key] = {
                 "count": float(n),
                 "mean": sum(values) / n,
-                "p50": values[max(1, -(-n * 50 // 100)) - 1],
-                "p95": values[max(1, -(-n * 95 // 100)) - 1],
+                "p50": ranked[50],
+                "p95": ranked[95],
                 "max": values[-1],
             }
         return out

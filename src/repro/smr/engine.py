@@ -57,7 +57,7 @@ from repro.baselines.li import LI_SPEC
 from repro.baselines.pbft import PBFT_BOUNDED_SPEC
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
-from repro.multishot.batching import BatchingContext, batching_enabled, iter_logical
+from repro.multishot.batching import BatchingContext, iter_logical
 from repro.multishot.block import Block, BlockStore
 from repro.multishot.messages import VoteBatch
 from repro.multishot.node import FinalizeCallback, MultiShotConfig, MultiShotNode, PayloadFn
@@ -70,7 +70,6 @@ __all__ = [
     "ENGINE_NAMES",
     "EngineFactory",
     "VoteBatch",
-    "batching_enabled",
     "chained_engine",
     "engine_factory",
     "iter_logical",
@@ -114,14 +113,14 @@ _CHAINED_SPECS: dict[str, BaselineSpec] = {
 }
 
 
-def multishot_engine(config: MultiShotConfig, batching: bool | None = None) -> EngineFactory:
+def multishot_engine(config: MultiShotConfig, batching: bool = True) -> EngineFactory:
     """Factory for the reference engine: pipelined Multi-shot TetraBFT.
 
     Wires :class:`MultiShotNode` precisely as
     :class:`~repro.smr.replica.Replica` historically did inline, which
     is what keeps the refactored path byte-identical to the pre-engine
-    wiring.  ``batching`` overrides the message-plane default (``None``
-    consults the ``REPRO_NO_BATCH`` escape hatch).
+    wiring.  ``batching=False`` runs the unbatched reference message
+    plane.
     """
 
     def build(
@@ -138,7 +137,7 @@ def chained_engine(
     spec: BaselineSpec,
     base: ProtocolConfig,
     max_slots: int | None = None,
-    batching: bool | None = None,
+    batching: bool = True,
 ) -> EngineFactory:
     """Factory for a Table 1 baseline run as a multi-slot chained engine."""
     from repro.baselines.chained import ChainedEngine
@@ -163,15 +162,15 @@ def engine_factory(
     name: str,
     base: ProtocolConfig,
     max_slots: int | None = None,
-    batching: bool | None = None,
+    batching: bool = True,
 ) -> EngineFactory:
     """The named engine over ``base`` — the registry behind ``repro engines``.
 
     ``max_slots`` bounds how far leaders extend the chain; ``None``
     leaves chained baselines unbounded (their slots finalize eagerly,
     so runs are bounded by the workload and horizon instead) and gives
-    TetraBFT its default finite budget.  ``batching`` overrides the
-    message-plane default for A/B runs (``None`` → ``REPRO_NO_BATCH``).
+    TetraBFT its default finite budget.  ``batching=False`` runs the
+    unbatched reference message plane for A/B runs.
     """
     if name == "tetrabft":
         config = (

@@ -45,14 +45,13 @@ class DiskStorage:
     def __init__(
         self,
         data_dir: str | Path,
-        wal_fsync_window: float = 0.005,
         snapshot_interval: int = 32,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.snapshot_path = self.data_dir / SNAPSHOT_NAME
         self.snapshot_interval = snapshot_interval
-        self.wal = WriteAheadLog(self.data_dir / WAL_NAME, fsync_window=wal_fsync_window)
+        self.wal = WriteAheadLog(self.data_dir / WAL_NAME)
         self._since_snapshot = 0
         self._snapshot_slot = 0
         #: Blocks handed back by the last :meth:`recover` (evidence the

@@ -12,10 +12,10 @@ Durability is group-committed.  Appends accumulate in a buffer; the
 buffer goes to disk (write + ``fsync``) when either
 
 * the pending count reaches :data:`WAL_RECORD_CAP`, or
-* the flush window expires (an event-loop timer armed at first append;
-  without a running loop — unit tests, synchronous callers — the
-  record cap and explicit :meth:`WriteAheadLog.flush` calls are the
-  only triggers).
+* :data:`WAL_FSYNC_WINDOW` expires (an event-loop timer armed at
+  first append; without a running loop — unit tests, synchronous
+  callers — the record cap and explicit :meth:`WriteAheadLog.flush`
+  calls are the only triggers).
 
 A crash loses at most the unflushed tail — bounded by the window — and
 consensus recovers that delta from peers; what fsync acknowledged is
@@ -38,6 +38,9 @@ _U32 = struct.Struct(">I")
 #: Most records one group commit may hold before it is written and
 #: fsynced without waiting for the window.
 WAL_RECORD_CAP = 64
+
+#: Seconds the first pending record waits for others to share its fsync.
+WAL_FSYNC_WINDOW = 0.005
 
 
 def read_wal(path: str | Path) -> tuple[list[WalAppend | WalSeal], bool]:
@@ -78,9 +81,8 @@ def read_wal(path: str | Path) -> tuple[list[WalAppend | WalSeal], bool]:
 class WriteAheadLog:
     """One replica's append-only log file, group-committed."""
 
-    def __init__(self, path: str | Path, fsync_window: float = 0.005) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync_window = fsync_window
         self.next_seq = 1
         #: Cumulative groups/records/bytes fsynced (observability).
         self.flushes = 0
@@ -127,7 +129,7 @@ class WriteAheadLog:
             loop = asyncio.get_running_loop()
         except RuntimeError:
             return  # synchronous caller: record cap / explicit flush
-        self._timer = loop.call_later(self.fsync_window, self._on_window)
+        self._timer = loop.call_later(WAL_FSYNC_WINDOW, self._on_window)
 
     def _on_window(self) -> None:
         self._timer = None

@@ -100,17 +100,6 @@ def test_batching_survives_view_changes_identically(engine):
         assert report.safe, (engine, report.violations)
 
 
-def test_env_escape_hatch_disables_batching(monkeypatch):
-    """REPRO_NO_BATCH=1 is the documented kill switch: engines built
-    with batching=None consult it at start() and run unbatched."""
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    replicas, sim = _run_cluster("tetrabft", batching=None)
-    assert sim.network.frames_sent == sim.network.messages_sent
-    monkeypatch.delenv("REPRO_NO_BATCH")
-    baseline, _ = _run_cluster("tetrabft", batching=True)
-    assert _fingerprint(replicas) == _fingerprint(baseline)
-
-
 def test_flush_chunks_at_max_batch(fake_ctx):
     """One activation's broadcasts past the cap leave as a full
     envelope plus the remainder — here a bare message, since a chunk

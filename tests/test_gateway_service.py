@@ -244,25 +244,6 @@ def test_batch_window_flushes_a_singleton_as_bare_submit():
     asyncio.run(scenario())
 
 
-def test_repro_no_batch_disables_submission_coalescing(monkeypatch):
-    """REPRO_NO_BATCH=1 means one thing repo-wide: the gateway must stop
-    coalescing ClientSubmitBatch frames, not just the engines."""
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-
-    async def scenario():
-        service, pool, _clock = _service(rate=1000.0, burst=1000.0, max_batch=3)
-        await service.start(start_consensus=False)
-        for i in range(3):
-            service.submit("alice", _txn(i))
-        assert len(pool.sent) == 3  # no buffering, no batch frame
-        assert all(isinstance(frame, ClientSubmit) for frame in pool.sent)
-        assert service.counters["flushes"] == 3
-        assert service.counters["flushed_txns"] == 3
-        await service.stop()
-
-    asyncio.run(scenario())
-
-
 class _RecordingTimers:
     """Stands in for the event loop's ``call_later``: records each
     armed timer (``deadline`` holds the delay asked for) so a test

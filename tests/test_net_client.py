@@ -139,6 +139,8 @@ class FakeReplica:
         #: The blocks this replica has executed, in order.
         self.chain: list[Block] = []
         self.followers: list[asyncio.StreamWriter] = []
+        #: Seconds to sit on a MetricsRequest before answering it.
+        self.metrics_delay = 0.0
 
     async def start(self) -> None:
         self.server = await asyncio.start_server(self._serve, HOST, self.port)
@@ -161,6 +163,8 @@ class FakeReplica:
                     self.received.append(message)
                     if isinstance(message, Follow):
                         self.followers.append(writer)
+                    if isinstance(message, MetricsRequest):
+                        await asyncio.sleep(self.metrics_delay)
                     for reply in self._replies(message):
                         writer.write(WIRE_CODEC.encode_frame(reply))
                     await writer.drain()
@@ -359,23 +363,25 @@ def test_pool_fans_a_commit_ack_batch_out_once_per_txid_in_order():
         ]
 
 
-def test_repro_no_batch_sends_one_bare_submit_per_call(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
+def test_a_reply_after_its_timeout_does_not_answer_the_next_request():
+    """A replica answers its connection's requests in order, so a scrape
+    reply that comes after the scrape gave up is owed to that scrape:
+    the collect behind it must get the CollectReply, not the late
+    MetricsReply."""
 
     async def scenario():
-        replicas, addrs = await _fake_cluster(2)
+        replicas, addrs = await _fake_cluster(1)
+        replicas[0].metrics_delay = 0.3
         pool = ReplicaPool(addrs)
         await pool.connect()
-        for i in range(3):
-            pool.submit(_txn(i))
-        await _wait_for(lambda: all(len(r.received) == 3 for r in replicas))
-        for replica in replicas:
-            assert [m.txn.txid for m in replica.received if isinstance(m, ClientSubmit)] == [
-                "t0",
-                "t1",
-                "t2",
-            ]
-            replica.close()
+        assert await pool.scrape(timeout=0.1) == {}
+        collected = await pool.collect(timeout=5.0)
+        assert list(collected) == [0]
+        assert isinstance(collected[0], CollectReply)
+        scraped = await pool.scrape(timeout=5.0)
+        assert list(scraped) == [0]
+        assert isinstance(scraped[0], MetricsReply)
+        replicas[0].close()
         pool.close()
 
     asyncio.run(scenario())

@@ -12,8 +12,10 @@ acceptance surface of the deployment subsystem:
 * the engine registry carries over: a chained baseline engine runs the
   identical client path over sockets;
 * a replica acks per block: a raw client connection sees at most one
-  ack frame per executed block, covering exactly the applied log
-  (one bare ``CommitAck`` per txid under ``REPRO_NO_BATCH=1``);
+  ack frame per executed block, covering exactly the applied log;
+  in process, with a fake client connection, a block that applied
+  one txid is acked with a bare ``CommitAck``, one that applied
+  several with one ``CommitAckBatch``, and an empty block not at all;
 * a connection that sends ``Follow`` mid-run gets the executed suffix
   and then every block as it executes, empty ones included, with no
   gap and no repeat, while the ack connections beside it are served
@@ -32,6 +34,7 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.net.client import ReplicaPool
 from repro.net.cluster import (
     ClusterConfig,
@@ -314,19 +317,50 @@ def test_replicas_ack_once_per_block_over_real_sockets():
     assert any(isinstance(f, CommitAckBatch) for frames in seen.values() for f in frames)
 
 
-def test_repro_no_batch_acks_every_txid_alone_over_real_sockets(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")  # inherited by the replicas
-    seen, _followed, replies = _run_watched()
-    for node_id, frames in seen.items():
-        assert all(type(f) is CommitAck for f in frames)
-        assert _acked_txids(frames) == list(replies[node_id].applied_txids)
-        assert reply_metric(replies[node_id], "net.client_frames_in") == BURSTS * BURST + 2
+def test_a_block_is_acked_as_one_bare_ack_one_batch_or_nothing():
+    """In process, with a fake client connection: one tick executes a
+    block that applied one txid, one that applied three, and an empty
+    one.  The client gets a bare ``CommitAck``, a ``CommitAckBatch``,
+    and nothing for the empty block, in one write."""
+    node_id = 0
+    blocks = [
+        Block.create(1, GENESIS_DIGEST, (Transaction("solo", ("set", "k", 1)),)),
+        Block.create(2, "p1", tuple(Transaction(t, ("set", t, 1)) for t in ("a", "b", "c"))),
+        Block.create(3, "p2", ()),
+    ]
+
+    class _Transport:
+        def __init__(self) -> None:
+            self.writes: list[bytes] = []
+
+        def write(self, data: bytes) -> None:
+            self.writes.append(data)
+
+        def is_closing(self) -> bool:
+            return False
+
+        def close(self) -> None:
+            pass
+
+    async def scenario() -> tuple[ReplicaProcess, _Transport]:
+        process = ReplicaProcess(build_specs(ClusterConfig(n=4, max_slots=8))[node_id])
+        sock = _Transport()
+        _ClientPort(process).connection_made(sock)
+        for block in blocks:
+            process.replica._execute_block(block)
+        await asyncio.sleep(0)  # the tick's acks leave via call_soon
+        return process, sock
+
+    process, sock = asyncio.run(scenario())
+    assert len(sock.writes) == 1
+    assert FrameBuffer(WIRE_CODEC).feed(sock.writes[0]) == [
+        CommitAck(node_id, "solo", 1),
+        CommitAckBatch(node_id, 2, ("a", "b", "c")),
+    ]
+    assert process.registry.snapshot()["net.client_frames_out"] == 2
 
 
-@pytest.mark.parametrize("no_batch", [False, True], ids=["coalesced", "no-batch"])
-def test_a_follower_is_streamed_every_executed_block_over_real_sockets(monkeypatch, no_batch):
-    if no_batch:
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")  # inherited by the replicas
+def test_a_follower_is_streamed_every_executed_block_over_real_sockets():
     seen, followed, replies = _run_watched(follow=True)
     for node_id, frames in followed.items():
         reply = replies[node_id]

@@ -70,14 +70,6 @@ def test_ring_keeps_only_the_last_capacity_events():
     assert [e["slot"] for e in log.tail(2)] == [8, 9]
 
 
-def test_disabled_log_is_a_no_op(tmp_path):
-    log = EventLog(replica=0, enabled=False, stream_path=tmp_path / "ev.ndjson")
-    log.emit("finalize", slot=1)
-    assert len(log) == 0
-    assert not log.streaming
-    assert not (tmp_path / "ev.ndjson").exists()
-
-
 # -- dump and stream ----------------------------------------------------------
 
 

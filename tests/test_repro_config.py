@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import _ENV_KEYS, ReproConfig, repro_config
-from repro.multishot.batching import batching_enabled
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,14 +30,19 @@ def clean_env(monkeypatch):
 
 
 def test_knob_census():
-    """Every ``REPRO_*`` name the code, CI or docs mention is a
+    """Every ``REPRO_*`` name the code, tests, CI or docs mention is a
     :class:`ReproConfig` knob, every knob is still mentioned, and every
     field is read off the config somewhere outside ``config.py``: a
     knob cannot outlive its mechanism (parsed but never consumed is
-    outliving it), and none appears without going through the config."""
+    outliving it), and none appears without going through the config.
+    A test that still sets a retired knob fails here instead of
+    silently testing nothing."""
     sources = [
         *(REPO_ROOT / "src").rglob("*.py"),
         *(REPO_ROOT / "benchmarks").glob("*.py"),
+        *(REPO_ROOT / "tests").rglob("*.py"),
+        *(REPO_ROOT / "examples").rglob("*.py"),
+        *(path for path in (REPO_ROOT / "perf").rglob("*") if path.suffix in (".py", ".md")),
         REPO_ROOT / "README.md",
         REPO_ROOT / ".github" / "workflows" / "ci.yml",
         REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
@@ -48,7 +52,7 @@ def test_knob_census():
         mentioned.update(re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8")))
     assert mentioned == set(_ENV_KEYS)
     fields = {field.name for field in dataclasses.fields(ReproConfig)}
-    assert len(fields) == len(_ENV_KEYS) == 5
+    assert len(fields) == len(_ENV_KEYS) == 3
     # Consumers read ``repro_config().<field>`` or ``cfg.<field>`` off a
     # local ``cfg = repro_config()`` — the only two spellings in src/.
     reads = re.compile(r"(?:repro_config\(\)|\bcfg)\.(\w+)")
@@ -62,23 +66,23 @@ def test_knob_census():
 def test_defaults_with_nothing_set():
     config = repro_config()
     assert config == ReproConfig()
-    assert not config.no_batch and not config.heavy
+    assert not config.event_log and not config.heavy
     assert config.data_dir is None
 
 
 @pytest.mark.parametrize("raw", ["1", "true", "TRUE", "yes", "Yes"])
 def test_flag_spellings_that_enable(monkeypatch, raw):
     """The historical tri-spelling parse, any case."""
-    monkeypatch.setenv("REPRO_NO_BATCH", raw)
-    assert repro_config().no_batch is True
+    monkeypatch.setenv("REPRO_EVENT_LOG", raw)
+    assert repro_config().event_log is True
 
 
 @pytest.mark.parametrize("raw", ["", "0", "false", "no", "on", "2", "enabled"])
 def test_flag_spellings_that_do_not_enable(monkeypatch, raw):
     """Anything outside the three spellings is off — exactly as the
     inline ``in ("1", "true", "yes")`` checks behaved."""
-    monkeypatch.setenv("REPRO_NO_BATCH", raw)
-    assert repro_config().no_batch is False
+    monkeypatch.setenv("REPRO_EVENT_LOG", raw)
+    assert repro_config().event_log is False
 
 
 def test_heavy_is_plain_truthiness(monkeypatch):
@@ -92,22 +96,13 @@ def test_heavy_is_plain_truthiness(monkeypatch):
 
 
 def test_cache_tracks_env_mutation(monkeypatch):
-    assert repro_config().no_batch is False
+    assert repro_config().heavy is False
     first = repro_config()
     assert repro_config() is first  # unchanged env: cached object
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    assert repro_config().no_batch is True
-    monkeypatch.delenv("REPRO_NO_BATCH")
-    assert repro_config().no_batch is False
-
-
-# -- consumer equivalence -----------------------------------------------------
-
-
-def test_batching_enabled_consumes_the_config(monkeypatch):
-    assert batching_enabled() is True
-    monkeypatch.setenv("REPRO_NO_BATCH", "yes")
-    assert batching_enabled() is False
+    monkeypatch.setenv("REPRO_HEAVY", "1")
+    assert repro_config().heavy is True
+    monkeypatch.delenv("REPRO_HEAVY")
+    assert repro_config().heavy is False
 
 
 # -- durability knobs ---------------------------------------------------------
@@ -124,8 +119,8 @@ def test_empty_data_dir_means_unset(monkeypatch):
 
 
 def test_from_env_accepts_explicit_mapping():
-    config = ReproConfig.from_env({"REPRO_NO_BATCH": "1"})
-    assert config.no_batch is True
+    config = ReproConfig.from_env({"REPRO_EVENT_LOG": "1"})
+    assert config.event_log is True
 
 
 # -- observability knobs ------------------------------------------------------
@@ -133,20 +128,17 @@ def test_from_env_accepts_explicit_mapping():
 
 @pytest.mark.parametrize("raw", ["1", "true", "yes", "TRUE"])
 def test_obs_flags_enable_with_the_tri_spelling(monkeypatch, raw):
-    """``REPRO_NO_OBS`` / ``REPRO_EVENT_LOG`` parse like every other
-    flag — and both participate in the cache fingerprint, so replica
-    subprocesses that mutate env re-parse them."""
-    monkeypatch.setenv("REPRO_NO_OBS", raw)
+    """``REPRO_EVENT_LOG`` parses like every flag and participates in
+    the cache fingerprint, so replica subprocesses that mutate env
+    re-parse it."""
     monkeypatch.setenv("REPRO_EVENT_LOG", raw)
-    config = repro_config()
-    assert config.no_obs is True and config.event_log is True
+    assert repro_config().event_log is True
 
 
 def test_obs_flags_default_off(monkeypatch):
-    config = repro_config()
-    assert config.no_obs is False and config.event_log is False
-    monkeypatch.setenv("REPRO_NO_OBS", "0")
-    assert repro_config().no_obs is False
+    assert repro_config().event_log is False
+    monkeypatch.setenv("REPRO_EVENT_LOG", "0")
+    assert repro_config().event_log is False
 
 
 def test_obs_flags_track_env_mutation(monkeypatch):
