@@ -73,7 +73,7 @@ def test_net_smoke(once, bench_record):
     assert restart_rows, "the smoke slice must include the kill-and-restart cell"
     for row in restart_rows:
         # The victim was killed, respawned over its data dir, replayed
-        # a nonzero prefix from snapshot+WAL, caught the rest up from
+        # a nonzero prefix from its WAL, caught the rest up from
         # peers, and converged to the survivors' byte-identical digest
         # (state_agreement above covers the digest; converged pins that
         # the rejoiner was present in the collected evidence).

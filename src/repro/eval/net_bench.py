@@ -28,7 +28,7 @@ Scenarios:
 * ``restart`` — the kill-and-restart cell: a durable (DiskStorage)
   cluster, one replica SIGTERMed halfway through the workload and
   respawned over its data dir at 75%.  The new process recovers its
-  snapshot + WAL, rejoins, catches up on the missed suffix via peer
+  WAL, rejoins, catches up on the missed suffix via peer
   state transfer, and must converge to the byte-identical state digest
   the survivors report — the restarted replica's evidence goes through
   the same SafetyAuditor as everyone else's, and the row additionally
@@ -142,7 +142,7 @@ class NetRow:
     #: reported the same state digest as the survivors.  Trivially true
     #: for cells that restart nothing.
     converged: bool = True
-    #: Blocks the restarted replicas recovered from snapshot + WAL
+    #: Blocks the restarted replicas recovered from their WAL
     #: (as opposed to re-fetched over the network).
     recovered_blocks: int = 0
     #: Live-scraped observability columns: a MetricsRequest snapshot
@@ -242,7 +242,7 @@ def run_net_cell(
     elif scenario == "restart":
         # Same victim and kill point as the crash cell, but the cluster
         # is durable and the victim is respawned over its data dir at
-        # 75% of the workload: snapshot + WAL recovery, rejoin, peer
+        # 75% of the workload: WAL recovery, rejoin, peer
         # catch-up for the missed suffix, byte-identical convergence.
         kill_after = (n - 1, 0.5)
         restart_after = 0.75
@@ -346,7 +346,7 @@ def run_net_smoke(txns: int = 40, batch: int = 10) -> list[NetRow]:
     the crash cell that demonstrates f=1 fault tolerance end to end,
     the n=7 bursty cell, one cheap n=4 capacity cell so the CPU-bound
     message path is exercised on every PR, and the kill-and-restart
-    cell proving snapshot+WAL recovery end to end."""
+    cell proving WAL recovery end to end."""
     rows = [run_net_cell(workload, "lan", 4, txns=txns, batch=batch) for workload in NET_WORKLOADS]
     rows.append(run_net_cell("uniform", "crash", 4, txns=txns, batch=batch))
     rows.append(run_net_cell("bursty", "lan", 7, txns=txns, batch=batch))

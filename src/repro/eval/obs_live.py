@@ -10,7 +10,7 @@ table row per replica:
 * consensus: total commits, live windowed commit rate, current view,
   view changes, mempool depth, in-flight txns;
 * transport: worst per-peer outbound queue lag;
-* durability (durable clusters): fsyncs, WAL bytes, snapshots taken;
+* durability (durable clusters): fsyncs, WAL bytes;
 * the event-log ring depth (``ev``).
 
 This is the same scrape path :meth:`GatewayService.cluster_metrics`
@@ -58,7 +58,6 @@ def _replica_row(node_id: int, reply) -> dict:
         "lag": int(reply_metric(reply, "transport.queue_lag")),
         "fsync": int(reply_metric(reply, "storage.fsyncs")),
         "walB": int(reply_metric(reply, "storage.wal_bytes")),
-        "snap": int(reply_metric(reply, "storage.snapshots")),
         "ev": getattr(reply, "events", 0),
     }
 
@@ -78,7 +77,6 @@ def format_obs_table(replies: dict, title: str) -> str:
             "lag",
             "fsync",
             "walB",
-            "snap",
             "ev",
         ],
         title=title,
@@ -155,7 +153,7 @@ def main() -> None:  # pragma: no cover - CLI entry
     import tempfile
 
     # A durable cluster (throwaway data dir) so the storage columns —
-    # fsyncs, WAL bytes, snapshot cadence — are live too.
+    # fsyncs, WAL bytes — are live too.
     with tempfile.TemporaryDirectory(prefix="repro-obs-") as tmp:
         done = run_obs_live(data_dir=tmp)
     if not done:

@@ -306,7 +306,7 @@ async def _drive(
     async def restart_victim() -> None:
         """Respawn the killed replica over its data dir and readmit it.
 
-        The new process recovers snapshot+WAL before opening any
+        The new process recovers its WAL before opening any
         socket, rejoins the peer mesh (peer transports have been
         retrying its address since the kill), and needs its own
         StartRun — the original broadcast predates its birth.

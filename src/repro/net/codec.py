@@ -619,63 +619,25 @@ class StateTransferReply:
     blocks: tuple  # tuple[Block, ...]
 
 
-# -- durability records (WAL / snapshot file formats) -------------------------
+# -- durability records (the WAL file format) ---------------------------------
 #
-# The on-disk formats of repro.storage reuse this codec verbatim: a WAL
-# is a stream of length-prefixed WalAppend/WalSeal frames, a snapshot
-# file is one SnapshotImage frame.  Reusing the wire codec buys the
-# storage layer determinism, versioning, and torn-tail detection
-# (a partial trailing frame fails the length/decode checks exactly like
-# a truncated TCP stream) for free.
+# The on-disk format of repro.storage reuses this codec verbatim: a WAL
+# is a stream of length-prefixed WalAppend frames.  Reusing the wire
+# codec buys the storage layer determinism, versioning, and torn-tail
+# detection (a partial trailing frame fails the length/decode checks
+# exactly like a truncated TCP stream) for free.
 
 
 @dataclass(frozen=True)
 class WalAppend:
     """One durably logged finalized block.
 
-    ``seq`` is the WAL's own monotone record counter (it survives
-    compaction, so replay order is checkable across rewrites); the
-    block's slot/digest carry the chain position.
+    ``seq`` is the WAL's own monotone record counter, carried on across
+    restarts; the block's slot/digest carry the chain position.
     """
 
     seq: int
     block: object  # a repro.multishot.block.Block
-
-
-@dataclass(frozen=True)
-class WalSeal:
-    """A durability checkpoint marker written at snapshot time.
-
-    Every record with ``seq`` <= this seal's ``seq`` is covered by the
-    snapshot whose state digest is recorded here; compaction drops
-    exactly those records.  A seal mid-log is therefore evidence of the
-    last snapshot the WAL was compacted against.
-    """
-
-    seq: int
-    upto_slot: int
-    state_digest: str
-
-
-@dataclass(frozen=True)
-class SnapshotImage:
-    """One complete recoverable replica state, atomically replacing the
-    previous snapshot file.
-
-    Carries the full finalized chain (not just the tip) so recovery is
-    self-contained after WAL compaction, plus the executed-state image:
-    ``kv_items`` as sorted ``(key, value)`` pairs and the applied-txid
-    frontier in application order.  ``state_digest`` must equal the
-    digest recomputed from the image — recovery rejects a snapshot that
-    disagrees with itself.
-    """
-
-    tip_slot: int
-    tip_digest: str
-    state_digest: str
-    applied_txids: tuple  # tuple[str, ...]
-    kv_items: tuple  # tuple[tuple[str, int], ...]
-    chain: tuple  # tuple[Block, ...]
 
 
 def wire_codec() -> WireCodec:
@@ -750,10 +712,11 @@ def wire_codec() -> WireCodec:
     codec.register(67, BRound)
     codec.register(68, SlotMessage)
     codec.register(69, CatchUp)
-    # Durability records: the WAL and snapshot file formats.
+    # Durability records: the WAL file format.  Ids 81 (the WAL seal)
+    # and 82 (the snapshot image) are retired with the snapshot file:
+    # never reuse them, so a log written before cannot decode as
+    # anything.
     codec.register(80, WalAppend)
-    codec.register(81, WalSeal)
-    codec.register(82, SnapshotImage)
     return codec
 
 

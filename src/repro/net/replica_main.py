@@ -222,10 +222,10 @@ class ReplicaProcess:
             engine_factory=factory,
             storage=self.storage,
         )
-        # Recovery happens before any socket opens: load the latest
-        # valid snapshot, replay the intact WAL suffix, and bootstrap
-        # the engine with the recovered prefix.  The delta the crash
-        # window lost is fetched from peers by the catch-up loop.
+        # Recovery happens before any socket opens: replay the intact,
+        # hash-linking WAL prefix and bootstrap the engine with it.
+        # The delta the crash window lost is fetched from peers by the
+        # catch-up loop.
         self._recovered_blocks = 0
         recovered = self.storage.recover()
         if recovered is not None:

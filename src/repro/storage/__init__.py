@@ -1,10 +1,9 @@
 """Per-replica durability behind the :class:`ReplicaStorage` protocol.
 
-See :mod:`repro.storage.api` for the seam, :mod:`repro.storage.wal` and
-:mod:`repro.storage.snapshots` for the two file formats, and
-:mod:`repro.storage.disk` for the durable implementation that combines
-them.  :class:`MemoryStorage` is the default (persist nothing — the
-historical behavior, byte for byte).
+See :mod:`repro.storage.api` for the seam, :mod:`repro.storage.wal` for
+the one file format, and :mod:`repro.storage.disk` for the durable
+implementation over it.  :class:`MemoryStorage` is the default (persist
+nothing — the historical behavior, byte for byte).
 
 The disk-backed names are resolved lazily (PEP 562): their modules
 serialize through :mod:`repro.net.codec`, and importing that eagerly
@@ -22,12 +21,6 @@ from repro.storage.api import MemoryStorage, RecoveredState, ReplicaStorage
 _LAZY = {
     "DiskStorage": "repro.storage.disk",
     "WAL_NAME": "repro.storage.disk",
-    "SNAPSHOT_NAME": "repro.storage.snapshots",
-    "load_snapshot": "repro.storage.snapshots",
-    "snapshot_image": "repro.storage.snapshots",
-    "state_digest_of": "repro.storage.snapshots",
-    "validate_snapshot": "repro.storage.snapshots",
-    "write_snapshot": "repro.storage.snapshots",
     "WriteAheadLog": "repro.storage.wal",
     "read_wal": "repro.storage.wal",
 }
@@ -37,15 +30,9 @@ __all__ = [
     "MemoryStorage",
     "RecoveredState",
     "ReplicaStorage",
-    "SNAPSHOT_NAME",
     "WAL_NAME",
     "WriteAheadLog",
-    "load_snapshot",
     "read_wal",
-    "snapshot_image",
-    "state_digest_of",
-    "validate_snapshot",
-    "write_snapshot",
 ]
 
 

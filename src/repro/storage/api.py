@@ -4,12 +4,12 @@ A :class:`~repro.smr.replica.Replica` is storage-agnostic: it calls one
 narrow hook per executed block and flush/close at shutdown, and asks
 ``recover()`` once before joining consensus.  What those calls durably
 record — nothing (:class:`MemoryStorage`, the default: today's
-all-in-memory behavior, exactly) or a WAL + snapshot pair
-(:class:`~repro.storage.disk.DiskStorage`) — is the implementation's
-business.  The seam mirrors the consensus-engine boundary in
-:mod:`repro.smr.engine`: a :class:`typing.Protocol`, structural, with
-the replica owning the hooks and the storage owning every file-format
-decision.
+all-in-memory behavior, exactly) or a write-ahead log of finalized
+blocks (:class:`~repro.storage.disk.DiskStorage`) — is the
+implementation's business.  The seam mirrors the consensus-engine
+boundary in :mod:`repro.smr.engine`: a :class:`typing.Protocol`,
+structural, with the replica owning the hooks and the storage owning
+every file-format decision.
 
 **Restart fault model, as the code stands.**  ``block_executed`` is the
 only write hook, so what survives a restart is finalized blocks and the
@@ -38,26 +38,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RecoveredState:
     """What ``recover()`` reconstructed from disk.
 
-    ``chain`` is the finalized prefix to bootstrap consensus with
-    (snapshot chain extended by the intact, linking WAL suffix);
-    ``snapshot_slot`` is how far the snapshot alone reached (0 when
-    recovery ran WAL-only); ``wal_blocks`` counts blocks contributed by
-    WAL replay; ``state_digest`` is the snapshot's recorded executed
-    -state digest at ``snapshot_slot`` (``""`` without a snapshot);
-    ``torn_tail`` records that the WAL ended in a torn/corrupt record
-    that replay deliberately stopped at (expected after a crash inside
-    the fsync window — the lost tail is re-fetched from peers).
+    ``chain`` is the finalized prefix to bootstrap consensus with (the
+    intact, hash-linking WAL records from genesis); ``wal_blocks``
+    counts the blocks WAL replay contributed; ``torn_tail`` records
+    that the WAL ended in a torn, corrupt or non-linking record that
+    replay deliberately stopped at (expected after a crash inside the
+    fsync window — the lost tail is re-fetched from peers).
     """
 
     chain: tuple
-    snapshot_slot: int
     wal_blocks: int
-    state_digest: str = ""
     torn_tail: bool = False
-
-    @property
-    def tip_slot(self) -> int:
-        return self.chain[-1].slot if self.chain else 0
 
 
 @runtime_checkable

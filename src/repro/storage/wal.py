@@ -1,12 +1,14 @@
 """Append-only write-ahead log of finalized blocks, fsync-batched.
 
-The on-disk format is the wire codec, verbatim: the file is a stream of
-length-prefixed :class:`~repro.net.codec.WalAppend` /
-:class:`~repro.net.codec.WalSeal` frames, so the WAL inherits the
-codec's determinism, versioning, and — the property recovery leans on —
-torn-tail detection: a crash mid-write leaves a partial trailing frame
-that fails the length/decode checks exactly like a truncated TCP
-stream, and :func:`read_wal` stops at the last intact record.
+The WAL is a replica's only durable record: one
+:class:`~repro.net.codec.WalAppend` per executed block, from slot 1 up,
+and nothing else.  The on-disk format is the wire codec, verbatim: the
+file is a stream of length-prefixed ``WalAppend`` frames, so the WAL
+inherits the codec's determinism, versioning, and — the property
+recovery leans on — torn-tail detection: a crash mid-write leaves a
+partial trailing frame that fails the length/decode checks exactly like
+a truncated TCP stream, and :func:`scan_wal` stops at the last intact
+record.
 
 Durability is group-committed.  Appends accumulate in a buffer; the
 buffer goes to disk (write + ``fsync``) when either
@@ -27,11 +29,11 @@ from __future__ import annotations
 import asyncio
 import os
 import struct
-import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.multishot.block import Block
-from repro.net.codec import MAX_FRAME, WIRE_CODEC, CodecError, WalAppend, WalSeal
+from repro.net.codec import MAX_FRAME, WIRE_CODEC, CodecError, WalAppend
 
 _U32 = struct.Struct(">I")
 
@@ -43,39 +45,52 @@ WAL_RECORD_CAP = 64
 WAL_FSYNC_WINDOW = 0.005
 
 
-def read_wal(path: str | Path) -> tuple[list[WalAppend | WalSeal], bool]:
+def scan_wal(data: bytes) -> Iterator[tuple[WalAppend, int]]:
+    """Each intact record in ``data`` with the offset just past it.
+
+    Stops at the first record that is truncated, fails to decode, or is
+    not a :class:`~repro.net.codec.WalAppend` — everything before it is
+    trusted (it was fsynced as a prefix), everything at and after it is
+    not.  The log is torn when the last offset yielded falls short of
+    ``len(data)``.
+    """
+    pos = 0
+    while len(data) - pos >= 4:
+        (length,) = _U32.unpack_from(data, pos)
+        if length > MAX_FRAME or len(data) - pos - 4 < length:
+            return
+        try:
+            message = WIRE_CODEC.decode(data[pos + 4 : pos + 4 + length])
+        except CodecError:
+            return
+        if not isinstance(message, WalAppend):
+            return
+        pos += 4 + length
+        yield message, pos
+
+
+def read_wal(path: str | Path) -> tuple[list[WalAppend], bool]:
     """Every intact record in ``path``, plus whether the tail was torn.
 
-    Reads stop at the first record that is truncated, fails to decode,
-    or is not a WAL record type — everything before it is trusted
-    (it was fsynced as a prefix), everything at and after it is
-    discarded.  A missing file is an empty, untorn log.
+    A missing file is an empty, untorn log.
     """
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
         return [], False
-    records: list[WalAppend | WalSeal] = []
-    pos = 0
-    torn = False
-    while len(data) - pos >= 4:
-        (length,) = _U32.unpack_from(data, pos)
-        if length > MAX_FRAME or len(data) - pos - 4 < length:
-            torn = True
-            break
-        try:
-            message = WIRE_CODEC.decode(data[pos + 4 : pos + 4 + length])
-        except CodecError:
-            torn = True
-            break
-        if not isinstance(message, (WalAppend, WalSeal)):
-            torn = True
-            break
-        records.append(message)
-        pos += 4 + length
-    if pos < len(data) and not torn:
-        torn = True  # trailing partial length word
-    return records, torn
+    records: list[WalAppend] = []
+    end = 0
+    for record, end in scan_wal(data):
+        records.append(record)
+    return records, end < len(data)
+
+
+def _fsync_dir(path: Path) -> None:
+    dir_fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class WriteAheadLog:
@@ -92,7 +107,12 @@ class WriteAheadLog:
         self._pending_count = 0
         self._timer: asyncio.TimerHandle | None = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        created = not self.path.exists()
         self._file = open(self.path, "ab")
+        if created:
+            # The file's directory entry is durable only once its
+            # directory is fsynced; no later write does that.
+            _fsync_dir(self.path.parent)
 
     # -- appending ------------------------------------------------------------
 
@@ -100,29 +120,13 @@ class WriteAheadLog:
         """Log one finalized block; durable after the next group commit."""
         record = WalAppend(seq=self.next_seq, block=block)
         self.next_seq += 1
-        self._append(record)
-        return record
-
-    def seal(self, upto_slot: int, state_digest: str) -> WalSeal:
-        """Write a snapshot checkpoint marker and force it durable.
-
-        The seal must not linger in the buffer: the caller is about to
-        compact against it, and a compaction racing an unflushed seal
-        would drop records the log never promised were covered.
-        """
-        record = WalSeal(seq=self.next_seq, upto_slot=upto_slot, state_digest=state_digest)
-        self.next_seq += 1
-        self._append(record)
-        self.flush()
-        return record
-
-    def _append(self, record: WalAppend | WalSeal) -> None:
         WIRE_CODEC.encode_frame_into(record, self._pending)
         self._pending_count += 1
         if self._pending_count >= WAL_RECORD_CAP:
             self.flush()
         elif self._timer is None:
             self._arm_timer()
+        return record
 
     def _arm_timer(self) -> None:
         try:
@@ -153,52 +157,17 @@ class WriteAheadLog:
         self._pending.clear()
         self._pending_count = 0
 
+    def truncate(self, size: int) -> None:
+        """Durably cut the file back to its first ``size`` bytes.
+
+        Appends go to the end of the file (it is open in append mode),
+        so after the cut they land right behind the last kept record
+        instead of behind bytes :func:`scan_wal` never reads past.
+        """
+        self.flush()
+        self._file.truncate(size)
+        os.fsync(self._file.fileno())
+
     def close(self) -> None:
         self.flush()
         self._file.close()
-
-    # -- compaction -----------------------------------------------------------
-
-    def compact(self, keep_above_slot: int, seal: WalSeal) -> None:
-        """Atomically rewrite the log: ``seal`` plus every durable
-        append above the snapshot frontier.
-
-        The rewrite goes through a temp file + ``os.replace`` (the
-        ``merge_record`` discipline), so a crash mid-compaction leaves
-        either the old complete log or the new complete log — never a
-        half-truncated one.  Only fsynced records are considered;
-        :meth:`seal` flushed immediately before, so nothing eligible is
-        pending.
-        """
-        self.flush()
-        records, _torn = read_wal(self.path)
-        survivors: list[WalAppend | WalSeal] = [seal]
-        survivors.extend(
-            r for r in records if isinstance(r, WalAppend) and r.block.slot > keep_above_slot
-        )
-        buf = bytearray()
-        for record in survivors:
-            WIRE_CODEC.encode_frame_into(record, buf)
-        self._file.close()
-        fd, tmp_path = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(buf)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        finally:
-            self._file = open(self.path, "ab")
-        dir_fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)

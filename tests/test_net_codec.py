@@ -67,13 +67,11 @@ from repro.net.codec import (
     Hello,
     MetricsReply,
     MetricsRequest,
-    SnapshotImage,
     SnapshotRequest,
     StartRun,
     StateTransferReply,
     StateTransferRequest,
     WalAppend,
-    WalSeal,
     WireCodec,
     wire_codec,
 )
@@ -121,23 +119,6 @@ def _vote_batch(rng: random.Random) -> VoteBatch:
         lambda r: MSViewChange(r.randrange(1, 200), r.randrange(0, 20)),
     ]
     return VoteBatch(tuple(rng.choice(inner)(rng) for _ in range(rng.randrange(2, 9))))
-
-
-def _snapshot_image(rng: random.Random) -> SnapshotImage:
-    """A structurally plausible snapshot (codec round-trips do not
-    require hash-valid chains — validation is the snapshot layer's
-    job, tested in test_replica_storage)."""
-    chain = tuple(_block(rng) for _ in range(rng.randrange(1, 5)))
-    return SnapshotImage(
-        tip_slot=chain[-1].slot,
-        tip_digest=chain[-1].digest,
-        state_digest=f"{rng.randrange(1 << 60):016x}",
-        applied_txids=tuple(f"tx-{k}" for k in range(rng.randrange(0, 6))),
-        kv_items=tuple(
-            (f"key-{k}", rng.randrange(1 << 20)) for k in range(rng.randrange(0, 6))
-        ),
-        chain=chain,
-    )
 
 
 def _metric_items(rng: random.Random) -> tuple:
@@ -188,12 +169,6 @@ GENERATORS = {
         blocks=tuple(_block(rng) for _ in range(rng.randrange(0, 5))),
     ),
     WalAppend: lambda rng: WalAppend(seq=rng.randrange(1, 1 << 30), block=_block(rng)),
-    WalSeal: lambda rng: WalSeal(
-        seq=rng.randrange(1, 1 << 30),
-        upto_slot=rng.randrange(0, 500),
-        state_digest=f"{rng.randrange(1 << 60):016x}",
-    ),
-    SnapshotImage: _snapshot_image,
     VoteRecord: _vote_record,
     Block: _block,
     Transaction: _txn,
@@ -350,12 +325,10 @@ FRAME_DIGESTS = {
     "SlotMessage": "522d40aadafb6da8fef65737a744e0a13a20a8ee15e39f5100ee22e7bc97746c",
     "CatchUp": "cca62f177de1ea2f794fbf0e04a9d5b58f00682abff68e8c37b6817cd1a7d7ff",
     "WalAppend": "c589daaa441980a43c69763057bd23dcd3ef6615d8104d3b473c877d15e7f7a5",
-    "WalSeal": "522d89822770802cdd81aa0221e5f5c9665c0fd95638c4ff5f0839d4ffa8275e",
-    "SnapshotImage": "c917a7a66221ab8613940176420bab29c8cbae0e15858eb56b5c7435b23f6439",
 }
 #: The same frames, every type in type-id order, through one hash (it
 #: moves whenever a type is appended; the per-type pins above do not).
-FRAME_DIGEST_ALL = "05317c5b5c7c432c158da5835d2bd88fc0715c509082c0a04a89f273bd3ee2c4"
+FRAME_DIGEST_ALL = "08ea8222785e586c3d3afe6fb60c1849504610226d9b45444034a58f259b861e"
 
 
 def test_fuzz_frames_match_the_pinned_digests():
@@ -439,16 +412,13 @@ def test_golden_metrics_frames_pin_the_scrape_format():
 
 
 def test_golden_durability_frames_pin_the_wal_format():
-    """WAL/snapshot records are disk formats: their bytes are pinned
+    """WAL records are a disk format: their bytes are pinned
     independently of the network path (a silent change would orphan
     every existing data dir, not just break a live connection)."""
     block = Block(slot=1, parent="genesis", payload=(), digest="d1")
     assert WIRE_CODEC.encode(WalAppend(seq=5, block=block)).hex() == (
         "b7050050490000000000000005"
         "430011490000000000000001530000000767656e65736973550000000053000000026431"
-    )
-    assert WIRE_CODEC.encode(WalSeal(seq=6, upto_slot=1, state_digest="sd")).hex() == (
-        "b705005149000000000000000649000000000000000153000000027364"
     )
     assert WIRE_CODEC.encode(StateTransferRequest(since_slot=3)).hex() == (
         "b7050009490000000000000003"
@@ -582,7 +552,7 @@ def _deep_txn(depth: int) -> Transaction:
 def _txn_envelopes(txn: Transaction) -> list:
     """Every frame shape that carries a client transaction: the client
     port's, the batched proposals of both engine families, catch-up,
-    state transfer, collect, and the WAL and snapshot records."""
+    state transfer, collect, and the WAL record."""
     block = Block.create(slot=1, parent="genesis", payload=(txn,))
     return [
         ClientSubmit(txn),
@@ -597,14 +567,13 @@ def _txn_envelopes(txn: Transaction) -> list:
         StateTransferReply(node_id=0, tip_slot=1, blocks=(block,)),
         CollectReply(0, (block,), "sd", ("deep",), 1, 1),
         WalAppend(seq=1, block=block),
-        SnapshotImage(1, block.digest, "sd", ("deep",), (), (block,)),
     ]
 
 
 def test_a_transaction_at_the_client_port_limit_decodes_in_every_envelope():
     """MAX_TXN_DEPTH leaves room for the deepest envelope: a transaction
-    the client port admits can never make a proposal, a WAL record or a
-    snapshot undecodable at a peer or on restart."""
+    the client port admits can never make a proposal or a WAL record
+    undecodable at a peer or on restart."""
     for message in _txn_envelopes(_deep_txn(MAX_TXN_DEPTH)):
         assert WIRE_CODEC.decode(WIRE_CODEC.encode(message)) == message, type(message)
     # The bound is tight: one level more breaks the chained batch.
@@ -662,7 +631,6 @@ _GOLDEN = (
     MetricsRequest(),
     MetricsReply(node_id=2, items=(("consensus.commits", 40.0),), events=5),
     WalAppend(seq=5, block=Block(slot=1, parent="genesis", payload=(), digest="d1")),
-    WalSeal(seq=6, upto_slot=1, state_digest="sd"),
     StateTransferRequest(since_slot=3),
 )
 

@@ -61,7 +61,6 @@ def test_scrape_during_live_run_carries_the_metric_series(tmp_path):
             "transport.queue_lag",
             "storage.fsyncs",
             "storage.wal_bytes",
-            "storage.snapshots",
             "events.buffered",
         ):
             assert required in names, f"replica {node_id} scrape missing {required}"

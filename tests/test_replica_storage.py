@@ -1,17 +1,18 @@
-"""Durability-layer contract tests: WAL, snapshots, recovery edges.
+"""Durability-layer contract tests: the WAL and its recovery edges.
 
 The recovery invariant under test everywhere here: whatever the crash
-did to the files, ``recover()`` returns the longest locally *provable*
-finalized prefix — never a corrupt block, never a gapped chain, and a
-bad snapshot is exactly as good as no snapshot.  Torn tails are
-expected (a crash inside the fsync window), so they are flagged, not
-fatal.
+did to the log, ``recover()`` returns the longest locally *provable*
+finalized prefix — never a corrupt block, never a gapped chain — and
+cuts the log back to it, so later appends extend that prefix.  Torn
+tails are expected (a crash inside the fsync window), so they are
+flagged, not fatal.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -19,22 +20,12 @@ from repro.core import ProtocolConfig
 from repro.errors import ProtocolViolation
 from repro.multishot import MultiShotConfig
 from repro.multishot.block import GENESIS_DIGEST, Block
-from repro.net.codec import WIRE_CODEC, SnapshotImage, WalAppend, WalSeal
+from repro.net.codec import WIRE_CODEC, WalAppend
 from repro.net.replica_main import ReplicaProcess
 from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Transaction
 from repro.smr.replica import Replica
-from repro.storage import (
-    DiskStorage,
-    MemoryStorage,
-    WriteAheadLog,
-    load_snapshot,
-    read_wal,
-    snapshot_image,
-    state_digest_of,
-    validate_snapshot,
-    write_snapshot,
-)
+from repro.storage import DiskStorage, MemoryStorage, WriteAheadLog, read_wal
 from repro.storage.wal import WAL_RECORD_CAP
 
 
@@ -55,19 +46,11 @@ def make_chain(slots: int, txns_per_block: int = 2) -> list[Block]:
     return chain
 
 
-def stub_replica():
-    """The slice of Replica the storage hooks consume: a finalized
-    chain plus an executed-state store."""
-    return SimpleNamespace(finalized_chain=[], store=KVStore())
-
-
-def execute(stub, storage, block: Block) -> None:
-    """Drive one block through the stub the way Replica does: apply
-    transactions first, then hand the block to storage."""
-    for txn in block.payload:
-        stub.store.apply(txn.txid, txn.op)
-    stub.finalized_chain.append(block)
-    storage.block_executed(block, stub)
+def persist(storage, blocks) -> None:
+    """Hand each block to storage the way Replica does once it has
+    executed it (DiskStorage reads nothing from the replica)."""
+    for block in blocks:
+        storage.block_executed(block, None)
 
 
 # -- WAL ----------------------------------------------------------------------
@@ -168,161 +151,16 @@ def test_wal_non_wal_frame_stops_the_read(tmp_path):
     assert torn and len(records) == 1
 
 
-def test_wal_seal_is_immediately_durable(tmp_path):
-    wal = WriteAheadLog(tmp_path / "wal.log")
-    wal.seal(upto_slot=7, state_digest="abc")
-    records, torn = read_wal(tmp_path / "wal.log")  # no close, no flush call
-    assert not torn
-    assert isinstance(records[0], WalSeal)
-    assert records[0].upto_slot == 7 and records[0].state_digest == "abc"
-    wal.close()
-
-
-def test_wal_compaction_keeps_seal_and_suffix(tmp_path):
-    chain = make_chain(10)
-    wal = WriteAheadLog(tmp_path / "wal.log")
-    for block in chain:
-        wal.append_block(block)
-    seal = wal.seal(upto_slot=8, state_digest="sd8")
-    wal.compact(keep_above_slot=8, seal=seal)
-    # Appends still work after the file handle swap.
-    extra = Block.create(slot=11, parent=chain[-1].digest, payload=())
-    wal.append_block(extra)
-    wal.close()
-    records, torn = read_wal(tmp_path / "wal.log")
-    assert not torn
-    assert isinstance(records[0], WalSeal) and records[0].upto_slot == 8
-    survivors = [r.block.slot for r in records if isinstance(r, WalAppend)]
-    assert survivors == [9, 10, 11]
-
-
-# -- snapshots ----------------------------------------------------------------
-
-
-def test_snapshot_round_trip(tmp_path):
-    chain = make_chain(6)
-    stub = stub_replica()
-    for block in chain:
-        for txn in block.payload:
-            stub.store.apply(txn.txid, txn.op)
-    image = snapshot_image(
-        tuple(chain), tuple(stub.store.items()), tuple(stub.store.applied_txids)
-    )
-    assert image.state_digest == stub.store.state_digest()
-    path = tmp_path / "snapshot.bin"
-    write_snapshot(path, image)
-    loaded = load_snapshot(path)
-    assert loaded == image
-
-
-def test_snapshot_missing_or_short_file(tmp_path):
-    assert load_snapshot(tmp_path / "nope.bin") is None
-    (tmp_path / "short.bin").write_bytes(b"\x00\x01")
-    assert load_snapshot(tmp_path / "short.bin") is None
-
-
-def test_snapshot_corrupt_bytes_degrade_to_none(tmp_path):
-    chain = make_chain(4)
-    image = snapshot_image(tuple(chain), (), ())
-    path = tmp_path / "snapshot.bin"
-    write_snapshot(path, image)
-    data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
-    assert load_snapshot(path) is None
-
-
-def test_snapshot_wrong_frame_type_is_rejected(tmp_path):
-    path = tmp_path / "snapshot.bin"
-    path.write_bytes(WIRE_CODEC.encode_frame(Transaction("tx-1", ("noop",))))
-    assert load_snapshot(path) is None
-
-
-def test_validate_snapshot_rejects_tampering():
-    chain = make_chain(4)
-    good = snapshot_image(tuple(chain), (("k", 1),), ("tx-0",))
-    assert validate_snapshot(good)
-    # Wrong tip fields.
-    assert not validate_snapshot(
-        SnapshotImage(
-            tip_slot=99,
-            tip_digest=good.tip_digest,
-            state_digest=good.state_digest,
-            applied_txids=good.applied_txids,
-            kv_items=good.kv_items,
-            chain=good.chain,
-        )
-    )
-    # Broken linkage: drop a middle block.
-    gapped = (chain[0], chain[2], chain[3])
-    assert not validate_snapshot(
-        SnapshotImage(
-            tip_slot=chain[3].slot,
-            tip_digest=chain[3].digest,
-            state_digest=good.state_digest,
-            applied_txids=good.applied_txids,
-            kv_items=good.kv_items,
-            chain=gapped,
-        )
-    )
-    # Executed state not matching its recorded digest.
-    assert not validate_snapshot(
-        SnapshotImage(
-            tip_slot=good.tip_slot,
-            tip_digest=good.tip_digest,
-            state_digest=good.state_digest,
-            applied_txids=good.applied_txids,
-            kv_items=(("k", 2),),
-            chain=good.chain,
-        )
-    )
-
-
-def test_state_digest_matches_kvstore():
-    store = KVStore()
-    store.apply("tx-1", ("set", "a", 1))
-    store.apply("tx-2", ("incr", "c", 3))
-    assert (
-        state_digest_of(tuple(store.items()), tuple(store.applied_txids))
-        == store.state_digest()
-    )
-
-
 # -- DiskStorage end to end ---------------------------------------------------
 
 
-def test_disk_storage_recovers_snapshot_plus_wal(tmp_path):
-    chain = make_chain(10)
-    storage = DiskStorage(tmp_path, snapshot_interval=4)
-    stub = stub_replica()
-    for block in chain:
-        execute(stub, storage, block)
-    storage.close()
-    # Two snapshots happened (after slots 4 and 8); slots 9..10 live in
-    # the compacted WAL only.
-    reopened = DiskStorage(tmp_path, snapshot_interval=4)
-    recovered = reopened.recover()
-    assert recovered is not None
-    assert [b.digest for b in recovered.chain] == [b.digest for b in chain]
-    assert recovered.snapshot_slot == 8
-    assert recovered.wal_blocks == 2
-    assert not recovered.torn_tail
-    assert reopened.recovered_blocks == 10
-    # New appends pick up past the recovered sequence, not over it.
-    assert reopened.wal.next_seq > 1
-    reopened.close()
-
-
 def test_disk_storage_recovers_wal_only(tmp_path):
-    chain = make_chain(3)
-    storage = DiskStorage(tmp_path, snapshot_interval=100)
-    stub = stub_replica()
-    for block in chain:
-        execute(stub, storage, block)
+    storage = DiskStorage(tmp_path)
+    persist(storage, make_chain(3))
     storage.close()
-    recovered = DiskStorage(tmp_path, snapshot_interval=100).recover()
+    recovered = DiskStorage(tmp_path).recover()
     assert recovered is not None
-    assert recovered.snapshot_slot == 0 and recovered.wal_blocks == 3
+    assert recovered.wal_blocks == 3 and not recovered.torn_tail
     assert [b.slot for b in recovered.chain] == [1, 2, 3]
 
 
@@ -331,23 +169,45 @@ def test_disk_storage_empty_dir_recovers_none(tmp_path):
 
 
 def test_disk_storage_torn_wal_tail_recovers_prefix(tmp_path):
-    chain = make_chain(6)
-    storage = DiskStorage(tmp_path, snapshot_interval=100)
-    stub = stub_replica()
-    for block in chain:
-        execute(stub, storage, block)
+    storage = DiskStorage(tmp_path)
+    persist(storage, make_chain(6))
     storage.close()
     wal_path = tmp_path / "wal.log"
     data = wal_path.read_bytes()
     wal_path.write_bytes(data[:-5])
-    recovered = DiskStorage(tmp_path, snapshot_interval=100).recover()
+    recovered = DiskStorage(tmp_path).recover()
     assert recovered is not None
     assert recovered.torn_tail
     assert [b.slot for b in recovered.chain] == [1, 2, 3, 4, 5]
 
 
+def test_appends_after_a_torn_tail_survive_the_next_restart(tmp_path):
+    """Recovery cuts the torn record off: the log is opened for append,
+    so otherwise every later record would land behind bytes replay
+    never reads past, and be lost at the next restart."""
+    chain = make_chain(12)
+    storage = DiskStorage(tmp_path)
+    persist(storage, chain[:6])
+    storage.close()
+    wal_path = tmp_path / "wal.log"
+    wal_path.write_bytes(wal_path.read_bytes()[:-5])
+    restarted = DiskStorage(tmp_path)
+    assert [b.slot for b in restarted.recover().chain] == [1, 2, 3, 4, 5]
+    persist(restarted, chain[5:])
+    restarted.close()
+    again = DiskStorage(tmp_path)
+    recovered = again.recover()
+    assert [b.digest for b in recovered.chain] == [b.digest for b in chain]
+    assert not recovered.torn_tail and again.recovered_blocks == 12
+    # Sequence numbers carry on from the last record kept.
+    assert [r.seq for r in read_wal(wal_path)[0]] == list(range(1, 13))
+    assert again.wal.next_seq == 13
+    again.close()
+
+
 def test_disk_storage_wal_gap_stops_recovery(tmp_path):
-    """A WAL whose records skip a slot proves nothing past the gap."""
+    """A WAL whose records skip a slot proves nothing past the gap, and
+    recovery cuts the log back to the linking prefix."""
     chain = make_chain(4)
     wal = WriteAheadLog(tmp_path / "wal.log")
     for block in chain[:2] + chain[3:]:  # slot 3 missing
@@ -357,6 +217,8 @@ def test_disk_storage_wal_gap_stops_recovery(tmp_path):
     assert recovered is not None
     assert recovered.torn_tail
     assert [b.slot for b in recovered.chain] == [1, 2]
+    records, torn = read_wal(tmp_path / "wal.log")
+    assert [r.block for r in records] == chain[:2] and not torn
 
 
 def test_disk_storage_corrupt_block_body_stops_recovery(tmp_path):
@@ -375,22 +237,55 @@ def test_disk_storage_corrupt_block_body_stops_recovery(tmp_path):
     assert [b.slot for b in recovered.chain] == [1, 2, 3]
 
 
-def test_disk_storage_corrupt_snapshot_falls_back_to_wal(tmp_path):
-    chain = make_chain(10)
-    storage = DiskStorage(tmp_path, snapshot_interval=4)
-    stub = stub_replica()
-    for block in chain:
-        execute(stub, storage, block)
+def test_a_log_led_by_a_retired_seal_recovers_nothing(tmp_path):
+    """Type id 81 (the retired WAL seal) no longer decodes: a data dir
+    whose log starts with one recovers nothing locally, its log is cut
+    to empty, and the replica rebuilds it from slot 1 via peers."""
+    seal = bytes.fromhex("b705005149000000000000000649000000000000000153000000027364")
+    wal_path = tmp_path / "wal.log"
+    wal_path.write_bytes(len(seal).to_bytes(4, "big") + seal)
+    storage = DiskStorage(tmp_path)
+    assert storage.recover() is None
+    assert wal_path.read_bytes() == b""
     storage.close()
-    snap_path = tmp_path / "snapshot.bin"
-    data = bytearray(snap_path.read_bytes())
-    data[len(data) // 3] ^= 0xFF
-    snap_path.write_bytes(bytes(data))
-    # The compacted WAL starts above slot 8; without the snapshot the
-    # surviving records (9, 10) cannot link to genesis, so the longest
-    # provable prefix is empty — and recovery says so rather than
-    # fabricating a gapped chain.
-    assert DiskStorage(tmp_path, snapshot_interval=4).recover() is None
+
+
+def test_creating_the_log_fsyncs_its_directory(tmp_path, monkeypatch):
+    """The new file's directory entry must be durable; reopening an
+    existing log adds no directory fsync."""
+    real_fsync = os.fsync
+    synced: list[bool] = []
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    DiskStorage(tmp_path).close()
+    assert synced == [True]
+    synced.clear()
+    DiskStorage(tmp_path).close()
+    assert synced == []
+
+
+def test_one_record_per_block_whatever_the_height(tmp_path, monkeypatch):
+    """Every executed block grows the data dir by exactly its own WAL
+    record, at height 10 as at height 510: nothing rewrites what is
+    already on disk."""
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # bytes, not durability
+    chain = make_chain(510)
+    storage = DiskStorage(tmp_path)
+    wal_path = tmp_path / "wal.log"
+    for phase in (chain[:10], chain[10:]):
+        for block in phase:
+            before = wal_path.stat().st_size
+            storage.block_executed(block, None)
+            storage.flush()
+            record = WalAppend(seq=block.slot, block=block)
+            assert wal_path.stat().st_size - before == len(WIRE_CODEC.encode_frame(record))
+        assert [p.name for p in tmp_path.iterdir()] == ["wal.log"]
+        assert wal_path.stat().st_size == storage.wal.bytes_written
+    storage.close()
 
 
 # -- replica integration ------------------------------------------------------
@@ -432,7 +327,7 @@ def test_replica_bootstrap_rejects_broken_chain():
 def test_replica_bootstrap_does_not_repersist(tmp_path):
     """Recovery replay must not re-append recovered blocks to the WAL."""
     chain = make_chain(4)
-    storage = DiskStorage(tmp_path, snapshot_interval=100)
+    storage = DiskStorage(tmp_path)
     replica = _replica(storage=storage)
     replica.bootstrap(chain)
     storage.close()
@@ -457,19 +352,15 @@ def test_replica_offer_blocks_extends_the_bootstrapped_tip():
 def test_disk_storage_full_cycle_via_replica(tmp_path):
     """Persist through the real Replica hook path, then recover into a
     fresh Replica and compare digests — the restart cell in miniature.
-
-    Blocks are fed straight to ``_execute_block`` (no engine run), so
-    this exercises the WAL leg; the snapshot leg is covered by the
-    stub-driven tests above, where ``finalized_chain`` is populated.
-    """
+    Blocks are fed straight to ``_execute_block`` (no engine run)."""
     chain = make_chain(7)
-    storage = DiskStorage(tmp_path, snapshot_interval=100)
+    storage = DiskStorage(tmp_path)
     replica = _replica(storage=storage)
     for block in chain:
         replica._execute_block(block)
     storage.close()
 
-    recovered = DiskStorage(tmp_path, snapshot_interval=100).recover()
+    recovered = DiskStorage(tmp_path).recover()
     assert recovered is not None
     assert [b.digest for b in recovered.chain] == [b.digest for b in chain]
     twin = _replica(node_id=1)
