@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
-Every bench regenerates one paper artifact (DESIGN.md §3 has the
-experiment index) and asserts the *shape* the paper reports — who
+Every bench regenerates one paper artifact (README.md lists the
+experiments) and asserts the *shape* the paper reports — who
 wins, by what factor, where growth exponents land — while
 pytest-benchmark records the wall-clock cost of the regeneration.
 Benches run each experiment once (``rounds=1``): the experiments are

@@ -1,6 +1,6 @@
 """Bench (ablation) — liveness-hardening mechanisms of the node.
 
-Asserts the measured ablation finding recorded in EXPERIMENTS.md:
+Asserts the measured finding :mod:`repro.eval.hardening_ablation` states:
 retransmission is load-bearing (liveness fails without it under heavy
 pre-GST loss); the vote-4 ledger is redundant given full decided-node
 participation (liveness holds either way — it is a fast path only).

@@ -18,9 +18,8 @@ Quick start::
     sim.run_until_all_decided()
     print(sim.metrics.latency.decision_values)  # one value, 5 delays
 
-See README.md for the architecture tour, DESIGN.md for the system
-inventory and experiment index, and EXPERIMENTS.md for measured-vs-
-paper results.
+See README.md for the architecture tour, the experiment list and the
+measured results.
 """
 
 from repro.core import (
@@ -60,7 +59,7 @@ from repro.smr import (
     engine_factory,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "Block",

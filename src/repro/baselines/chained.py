@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 from repro.baselines.base import BaselineSpec, BViewChange, ChainVotingNode
 from repro.core.config import ProtocolConfig
 from repro.multishot.batching import BatchingContext
-from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
+from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore, linked_run
 from repro.multishot.messages import VoteBatch
 from repro.multishot.node import (
     FinalizeCallback,
@@ -351,13 +351,10 @@ class ChainedEngine:
         dead timers and, wherever this node leads, mint and broadcast
         proposals for slots the cluster already decided.
         """
-        adopted = False
-        for block in blocks:
-            if block.slot != self.active_slot or block.parent != self._tip_digest():
-                continue  # stale or inconsistent transfer: skip
+        run = linked_run(blocks, self.active_slot - 1, self._tip_digest())
+        for block in run:
             self._finalize_block(block)
-            adopted = True
-        if adopted:
+        if run:
             self._start_slot(self.active_slot)
 
     # -- finalization --------------------------------------------------------------

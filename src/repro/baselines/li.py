@@ -9,8 +9,8 @@ non-responsive leader, and an unbounded message log.
 Approximation note: the original has no leader-centric view-change
 rounds (recovery is a timer-driven restart), so its restart latency is
 the same 6 delays.  Our harness necessarily spends one extra delay on
-the explicit view-change signal, so the measured restart latency is 7;
-EXPERIMENTS.md records this expected one-delay accounting difference.
+the explicit view-change signal, so the measured restart latency is 7,
+an expected one-delay accounting difference.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Evaluation harness: one module per paper table/figure plus ablations.
 
 Every module is runnable (``python -m repro.eval.table1`` etc.) and is
-also wrapped by a pytest-benchmark bench under ``benchmarks/``.  The
-experiment-id ↔ module mapping lives in DESIGN.md §3; measured-vs-paper
-results are recorded in EXPERIMENTS.md.
+also wrapped by a pytest-benchmark bench under ``benchmarks/``.
+README.md lists the experiments ``python -m repro`` dispatches to.
 """
 
 from repro.eval.attacks import (

@@ -1,6 +1,6 @@
 """Ablation — the two liveness-hardening mechanisms in the node.
 
-DESIGN.md and :mod:`repro.core.node` document two engineering choices
+:mod:`repro.core.node` documents two engineering choices
 layered on the paper's §3.2 pseudocode:
 
 * the **cross-view vote-4 ledger** (decision dissemination): count
@@ -16,12 +16,12 @@ This ablation runs the adversarial scenarios those mechanisms exist
 for, with each mechanism switched off, and reports which honest nodes
 fail to decide within a generous horizon.
 
-Measured finding (recorded in EXPERIMENTS.md): **retransmission is
-load-bearing** — under heavy pre-GST loss, liveness fails without it —
-while the **vote-4 ledger is redundant given full decided-node
-participation**: a starved node is always rescued by the next view
-change re-deciding the same value (Lemma 8), so the ledger only
-shaves latency in narrow partition-heal windows.  An honest negative
+Measured finding (asserted by ``benchmarks/test_hardening_ablation.py``):
+**retransmission is load-bearing** — under heavy pre-GST loss,
+liveness fails without it — while the **vote-4 ledger is redundant
+given full decided-node participation**: a starved node is always
+rescued by the next view change re-deciding the same value (Lemma 8),
+so the ledger only shaves latency in narrow partition-heal windows.  An honest negative
 result; the ledger stays on by default as a cheap fast path.
 """
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.gateway.ratelimit import AdmissionController
 from repro.metrics.smr_trackers import nearest_rank_percentiles
-from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
+from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.net.client import AckCorrelator, ReplicaPool
 from repro.net.codec import CollectReply, CommitAck
 from repro.obs import CommitPathTracer, MetricsRegistry, items_to_dict
@@ -398,18 +398,14 @@ class GatewayService:
                 self.pool.refollow(node_id)
 
     def _agreed(self, held: dict[int, Block]) -> Block | None:
-        """The block at this height to apply: a digest f+1 replicas sent,
-        with a body that hashes to it and extends the applied tip."""
-        votes: dict[object, list[Block]] = {}
-        for block in held.values():
-            votes.setdefault(block.digest, []).append(block)
+        """The block at this height to apply: a digest f+1 replicas sent
+        that extends the applied tip.  Every body held under one digest
+        is the same body, since a :class:`Block` checks its own digest."""
         tip = self._chain[-1].digest if self._chain else GENESIS_DIGEST
-        for digest, bodies in votes.items():
-            if len(bodies) < self.config.ack_quorum:
-                continue
-            for body in bodies:
-                if body.parent == tip and _compute_digest(body.slot, tip, body.payload) == digest:
-                    return body
+        digests = [block.digest for block in held.values()]
+        for block in held.values():
+            if block.parent == tip and digests.count(block.digest) >= self.config.ack_quorum:
+                return block
         return None
 
     def ingest_snapshots(self, replies: dict[int, CollectReply]) -> int:

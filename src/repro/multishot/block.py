@@ -2,10 +2,12 @@
 
 Blocks carry a slot number and a pointer to their parent, "linked
 sequentially via hash pointers, collectively forming a chain" (§2).
-The digest is a content hash over (slot, parent digest, payload); it is
-*not* a cryptographic commitment — the protocol model is
-unauthenticated and nothing relies on collision resistance — it is the
-chain-linking identifier the paper's chain structure needs.
+The digest is a content hash over (slot, parent digest, payload) and,
+with no signatures, a block's only name.  :class:`Block` alone computes
+it and refuses a digest that disagrees with the contents.  Voting,
+execution, WAL recovery, :func:`linked_run` and the gateway's f+1 rule
+rely on its collision resistance, which 64 bits over ``repr`` only
+approximate.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ Digest = str
 
 #: The digest every chain starts from (slot 0 is the implicit genesis).
 GENESIS_DIGEST: Digest = "genesis"
-GENESIS_SLOT = 0
 
 
 def _compute_digest(slot: int, parent: Digest, payload: object) -> Digest:
@@ -27,7 +28,9 @@ def _compute_digest(slot: int, parent: Digest, payload: object) -> Digest:
 
 @dataclass(frozen=True)
 class Block:
-    """One block: ``slot``, parent hash pointer, and transaction payload."""
+    """One block: ``slot``, parent hash pointer, and transaction payload.
+
+    A supplied ``digest`` that disagrees with them raises ``ValueError``."""
 
     slot: int
     parent: Digest
@@ -35,10 +38,12 @@ class Block:
     digest: Digest = field(default="")
 
     def __post_init__(self) -> None:
-        if not self.digest:
-            object.__setattr__(
-                self, "digest", _compute_digest(self.slot, self.parent, self.payload)
+        digest = _compute_digest(self.slot, self.parent, self.payload)
+        if self.digest and self.digest != digest:
+            raise ValueError(
+                f"block digest {self.digest!r} does not match its contents ({digest!r})"
             )
+        object.__setattr__(self, "digest", digest)
 
     @classmethod
     def create(cls, slot: int, parent: Digest, payload: object) -> "Block":
@@ -49,6 +54,25 @@ class Block:
         SMR layer's payloads dominate in practice)."""
         payload_size = len(repr(self.payload))
         return 8 + 2 * 16 + payload_size
+
+
+def linked_run(blocks, height: int, tip: Digest) -> tuple[Block, ...]:
+    """The blocks that extend ``tip`` at ``height``: skip the leading
+    blocks at or below ``height``, then the longest run of consecutive
+    slots, each block the parent of the next, starting from ``tip``.
+    Anything not a :class:`Block` with an int slot ends the run."""
+    run: list[Block] = []
+    parent = tip
+    for block in blocks:
+        if not isinstance(block, Block) or not isinstance(block.slot, int):
+            break
+        if not run and block.slot <= height:
+            continue
+        if block.slot != height + 1 + len(run) or block.parent != parent:
+            break
+        run.append(block)
+        parent = block.digest
+    return tuple(run)
 
 
 class BlockStore:

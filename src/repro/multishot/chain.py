@@ -29,7 +29,7 @@ chain grows:
 from __future__ import annotations
 
 from repro.errors import ProtocolViolation
-from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore, Digest
+from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore, Digest, linked_run
 
 #: Blocks needed in a notarized run before the first one finalizes.
 FINALITY_WINDOW = 4
@@ -78,22 +78,20 @@ class ChainState:
     def bootstrap(self, blocks: tuple[Block, ...] | list[Block]) -> None:
         """Install an already-finalized prefix (recovery from storage).
 
-        ``blocks`` must be a hash-linked chain starting at slot 1 —
-        recovery validated linkage and digests before trusting disk, and
-        this re-checks it because a malformed bootstrap would poison
-        every later fork check.  Only an empty (fresh) chain may be
-        bootstrapped: this rebuilds history, it does not merge it.
+        ``blocks`` must be the :func:`linked_run` from genesis, whole —
+        recovery built it that way from disk, and this re-checks it
+        because a malformed bootstrap would poison every later fork
+        check.  Only an empty (fresh) chain may be bootstrapped: this
+        rebuilds history, it does not merge it.
         """
         if self.finalized or self._notarized:
             raise ProtocolViolation("bootstrap on a non-empty chain state")
-        parent = GENESIS_DIGEST
-        for i, block in enumerate(blocks):
-            if block.slot != i + 1 or block.parent != parent:
-                raise ProtocolViolation(
-                    f"bootstrap chain broken at slot {block.slot} "
-                    f"(expected slot {i + 1} extending {parent})"
-                )
-            parent = block.digest
+        run = linked_run(blocks, 0, GENESIS_DIGEST)
+        if len(run) != len(blocks):
+            raise ProtocolViolation(
+                f"bootstrap chain broken after slot {len(run)}: "
+                "not a hash-linked chain from genesis"
+            )
         self.finalized = list(blocks)
         for block in blocks:
             self._finalized_at[block.slot] = block.digest

@@ -46,7 +46,7 @@ from pathlib import Path
 from repro.config import repro_config
 from repro.core.config import ProtocolConfig
 from repro.metrics.smr_trackers import SMRTrackers
-from repro.multishot.block import GENESIS_DIGEST, Block, _compute_digest
+from repro.multishot.block import GENESIS_DIGEST, Block, linked_run
 from repro.net.codec import (
     MAX_TXN_DEPTH,
     WIRE_CODEC,
@@ -237,6 +237,12 @@ class ReplicaProcess:
                 blocks=self._recovered_blocks,
                 wal_blocks=recovered.wal_blocks,
                 torn_tail=recovered.torn_tail,
+            )
+        if getattr(self.storage, "cut_bytes", 0):  # a torn tail, or damaged records
+            self.events.emit(
+                "anomaly",
+                wal_cut_offset=self.storage.cut_offset,
+                wal_cut_bytes=self.storage.cut_bytes,
             )
         self.transport = NetTransport(
             spec.node_id,
@@ -467,7 +473,7 @@ class ReplicaProcess:
             sock.close()
         if reply is None:
             return
-        blocks = self._validate_transfer(reply.blocks, since_slot, tip_digest)
+        blocks = linked_run(reply.blocks, since_slot, tip_digest)
         if blocks:
             advanced = self.replica.offer_blocks(blocks)
             self.events.emit(
@@ -477,30 +483,6 @@ class ReplicaProcess:
                 advanced=advanced,
                 peer=peer_id,
             )
-
-    @staticmethod
-    def _validate_transfer(blocks: tuple, since_slot: int, tip_digest: str) -> tuple:
-        """The longest trustworthy prefix of a peer's transfer reply.
-
-        Re-derives every digest and checks hash linkage from the local
-        finalized tip (``tip_digest`` at height ``since_slot``) onward —
-        a peer (or a bit flip) cannot smuggle in a body whose digest
-        does not match its content or a suffix that forks off our tip,
-        and the engine's own chain walk re-proves finalization before
-        anything executes.
-        """
-        good = []
-        parent = tip_digest
-        for block in blocks:
-            if not isinstance(block, Block) or block.slot != since_slot + 1 + len(good):
-                break
-            if block.parent != parent:
-                break
-            if _compute_digest(block.slot, block.parent, block.payload) != block.digest:
-                break
-            good.append(block)
-            parent = block.digest
-        return tuple(good)
 
     # -- client server --------------------------------------------------------
 

@@ -119,7 +119,7 @@ class ThresholdQuorumSystem(QuorumSystem):
         return len(eligible) >= self.blocking_size()
 
 
-def quorums_intersect(system: QuorumSystem, sample_limit: int = 0) -> bool:
+def quorums_intersect(system: QuorumSystem) -> bool:
     """Check the quorum-intersection property for threshold systems.
 
     For a :class:`ThresholdQuorumSystem` this is a closed-form check:
@@ -128,11 +128,7 @@ def quorums_intersect(system: QuorumSystem, sample_limit: int = 0) -> bool:
     ``n > 3f`` — so intersection always contains a well-behaved node.
     For other systems, callers should use the system's own validator
     (e.g. :func:`repro.quorums.fba.validate_fba_system`).
-
-    ``sample_limit`` is accepted for interface compatibility and is
-    unused for the closed-form case.
     """
-    del sample_limit
     if isinstance(system, ThresholdQuorumSystem):
         return system.n > 3 * system.f
     raise NotImplementedError("closed-form intersection check only available for threshold systems")

@@ -10,20 +10,19 @@ the group commit).  That is the only write: one record per block,
 whatever the chain's height.
 
 Recovery path (:meth:`DiskStorage.recover`): replay the WAL from
-genesis, keeping every intact record whose block is the next slot,
-names the previous block as parent, and hashes to its own digest, and
-stop at the first torn or non-linking record.  The result is the
-longest locally provable finalized prefix; the log is then cut back to
-the last record kept, so later appends extend exactly that prefix.
-Whatever the crash window lost on top of it is re-fetched from peers by
-the replica's catch-up loop.
+genesis and keep the :func:`~repro.multishot.block.linked_run` of its
+intact records (a body that does not hash to its digest does not
+decode).  That is the longest locally provable finalized prefix; the
+log is then cut back to it, the cut bytes kept in ``wal.cut.<offset>``,
+so later appends extend exactly that prefix.  Whatever the crash
+window lost on top of it is re-fetched from peers by catch-up.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.multishot.block import GENESIS_DIGEST, _compute_digest
+from repro.multishot.block import GENESIS_DIGEST, linked_run
 from repro.storage.api import RecoveredState
 from repro.storage.wal import WriteAheadLog, scan_wal
 
@@ -41,36 +40,31 @@ class DiskStorage:
         #: Blocks handed back by the last :meth:`recover` (evidence the
         #: restart replayed local state; reported in CollectReply).
         self.recovered_blocks = 0
+        #: Where the last :meth:`recover` cut the log and how many bytes
+        #: it moved aside to ``wal.cut.<offset>`` (0: it cut nothing).
+        self.cut_offset = 0
+        self.cut_bytes = 0
 
     # -- recovery -------------------------------------------------------------
 
     def recover(self) -> RecoveredState | None:
         data = self.wal.path.read_bytes()
-        chain: list = []
-        kept = 0  # bytes of the log that hold ``chain``
-        last_seq = 0
-        for record, end in scan_wal(data):
-            block = record.block
-            parent = chain[-1].digest if chain else GENESIS_DIGEST
-            if (
-                block.slot != len(chain) + 1
-                or block.parent != parent
-                or _compute_digest(block.slot, block.parent, block.payload) != block.digest
-            ):
-                # A gap or corrupt body: nothing after it is provable
-                # from local state alone.
+        records = list(scan_wal(data))
+        chain = linked_run([record.block for record, _ in records], 0, GENESIS_DIGEST)
+        kept = last_seq = 0  # where the record holding ``chain[-1]`` ends, its seq
+        for record, end in records:
+            if chain and record.block is chain[-1]:
+                kept, last_seq = end, record.seq
                 break
-            chain.append(block)
-            kept = end
-            last_seq = record.seq
         torn = kept < len(data)
         if torn:
-            self.wal.truncate(kept)
+            self.cut_offset = kept
+            self.cut_bytes = self.wal.truncate(kept)
         self.wal.next_seq = last_seq + 1
         if not chain:
             return None
         self.recovered_blocks = len(chain)
-        return RecoveredState(chain=tuple(chain), wal_blocks=len(chain), torn_tail=torn)
+        return RecoveredState(chain=chain, wal_blocks=len(chain), torn_tail=torn)
 
     # -- write path -----------------------------------------------------------
 
@@ -86,12 +80,13 @@ class DiskStorage:
         ``storage.fsyncs`` / ``storage.wal_records`` /
         ``storage.wal_bytes`` are the WAL's group commits, records and
         appended bytes; ``storage.recovered_blocks`` what the last
-        :meth:`recover` handed back.
+        :meth:`recover` handed back and ``storage.cut_bytes`` what it cut.
         """
         registry.counter("storage.fsyncs").set(self.wal.flushes)
         registry.counter("storage.wal_records").set(self.wal.records_written)
         registry.counter("storage.wal_bytes").set(self.wal.bytes_written)
         registry.counter("storage.recovered_blocks").set(self.recovered_blocks)
+        registry.counter("storage.cut_bytes").set(self.cut_bytes)
 
     def close(self) -> None:
         self.wal.close()

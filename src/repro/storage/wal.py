@@ -157,16 +157,27 @@ class WriteAheadLog:
         self._pending.clear()
         self._pending_count = 0
 
-    def truncate(self, size: int) -> None:
-        """Durably cut the file back to its first ``size`` bytes.
+    def truncate(self, size: int) -> int:
+        """Durably cut the file back to its first ``size`` bytes, after
+        writing the cut bytes durably to ``wal.cut.<size>`` beside it (a
+        cut can reach into acknowledged records); returns their count.
 
         Appends go to the end of the file (it is open in append mode),
         so after the cut they land right behind the last kept record
         instead of behind bytes :func:`scan_wal` never reads past.
         """
         self.flush()
+        with open(self.path, "rb") as log:
+            log.seek(size)
+            cut = log.read()
+        with open(self.path.with_name(f"{self.path.stem}.cut.{size}"), "wb") as aside:
+            aside.write(cut)
+            aside.flush()
+            os.fsync(aside.fileno())
+        _fsync_dir(self.path.parent)
         self._file.truncate(size)
         os.fsync(self._file.fileno())
+        return len(cut)
 
     def close(self) -> None:
         self.flush()

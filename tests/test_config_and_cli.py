@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import EXPERIMENTS, main, usage
 from repro.core import (
     EMPTY_VOTE,
@@ -116,3 +120,10 @@ class TestCLI:
         assert main(["fig1"]) == 0
         out = capsys.readouterr().out
         assert "Lemma 2" in out and "True" in out
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert repro.__version__ == declared.group(1)

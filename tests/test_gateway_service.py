@@ -510,24 +510,27 @@ def test_read_state_before_any_block_serves_the_empty_genesis_state():
 
 def test_a_hostile_follower_can_neither_lie_nor_grow_the_read_path():
     """One Byzantine feed (replica 3 of n=4) sends, ahead of the honest
-    replicas each time: a forged body under the honest digest, a block
+    replicas each time: an evil body (it cannot pass it off under the
+    honest digest: such a block does not construct or decode), a block
     under a conflicting digest, a second block for a height it already
     sent, and 10^5 far-future heights.  The gateway applies exactly the
     honest chain, and what it holds above the applied height stays
     flat."""
     service, pool, _clock = _service(n=4)
     honest = _chain(*[("incr", f"k{i % 5}", i) for i in range(60)])
+    evil = (Transaction("evil", ("set", "k0", -1)),)
+    with pytest.raises(ValueError, match="does not match its contents"):
+        Block(honest[0].slot, honest[0].parent, evil, honest[0].digest)
     peak = 0
     for index, block in enumerate(honest):
-        evil = (Transaction("evil", ("set", "k0", -1)),)
-        forged = Block(block.slot, block.parent, evil, block.digest)
+        forged = Block.create(block.slot, block.parent, evil)
         conflicting = Block.create(block.slot, block.parent, (Transaction(f"x{index}", ("noop",)),))
         first, second = (forged, conflicting) if index % 2 else (conflicting, forged)
         pool.stream(3, first, second)  # the second for this height is ignored
         if index == 30:
             before = _held(service)
             for k in range(100_000):
-                pool.on_block(3, Block(10**6 + k, "p", (), "junk"))
+                pool.on_block(3, Block.create(10**6 + k, "p", ()))
             assert _held(service) == before
         for node_id in (0, 1, 2):
             pool.stream(node_id, block)

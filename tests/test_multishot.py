@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,20 @@ class TestBlock:
             Block.create(1, GENESIS_DIGEST, "p").digest
             == Block.create(1, GENESIS_DIGEST, "p").digest
         )
+
+    def test_a_supplied_digest_must_match_the_contents(self):
+        """The digest names the body: a block built with another block's
+        digest, or edited under its own, does not construct."""
+        honest = Block.create(1, GENESIS_DIGEST, "p1")
+        other = Block.create(1, GENESIS_DIGEST, "p2")
+        assert Block(1, GENESIS_DIGEST, "p1", digest=honest.digest) == honest
+        with pytest.raises(ValueError, match="does not match its contents"):
+            Block(1, GENESIS_DIGEST, "p1", digest=other.digest)
+        with pytest.raises(ValueError, match="does not match its contents"):
+            replace(honest, payload="p2")
+        with pytest.raises(ValueError, match="does not match its contents"):
+            replace(honest, digest="f" * 16)
+
 
 
 class _ScanStore:

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.faulty_engine import Delivery, Deviation, faulty_factory
 from repro.core import ProtocolConfig
+from repro.eval.smr_bench import build_workload
+from repro.metrics.smr_trackers import SMRTrackers
 from repro.multishot import (
     Block,
     GENESIS_DIGEST,
@@ -31,6 +34,9 @@ from repro.sim import (
     SynchronousDelays,
     UniformRandomDelays,
 )
+from repro.sim.network import DelayPolicy
+from repro.smr import Replica, engine_factory
+from repro.verification.audit import SafetyAuditor
 
 
 def assert_consistent(sim: Simulation, node_ids: list[int]) -> list[str]:
@@ -185,3 +191,114 @@ class TestChainChaos:
         sim.run(until=400)
         reference = assert_consistent(sim, [0, 1, 2])
         assert len(reference) >= 3, "honest chain made no progress under havoc"
+
+
+# -- proposal guards: each strategy below is the scenario its guard needs ---
+
+#: The faulty replica of the guard scenarios (n=4).
+FAULTY = 3
+
+
+class OutOfTurnProposer(Deviation):
+    """Proposes a block of its own for every view-0 slot it does not
+    lead, on a valid parent: the moment it hears slot s-1's proposal it
+    sends ``MSProposal(s, 0, B)`` to everyone."""
+
+    def __init__(self) -> None:
+        self.forged: set[str] = set()
+
+    def on_start(self) -> None:
+        self._propose(1, GENESIS_DIGEST)
+
+    def inbound(self, sender: NodeId, message: object) -> bool:
+        if isinstance(message, MSProposal) and message.view == 0:
+            self._propose(message.slot + 1, message.block.digest)
+        return True
+
+    def _propose(self, slot: int, parent: str) -> None:
+        config = self.engine.inner.config
+        if slot > config.max_slots or config.leader_of(slot, 0) == FAULTY:
+            return
+        block = Block.create(slot, parent, ("out-of-turn", slot))
+        if block.digest not in self.forged:
+            self.forged.add(block.digest)
+            self.engine._emit([(None, MSProposal(slot, 0, block))])
+
+
+class MislabelledSlotProposer(Deviation):
+    """Leads honestly except that every block it proposes for slot s
+    claims slot s + 1."""
+
+    def __init__(self) -> None:
+        self.forged: set[str] = set()
+
+    def outbound(self, dst: NodeId | None, message: object) -> list[Delivery]:
+        if not isinstance(message, MSProposal):
+            return [(dst, message)]
+        block = message.block
+        mislabelled = Block.create(block.slot + 1, block.parent, block.payload)
+        self.forged.add(mislabelled.digest)
+        return [(dst, MSProposal(message.slot, message.view, mislabelled))]
+
+
+class FastFrom(DelayPolicy):
+    """Messages from ``node`` take ``fast``, everyone else's ``slow``."""
+
+    def __init__(self, node: NodeId, fast: float = 0.1, slow: float = 1.0) -> None:
+        self.node, self.fast, self.slow = node, fast, slow
+
+    def delay(self, send_time: float, src: int, dst: int, message: object) -> float | None:
+        return self.fast if src == self.node else self.slow
+
+
+def _audited_run(deviation: Deviation, policy: DelayPolicy):
+    """30 txns through an n=4 SMR cluster on the pipelined engine (as in
+    an A6 cell), replica FAULTY running ``deviation``; returns the
+    honest replicas and their audit."""
+    base = ProtocolConfig.create(4)
+    factory = faulty_factory(
+        engine_factory("tetrabft", base, max_slots=63),
+        lambda node_id: deviation,
+        (FAULTY,),
+    )
+    sim = Simulation(policy)
+    trackers = SMRTrackers()
+    replicas = [
+        Replica(i, max_batch=10, trackers=trackers, engine_factory=factory) for i in range(4)
+    ]
+    sim.add_nodes(list(replicas))
+    injected = build_workload("uniform", 30, 10, seed=0).inject(sim, replicas)
+    honest = [replicas[i] for i in range(4) if i != FAULTY]
+    ids = [replica.node_id for replica in honest]
+    sim.run(
+        until=300.0,
+        stop_when=lambda: trackers.throughput.min_txns_applied(ids) >= injected,
+        stop_check_interval=64,
+    )
+    return honest, SafetyAuditor(expected_txns=injected).audit(honest)
+
+
+class TestProposalGuards:
+    def test_an_out_of_turn_proposal_is_never_finalized(self):
+        """The leader check in ``_on_proposal``: a non-leader's block
+        reaches every honest replica before the leader's does, yet none
+        of them finalizes it, and the run stays safe and live."""
+        deviation = OutOfTurnProposer()
+        honest, report = _audited_run(deviation, FastFrom(FAULTY))
+        assert len(deviation.forged) >= 3
+        for replica in honest:
+            assert not {b.digest for b in replica.finalized_chain} & deviation.forged
+        assert report.safe and report.live, report.violations
+
+    def test_a_block_labelled_with_another_slot_is_never_finalized(self):
+        """The ``block.slot != slot`` check in ``_on_proposal``: the
+        leader's blocks all claim the next slot, none is finalized, and
+        every finalized block sits at the height its slot names."""
+        deviation = MislabelledSlotProposer()
+        honest, report = _audited_run(deviation, SynchronousDelays(1.0))
+        assert deviation.forged
+        for replica in honest:
+            chain = replica.finalized_chain
+            assert not {b.digest for b in chain} & deviation.forged
+            assert [b.slot for b in chain] == list(range(1, len(chain) + 1))
+        assert report.safe and report.live, report.violations

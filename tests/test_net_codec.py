@@ -390,10 +390,11 @@ def test_golden_follow_frames_pin_the_block_stream():
     assert WIRE_CODEC.encode_frame(Follow(since_height=9)).hex() == (
         "0000000db705000e490000000000000009"
     )
-    block = Block(slot=1, parent="genesis", payload=(), digest="d1")
+    block = Block.create(slot=1, parent="genesis", payload=())
     assert WIRE_CODEC.encode(BlockExecuted(1, block)).hex() == (
         "b705000f490000000000000001"
-        "430011490000000000000001530000000767656e65736973550000000053000000026431"
+        "430011490000000000000001530000000767656e65736973550000000053"
+        "0000001066336135376263316139663638333531"
     )
 
 
@@ -415,10 +416,11 @@ def test_golden_durability_frames_pin_the_wal_format():
     """WAL records are a disk format: their bytes are pinned
     independently of the network path (a silent change would orphan
     every existing data dir, not just break a live connection)."""
-    block = Block(slot=1, parent="genesis", payload=(), digest="d1")
+    block = Block.create(slot=1, parent="genesis", payload=())
     assert WIRE_CODEC.encode(WalAppend(seq=5, block=block)).hex() == (
         "b7050050490000000000000005"
-        "430011490000000000000001530000000767656e65736973550000000053000000026431"
+        "430011490000000000000001530000000767656e65736973550000000053"
+        "0000001066336135376263316139663638333531"
     )
     assert WIRE_CODEC.encode(StateTransferRequest(since_slot=3)).hex() == (
         "b7050009490000000000000003"
@@ -426,6 +428,42 @@ def test_golden_durability_frames_pin_the_wal_format():
 
 
 # -- hard errors --------------------------------------------------------------
+
+
+#: Every envelope a block crosses a process boundary or the disk in.
+_BLOCK_ENVELOPES = {
+    "MSProposal": lambda b: MSProposal(3, 0, b),
+    "VoteBatch": lambda b: VoteBatch((MSVote(3, 0, "abcd"), MSProposal(3, 0, b))),
+    "BlockExecuted": lambda b: BlockExecuted(1, b),
+    "StateTransferReply": lambda b: StateTransferReply(node_id=1, tip_slot=3, blocks=(b,)),
+    "CollectReply": lambda b: CollectReply(
+        node_id=1,
+        chain=(b,),
+        state_digest="s",
+        applied_txids=("t1",),
+        blocks_applied=1,
+        txns_applied=1,
+    ),
+    "WalAppend": lambda b: WalAppend(seq=1, block=b),
+    "CatchUp": lambda b: CatchUp(slot=3, blocks=(b,)),
+    "SlotMessage": lambda b: SlotMessage(3, BProposal("li", 0, b)),
+}
+
+
+@pytest.mark.parametrize("envelope", sorted(_BLOCK_ENVELOPES))
+def test_a_body_under_another_blocks_digest_does_not_decode(envelope):
+    """A Byzantine peer (or a flipped bit on disk) that pairs one body
+    with another block's digest gets a CodecError from every envelope
+    that carries a block, before any engine, store or gateway sees it."""
+    wrap = _BLOCK_ENVELOPES[envelope]
+    honest = Block.create(3, "p" * 16, (Transaction("t1", ("set", "k", 1)),))
+    forged = Block.create(3, "p" * 16, (Transaction("t1", ("set", "k", -1)),))
+    frame = WIRE_CODEC.encode(wrap(forged))
+    assert WIRE_CODEC.decode(frame) == wrap(forged)
+    assert frame.count(forged.digest.encode()) == 1
+    swapped = frame.replace(forged.digest.encode(), honest.digest.encode())
+    with pytest.raises(CodecError, match="does not match its contents"):
+        WIRE_CODEC.decode(swapped)
 
 
 @dataclass(frozen=True)
@@ -627,10 +665,10 @@ _GOLDEN = (
     CommitAckBatch(2, 7, ("t1", "t2")),
     CommitAck(2, "t1", 7),
     Follow(since_height=9),
-    BlockExecuted(1, Block(slot=1, parent="genesis", payload=(), digest="d1")),
+    BlockExecuted(1, Block.create(slot=1, parent="genesis", payload=())),
     MetricsRequest(),
     MetricsReply(node_id=2, items=(("consensus.commits", 40.0),), events=5),
-    WalAppend(seq=5, block=Block(slot=1, parent="genesis", payload=(), digest="d1")),
+    WalAppend(seq=5, block=Block.create(slot=1, parent="genesis", payload=())),
     StateTransferRequest(since_slot=3),
 )
 

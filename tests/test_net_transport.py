@@ -19,7 +19,8 @@ import pytest
 from repro.core.messages import Proposal, ViewChange
 from repro.errors import ConfigurationError
 from repro.baselines.chained import SlotMessage
-from repro.multishot.messages import MSVote, VoteBatch
+from repro.multishot.block import GENESIS_DIGEST, Block
+from repro.multishot.messages import MSProposal, MSVote, VoteBatch
 from repro.net.cluster import allocate_ports
 from repro.net import transport as transport_module
 from repro.net.codec import MAX_UNBATCHED_DEPTH, WIRE_CODEC, FrameBuffer, Hello
@@ -355,6 +356,16 @@ def test_flush_stats_report_per_peer_counters():
 GARBAGE = b"\x00\x00\x00\x05" + b"\xff" * 5
 
 
+def _forged_proposal_frame() -> bytes:
+    """A well-formed ``MSProposal`` frame whose block carries another
+    block's digest: a Byzantine leader's forged body under an honest
+    digest."""
+    honest = Block.create(1, GENESIS_DIGEST, ("pay", 1))
+    forged = Block.create(1, GENESIS_DIGEST, ("pay", 2))
+    frame = WIRE_CODEC.encode_frame(MSProposal(1, 0, forged))
+    return frame.replace(forged.digest.encode(), honest.digest.encode())
+
+
 class _CountingLoop:
     """Stands in for a lane's loop and counts the callbacks the lane has
     scheduled that neither ran nor were cancelled yet."""
@@ -548,11 +559,12 @@ def test_an_undecodable_peer_connection_is_closed_and_counted():
         await a.start()
         await b.start()
         try:
-            reader, writer = await asyncio.open_connection(HOST, ports[1])
-            writer.write(WIRE_CODEC.encode_frame(Hello(0)) + GARBAGE)
-            assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed on us
-            writer.close()
-            assert b.decode_errors == 1
+            for count, bad in enumerate((GARBAGE, _forged_proposal_frame()), start=1):
+                reader, writer = await asyncio.open_connection(HOST, ports[1])
+                writer.write(WIRE_CODEC.encode_frame(Hello(0)) + bad)
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed on us
+                writer.close()
+                assert b.decode_errors == count
             # Another connection from the same peer is served as before.
             a.send(1, ViewChange(7))
             await _wait_for(lambda: inboxes[1] == [(0, ViewChange(7))])
@@ -562,7 +574,7 @@ def test_an_undecodable_peer_connection_is_closed_and_counted():
             await b.stop()
 
     asyncio.run(scenario())
-    assert registry.snapshot()["transport.decode_errors"] == 1
+    assert registry.snapshot()["transport.decode_errors"] == 2
 
 
 def test_the_replica_plane_has_one_io_style():

@@ -19,14 +19,16 @@ import pytest
 from repro.core import ProtocolConfig
 from repro.errors import ProtocolViolation
 from repro.multishot import MultiShotConfig
-from repro.multishot.block import GENESIS_DIGEST, Block
+from repro.multishot.block import GENESIS_DIGEST, Block, linked_run
+from repro.net.cluster import ClusterConfig, build_specs
 from repro.net.codec import WIRE_CODEC, WalAppend
 from repro.net.replica_main import ReplicaProcess
+from repro.obs import MetricsRegistry
 from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Transaction
 from repro.smr.replica import Replica
 from repro.storage import DiskStorage, MemoryStorage, WriteAheadLog, read_wal
-from repro.storage.wal import WAL_RECORD_CAP
+from repro.storage.wal import WAL_RECORD_CAP, scan_wal
 
 
 def make_chain(slots: int, txns_per_block: int = 2) -> list[Block]:
@@ -221,20 +223,73 @@ def test_disk_storage_wal_gap_stops_recovery(tmp_path):
     assert [r.block for r in records] == chain[:2] and not torn
 
 
+def _flip_payload_bit(wal_path, block: Block) -> int:
+    """Flip one bit inside ``block``'s payload on disk, leaving the
+    frame well formed; returns the offset of the record holding it."""
+    data = bytearray(wal_path.read_bytes())
+    txid = block.payload[0].txid.encode()
+    at = data.index(txid)
+    data[at + len(txid) - 1] ^= 0x01
+    wal_path.write_bytes(bytes(data))
+    offset = 0
+    for record, end in scan_wal(bytes(data)):
+        if record.block.slot == block.slot - 1:
+            offset = end
+    return offset
+
+
 def test_disk_storage_corrupt_block_body_stops_recovery(tmp_path):
-    chain = make_chain(3)
-    bad = Block(
-        slot=4, parent=chain[-1].digest, payload=("tampered",), digest="f" * 16
-    )
+    """A body changed on disk no longer hashes to its digest, so its
+    record does not decode and recovery stops before it."""
+    chain = make_chain(4)
     wal = WriteAheadLog(tmp_path / "wal.log")
     for block in chain:
         wal.append_block(block)
-    wal.append_block(bad)
     wal.close()
+    _flip_payload_bit(tmp_path / "wal.log", chain[3])
     recovered = DiskStorage(tmp_path).recover()
     assert recovered is not None
     assert recovered.torn_tail
     assert [b.slot for b in recovered.chain] == [1, 2, 3]
+
+
+def test_a_cut_keeps_the_bytes_it_cuts(tmp_path):
+    """Damage to acknowledged records cuts the log where it starts, but
+    the cut bytes are moved to ``wal.cut.<offset>`` first and counted."""
+    chain = make_chain(20)
+    storage = DiskStorage(tmp_path)
+    persist(storage, chain)
+    storage.close()
+    wal_path = tmp_path / "wal.log"
+    offset = _flip_payload_bit(wal_path, chain[4])
+    damaged = wal_path.read_bytes()
+    restarted = DiskStorage(tmp_path)
+    recovered = restarted.recover()
+    assert [b.slot for b in recovered.chain] == [1, 2, 3, 4]
+    assert wal_path.read_bytes() == damaged[:offset]
+    assert (tmp_path / f"wal.cut.{offset}").read_bytes() == damaged[offset:]
+    assert restarted.cut_offset == offset
+    assert restarted.cut_bytes == len(damaged) - offset > 0
+    registry = MetricsRegistry()
+    restarted.publish_metrics(registry)
+    assert registry.snapshot()["storage.cut_bytes"] == restarted.cut_bytes
+    restarted.close()
+
+
+def test_a_replica_that_cuts_its_log_leaves_an_anomaly_event(tmp_path):
+    chain = make_chain(6)
+    storage = DiskStorage(tmp_path)
+    persist(storage, chain)
+    storage.close()
+    offset = _flip_payload_bit(tmp_path / "wal.log", chain[2])
+    length = (tmp_path / "wal.log").stat().st_size - offset
+    spec = replace(build_specs(ClusterConfig(n=4, max_slots=8))[0], data_dir=str(tmp_path))
+    process = ReplicaProcess(spec)
+    process.storage.close()
+    anomalies = [event for event in process.events.tail() if event["kind"] == "anomaly"]
+    assert [event["payload"] for event in anomalies] == [
+        {"wal_cut_offset": offset, "wal_cut_bytes": length}
+    ]
 
 
 def test_a_log_led_by_a_retired_seal_recovers_nothing(tmp_path):
@@ -370,31 +425,49 @@ def test_disk_storage_full_cycle_via_replica(tmp_path):
 
 # -- state-transfer reply validation ------------------------------------------
 
-validate_transfer = ReplicaProcess._validate_transfer
-
 
 def test_transfer_suffix_extending_the_local_tip_is_accepted_whole():
     chain = make_chain(6)
-    assert validate_transfer(tuple(chain[3:]), 3, chain[2].digest) == tuple(chain[3:])
-    assert validate_transfer(tuple(chain), 0, GENESIS_DIGEST) == tuple(chain)
+    assert linked_run(tuple(chain[3:]), 3, chain[2].digest) == tuple(chain[3:])
+    assert linked_run(tuple(chain), 0, GENESIS_DIGEST) == tuple(chain)
+    # Leading blocks the asker already holds are skipped.
+    assert linked_run(tuple(chain), 3, chain[2].digest) == tuple(chain[3:])
 
 
 def test_transfer_suffix_forking_off_the_local_tip_is_rejected():
     ours, fork = make_chain(6), make_chain(6, txns_per_block=1)
     # Internally well linked and digest-valid, but its first parent is
     # the fork's block 3, not ours.
-    assert validate_transfer(tuple(fork[3:]), 3, ours[2].digest) == ()
+    assert linked_run(tuple(fork[3:]), 3, ours[2].digest) == ()
     # At height 0 the tip is genesis: slot 1 must name it as parent.
     orphan = Block.create(slot=1, parent=ours[0].digest, payload=())
-    assert validate_transfer((orphan,), 0, GENESIS_DIGEST) == ()
+    assert linked_run((orphan,), 0, GENESIS_DIGEST) == ()
+
+
+def _not_a_block(reply):
+    return reply[:2] + (reply[2].payload,) + reply[3:]
+
+
+def _text_slot(reply):
+    block = Block.create(slot=str(reply[2].slot), parent=reply[2].parent, payload=())
+    return reply[:2] + (block,) + reply[3:]
+
+
+def _forged(reply, **change):
+    """A block's fields edited under its digest do not construct, so the
+    forgery reaches the asker only as those fields, never as a block."""
+    fields = {**vars(reply[2]), **change}
+    with pytest.raises(ValueError, match="does not match its contents"):
+        Block(**fields)
+    return reply[:2] + (fields,) + reply[3:]
 
 
 def _tampered_digest(reply):
-    return reply[:2] + (replace(reply[2], digest="f" * 64),) + reply[3:]
+    return _forged(reply, digest="f" * 16)
 
 
 def _tampered_payload(reply):
-    return reply[:2] + (replace(reply[2], payload=()),) + reply[3:]
+    return _forged(reply, payload=())
 
 
 def _slot_gap(reply):
@@ -406,8 +479,11 @@ def _relinked(reply):
     return reply[:2] + (stray,) + reply[3:]
 
 
-@pytest.mark.parametrize("damage", [_tampered_digest, _tampered_payload, _slot_gap, _relinked])
+@pytest.mark.parametrize(
+    "damage",
+    [_not_a_block, _text_slot, _tampered_digest, _tampered_payload, _slot_gap, _relinked],
+)
 def test_transfer_reply_damaged_mid_way_yields_its_valid_prefix(damage):
     chain = make_chain(8)
     reply = damage(tuple(chain[3:]))
-    assert validate_transfer(reply, 3, chain[2].digest) == tuple(chain[3:5])
+    assert linked_run(reply, 3, chain[2].digest) == tuple(chain[3:5])
