@@ -22,15 +22,16 @@ Run:  python examples/byzantine_recovery.py
 from __future__ import annotations
 
 from repro import ProtocolConfig, Simulation, TetraBFTNode
-from repro.adversary import ChaosMonkey, EquivocatingLeader, HistoryFabricator
+from repro.adversary import EquivocateValues, ForgeSuggestProof, Havoc, faulty_node
 from repro.sim import UniformRandomDelays
 
 
-def run_scenario(title: str, make_byzantine) -> None:
+def run_scenario(title: str, make_deviation) -> None:
     print(f"=== {title} ===")
     config = ProtocolConfig.create(4)
     sim = Simulation(UniformRandomDelays(0.2, 1.0, seed=11))
-    sim.add_node(make_byzantine(config))
+    # Node 0 is an honest TetraBFTNode corrupted by the deviation.
+    sim.add_node(faulty_node(0, config, make_deviation(config)))
     for i in range(1, 4):
         sim.add_node(TetraBFTNode(i, config, initial_value=f"honest-{i}"))
     sim.run_until_all_decided(node_ids=[1, 2, 3], until=1500)
@@ -49,16 +50,14 @@ def run_scenario(title: str, make_byzantine) -> None:
 if __name__ == "__main__":
     run_scenario(
         "equivocating leader (value A to one half, value B to the other)",
-        lambda config: EquivocatingLeader(0, config, "evil-A", "evil-B"),
+        lambda config: EquivocateValues(0, config, "evil-A", "evil-B"),
     )
     run_scenario(
         "history fabricator (forged suggest/proof on every view change)",
-        lambda config: HistoryFabricator(0, config, poison_value="poison"),
+        lambda config: ForgeSuggestProof(0, config, poison_value="poison"),
     )
     run_scenario(
         "chaos monkey (random protocol messages to random nodes)",
-        lambda config: ChaosMonkey(
-            0, config, values=["honest-1", "honest-2", "junk"], seed=3
-        ),
+        lambda config: Havoc(config, values=["honest-1", "honest-2", "junk"], seed=3),
     )
     print("all Byzantine scenarios survived: agreement held in each.")

@@ -1,48 +1,45 @@
-"""Byzantine node behaviours for fault-injection tests and benches.
+"""Byzantine nodes for fault-injection tests and benches.
 
-Two layers: :mod:`repro.adversary.byzantine` replaces single-shot
-TetraBFT nodes wholesale; :mod:`repro.adversary.faulty_engine` wraps
-any pluggable SMR consensus engine in the same deviation repertoire.
+One wrapper, :class:`~repro.adversary.faulty_engine.FaultyEngine`,
+corrupts any honest node — single-shot TetraBFT, the pipelined engine
+or a chained baseline — through a pluggable
+:class:`~repro.adversary.faulty_engine.Deviation`.
 """
 
-from repro.adversary.byzantine import (
-    ChaosMonkey,
-    CrashNode,
-    EquivocatingLeader,
-    HistoryFabricator,
-    SilentNode,
-    VoteWithholder,
-)
 from repro.adversary.faulty_engine import (
     ATTACK_NAMES,
     ATTACKS,
     Chaos,
     Deviation,
     Equivocate,
+    EquivocateValues,
     FabricateHistory,
     FaultyEngine,
+    ForgeSuggestProof,
+    Havoc,
+    Impostor,
     ScheduledCrash,
     Silence,
     Withhold,
     faulty_factory,
+    faulty_node,
 )
 
 __all__ = [
     "ATTACKS",
     "ATTACK_NAMES",
     "Chaos",
-    "ChaosMonkey",
-    "CrashNode",
     "Deviation",
     "Equivocate",
-    "EquivocatingLeader",
+    "EquivocateValues",
     "FabricateHistory",
     "FaultyEngine",
-    "HistoryFabricator",
+    "ForgeSuggestProof",
+    "Havoc",
+    "Impostor",
     "ScheduledCrash",
     "Silence",
-    "SilentNode",
-    "VoteWithholder",
     "Withhold",
     "faulty_factory",
+    "faulty_node",
 ]

@@ -1,30 +1,28 @@
-"""Byzantine deviations at the SMR/engine layer.
+"""Byzantine nodes: one wrapper, a repertoire of deviations.
 
-The single-shot adversaries in :mod:`repro.adversary.byzantine` replace
-a whole :class:`~repro.core.node.TetraBFTNode`; none of them can attack
-the pluggable SMR engines behind the
-:class:`~repro.smr.engine.ConsensusEngine` boundary.  This module lifts
-the same deviation repertoire to that boundary: a :class:`FaultyEngine`
-wraps *any* engine (pipelined TetraBFT, or the chained PBFT /
-IT-HotStuff / Li baselines) and filters, forges, splits or sprays its
-traffic according to a pluggable :class:`Deviation` strategy, while the
-wrapped engine keeps running the honest state machine underneath — the
-strongest unauthenticated adversary short of rewriting the protocol:
-it can lie about content arbitrarily but cannot forge sender identity.
+The paper's adversary can lie about content arbitrarily but cannot
+forge sender identity.  Every faulty node in this repository is written
+the same way: a :class:`FaultyEngine` wraps the *honest* node it
+corrupts — a single-shot :class:`~repro.core.node.TetraBFTNode`, a
+pipelined :class:`~repro.multishot.node.MultiShotNode`, or a chained
+baseline behind the :class:`~repro.smr.engine.ConsensusEngine`
+boundary — and a pluggable :class:`Deviation` filters, forges, splits
+or sprays its traffic.  The wrapper needs only ``start``/``receive``
+from what it wraps, so one misbehaviour is written once.
 
-The repertoire (one :class:`Deviation` per family, mirroring the
-single-shot classes):
+Deviations that corrupt the honest node's own traffic:
 
 * :class:`Silence` — drops every outbound message (crash-from-start);
 * :class:`ScheduledCrash` — honest outside a ``[crash_at, recover_at)``
-  window, dark inside it (rolling crash/recover when combined with the
-  engines' catch-up paths);
+  window, deaf and mute inside it (rolling crash/recover when combined
+  with the engines' catch-up paths);
 * :class:`Equivocate` — splits every proposal and vote broadcast: one
   half of the network sees the honest block, the other a forged twin
   minted for the same slot and parent, with votes kept consistent per
   half via a twin cache;
-* :class:`Withhold` — suppresses outbound votes (a participation
-  attack: the node still receives, counts and proposes);
+* :class:`Withhold` — suppresses outbound votes, or only the chosen
+  single-shot phases (a participation attack: the node still
+  receives, counts and proposes);
 * :class:`FabricateHistory` — refuses to propose when leading (forcing
   view changes on its slots) and answers the resulting view changes
   with forged vote histories / lock claims pushing a poison block, the
@@ -32,6 +30,17 @@ single-shot classes):
 * :class:`Chaos` — a seeded stream of dropped, duplicated and
   mutated-replayed protocol messages (the engine-layer
   ``ByzantineHavoc``).
+
+:class:`Impostor` deviations instead keep the wrapped node deaf and
+mute and speak for it alone, through ``engine._emit``.  The single-shot
+ones, run by the fault-injection tests over :func:`faulty_node`:
+
+* :class:`EquivocateValues` — proposes one value to each half of the
+  network when it leads, and echoes every vote both ways;
+* :class:`ForgeSuggestProof` — answers view changes with forged
+  suggest/proof histories pushing a poison value;
+* :class:`Havoc` — the TLA+ ``ByzantineHavoc``: seeded random,
+  type-correct protocol messages sprayed at random nodes.
 
 :func:`faulty_factory` is the :data:`~repro.smr.engine.EngineFactory`
 combinator the campaign runner (:mod:`repro.eval.attacks`) builds
@@ -44,13 +53,15 @@ byte-identical traces, which the unit tests pin.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 
 from repro.baselines.base import BPhaseVote, BProposal, BRound, BViewChange
 from repro.baselines.chained import SlotMessage
 from repro.core.config import ProtocolConfig
-from repro.core.messages import VoteRecord
+from repro.core.messages import Proof, Proposal, Suggest, ViewChange, Vote, VoteRecord
+from repro.core.node import TetraBFTNode
+from repro.core.values import Phase, Value
 from repro.multishot.batching import iter_logical
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore, Digest
 from repro.multishot.messages import (
@@ -61,7 +72,7 @@ from repro.multishot.messages import (
     MSVote,
 )
 from repro.quorums.system import NodeId
-from repro.sim.runner import NodeContext
+from repro.sim.runner import NodeContext, SimNode
 from repro.smr.engine import ConsensusEngine, EngineFactory
 
 #: A delivery the deviation wants made: ``(destination, message)``
@@ -93,12 +104,13 @@ def is_proposal(message: object) -> bool:
 
 def is_vote(message: object) -> bool:
     """Engine-generic: does ``message`` carry a vote?"""
-    return isinstance(_unwrap(message)[1], (MSVote, BPhaseVote))
+    return isinstance(_unwrap(message)[1], (Vote, MSVote, BPhaseVote))
 
 
-def is_view_change(message: object) -> bool:
-    """Engine-generic: does ``message`` signal a view change?"""
-    return isinstance(_unwrap(message)[1], (MSViewChange, BViewChange))
+def _halves(ids: Sequence[NodeId]) -> tuple[list[NodeId], list[NodeId]]:
+    """The low-id and high-id halves an equivocator splits the network in."""
+    mid = len(ids) // 2
+    return list(ids[:mid]), list(ids[mid:])
 
 
 class Deviation:
@@ -151,25 +163,29 @@ class _DeviantContext(NodeContext):
 
 
 class FaultyEngine:
-    """A Byzantine wrapper around any consensus engine.
+    """A Byzantine wrapper around any honest node or consensus engine.
 
-    Structurally a :class:`~repro.smr.engine.ConsensusEngine`: the SMR
-    replica drives it exactly like an honest engine.  Every outbound
-    message the wrapped engine produces is routed through the bound
+    Wrapping an engine, it is structurally a
+    :class:`~repro.smr.engine.ConsensusEngine`: the SMR replica drives
+    it exactly like an honest engine; wrapping a protocol node, it is a
+    :class:`~repro.sim.runner.SimNode`.  Every outbound message the
+    wrapped node produces is routed through the bound
     :class:`Deviation` (which may drop, rewrite, split or multiply it)
-    and every inbound message may be suppressed; the wrapped engine
+    and every inbound message may be suppressed; the wrapped node
     itself stays the honest state machine, so pre-attack behaviour is
     exactly the protocol's.
     """
 
-    def __init__(self, node_id: NodeId, inner: ConsensusEngine, deviation: Deviation) -> None:
+    def __init__(
+        self, node_id: NodeId, inner: ConsensusEngine | SimNode, deviation: Deviation
+    ) -> None:
         self.node_id = node_id
         self.inner = inner
         self.deviation = deviation
         self._ctx: NodeContext | None = None
         deviation.bind(self)
 
-    # -- ConsensusEngine surface ------------------------------------------------
+    # -- SimNode / ConsensusEngine surface ---------------------------------------
 
     def start(self, ctx: NodeContext) -> None:
         self._ctx = ctx
@@ -258,13 +274,19 @@ class ScheduledCrash(Deviation):
 class Withhold(Deviation):
     """Drops outbound votes; everything else flows honestly.
 
+    ``phases`` narrows the attack to single-shot votes of those phases
+    (starving one stage of the pipeline); by default every vote goes.
     With at most ``f`` withholders the remaining ``n - f`` honest nodes
     still form quorums, so every engine must stay live — the campaign
     asserts exactly that for TetraBFT.
     """
 
+    def __init__(self, phases: Iterable[Phase] | None = None) -> None:
+        self.phases = None if phases is None else frozenset(phases)
+
     def outbound(self, dst: NodeId | None, message: object) -> list[Delivery]:
-        if is_vote(message):
+        phase = getattr(_unwrap(message)[1], "phase", None)
+        if is_vote(message) and (self.phases is None or phase in self.phases):
             return []
         return [(dst, message)]
 
@@ -288,10 +310,6 @@ class Equivocate(Deviation):
         # lineage translates to its counterpart for the other half.
         self._twin_digest: dict[Digest, Digest] = {}
 
-    def _halves(self) -> tuple[list[NodeId], list[NodeId]]:
-        mid = len(self.ids) // 2
-        return self.ids[:mid], self.ids[mid:]
-
     def _twin_block(self, block: Block) -> Block:
         twin = Block.create(block.slot, block.parent, ("equivocation", self.node_id, block.slot))
         self._twin_digest[block.digest] = twin.digest
@@ -300,8 +318,7 @@ class Equivocate(Deviation):
 
     def _twin_message(self, message: object) -> object | None:
         """The conflicting counterpart of one outbound message."""
-        envelope_slot, inner = _unwrap(message)
-        del envelope_slot
+        _, inner = _unwrap(message)
         if isinstance(inner, MSProposal):
             return _rewrap(message, replace(inner, block=self._twin_block(inner.block)))
         if isinstance(inner, BProposal) and isinstance(inner.value, Block):
@@ -333,7 +350,7 @@ class Equivocate(Deviation):
             body = inner.block if isinstance(inner, MSProposal) else inner.value
             if isinstance(body, Block):
                 self.engine.store.add(body)
-        low, high = self._halves()
+        low, high = _halves(self.ids)
         return [(node, message) for node in low] + [(node, twin) for node in high]
 
 
@@ -372,31 +389,22 @@ class FabricateHistory(Deviation):
         self.engine.store.add(block)
         return block
 
-    def _forged_records(self, slot: int | None, view: int) -> dict[str, VoteRecord]:
+    def _forged_records(self, slot: int | None, view: int) -> tuple[VoteRecord, VoteRecord]:
+        """The (highest, previous) vote claims a forged history makes."""
         high = VoteRecord(view=max(view - 1, 0), value=self._poison_digest(slot, view))
         prev = VoteRecord(view=max(view - 2, 0), value=self._poison_digest(slot, 0))
-        return {"high": high, "prev": prev}
+        return high, prev
 
     def outbound(self, dst: NodeId | None, message: object) -> list[Delivery]:
         slot, inner = _unwrap(message)
         if isinstance(inner, (MSProposal, BProposal)):
             return []  # leading ⇒ stall the slot into a view change
         if isinstance(inner, MSSuggest):
-            forged = self._forged_records(inner.slot, inner.view)
-            return [(dst, replace(
-                inner,
-                vote2=forged["high"],
-                prev_vote2=forged["prev"],
-                vote3=forged["high"],
-            ))]
+            high, prev = self._forged_records(inner.slot, inner.view)
+            return [(dst, replace(inner, vote2=high, prev_vote2=prev, vote3=high))]
         if isinstance(inner, MSProof):
-            forged = self._forged_records(inner.slot, inner.view)
-            return [(dst, replace(
-                inner,
-                vote1=forged["high"],
-                prev_vote1=forged["prev"],
-                vote4=forged["high"],
-            ))]
+            high, prev = self._forged_records(inner.slot, inner.view)
+            return [(dst, replace(inner, vote1=high, prev_vote1=prev, vote4=high))]
         if isinstance(inner, (BViewChange, BRound)) and slot is not None:
             poisoned = replace(
                 inner,
@@ -417,14 +425,10 @@ class FabricateHistory(Deviation):
 
     def _spray_forgeries(self, slot: int, view: int) -> None:
         """Answer a view change with forged suggest/proof histories."""
-        forged = self._forged_records(slot, view)
+        high, prev = self._forged_records(slot, view)
         leader = self.ids[(slot + view) % len(self.ids)]
-        self.engine._emit([
-            (None, MSProof(slot, view, forged["high"], forged["prev"], forged["high"])),
-            (leader, MSSuggest(
-                slot, view, forged["high"], forged["prev"], forged["high"]
-            )),
-        ])
+        proof = MSProof(slot, view, high, prev, high)
+        self.engine._emit([(None, proof), (leader, MSSuggest(slot, view, high, prev, high))])
 
 
 class Chaos(Deviation):
@@ -479,8 +483,7 @@ class Chaos(Deviation):
 
     def _mutate(self, message: object) -> object:
         """Randomly bump integer slot/view fields, keeping types legal."""
-        slot, inner = _unwrap(message)
-        del slot
+        _, inner = _unwrap(message)
         fields = {}
         for name in ("slot", "view"):
             value = getattr(inner, name, None)
@@ -504,7 +507,179 @@ class Chaos(Deviation):
         self.engine.ctx.set_timer(self.period, self._tick)
 
 
+# -- impostors: the node speaks only through its deviation ---------------------
+
+
+class Impostor(Silence):
+    """Keeps the wrapped honest node deaf and mute and speaks for it.
+
+    Outbound traffic is dropped as under :class:`Silence`, and nothing
+    received reaches the wrapped node: each message goes to
+    :meth:`hear` instead.  What the faulty node sends comes only from
+    the hooks, through ``engine._emit``.
+    """
+
+    def inbound(self, sender: NodeId, message: object) -> bool:
+        self.hear(sender, message)
+        return False
+
+    def hear(self, sender: NodeId, message: object) -> None:
+        """React to one received message."""
+        del sender, message
+
+
+class EquivocateValues(Impostor):
+    """Sends value A to one half and value B to the other when leading.
+
+    It also casts conflicting votes (phase by phase, one value per
+    half) to push both candidate values as far through the pipeline as
+    it can.  Within-view safety must hold regardless — that is Lemma 6,
+    and the integration tests assert it against this node.
+    """
+
+    def __init__(
+        self, node_id: NodeId, config: ProtocolConfig, value_a: Value, value_b: Value
+    ) -> None:
+        self.node_id = node_id
+        self.config = config
+        self.value_a = value_a
+        self.value_b = value_b
+        self._proposed_views: set[int] = set()
+        self._voted: set[tuple[int, Phase]] = set()
+
+    def _split(self, make: Callable[[Value], object]) -> None:
+        """Send ``make(value_a)`` to the low half, ``make(value_b)`` to the high."""
+        low, high = _halves(self.config.node_ids)
+        deliveries = [(dst, make(self.value_a)) for dst in low]
+        deliveries += [(dst, make(self.value_b)) for dst in high]
+        self.engine._emit(deliveries)
+
+    def on_start(self) -> None:
+        self._propose(0)
+
+    def _propose(self, view: int) -> None:
+        if view in self._proposed_views or self.config.leader_of(view) != self.node_id:
+            return
+        self._proposed_views.add(view)
+        self._split(lambda value: Proposal(view, value))
+
+    def hear(self, sender: NodeId, message: object) -> None:
+        if isinstance(message, (ViewChange, Suggest, Proof)):
+            self._propose(message.view)
+        elif isinstance(message, Vote):
+            key = (message.view, message.phase)
+            if key not in self._voted:
+                self._voted.add(key)
+                self._split(lambda value: Vote(message.phase, message.view, value))
+
+
+class ForgeSuggestProof(Impostor):
+    """Forges suggest/proof histories during view changes.
+
+    On every view change it hears from a peer it sends, to the new
+    leader and to all nodes, histories claiming it voted for
+    ``poison_value`` at the highest views imaginable — trying to make
+    Rule 1/Rule 3 admit an unsafe value — and echoes the view change so
+    it does not slow the honest nodes.  A single node is less than a
+    blocking set, so its lies must never suffice on their own.
+    """
+
+    def __init__(self, node_id: NodeId, config: ProtocolConfig, poison_value: Value) -> None:
+        self.node_id = node_id
+        self.config = config
+        self.poison_value = poison_value
+        self._forged_views: set[int] = set()
+
+    def hear(self, sender: NodeId, message: object) -> None:
+        if not isinstance(message, ViewChange) or sender == self.node_id:
+            return  # our own loop-back echo; reacting would recurse forever
+        view = message.view
+        if view in self._forged_views:
+            return
+        self._forged_views.add(view)
+        high = VoteRecord(view=max(view - 1, 0), value=self.poison_value)
+        prev = VoteRecord(view=max(view - 2, 0), value=("bogus", view))
+        suggest = Suggest(view, vote2=high, prev_vote2=prev, vote3=high)
+        proof = Proof(view, vote1=high, prev_vote1=prev, vote4=high)
+        leader = self.config.leader_of(view)
+        self.engine._emit([(leader, suggest), (None, proof), (None, ViewChange(view))])
+
+
+class Havoc(Impostor):
+    """Seeded random Byzantine havoc (the TLA+ ``ByzantineHavoc`` action).
+
+    Every ``period`` time units until ``horizon`` it sprays ``burst``
+    random, well-formed protocol messages — votes of any phase for any
+    value at nearby views, proposals, forged suggests/proofs, and
+    view-changes — each to a random node.  Whatever it does, honest
+    nodes must never disagree.
+    """
+
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        values: Sequence[Value],
+        seed: int = 0,
+        period: float = 1.0,
+        burst: int = 6,
+        horizon: float = 200.0,
+    ) -> None:
+        self.config = config
+        self.values = list(values)
+        self.period = period
+        self.burst = burst
+        self.horizon = horizon
+        self._rng = random.Random(seed)
+        self._view_hint = 0
+
+    def on_start(self) -> None:
+        self.engine.ctx.set_timer(self.period, self._tick)
+
+    def hear(self, sender: NodeId, message: object) -> None:
+        view = getattr(message, "view", None)
+        if isinstance(view, int):
+            self._view_hint = max(self._view_hint, view)
+
+    def _random_message(self) -> object:
+        rng = self._rng
+        view = max(0, self._view_hint + rng.randint(-1, 2))
+        value = rng.choice(self.values)
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Proposal(view, value)
+        if kind == 1:
+            return Vote(Phase(rng.randint(1, 4)), view, value)
+        if kind == 4:
+            return ViewChange(view + 1)
+        record = VoteRecord(max(0, view - rng.randint(0, 2)), value)
+        other = VoteRecord(max(0, view - rng.randint(0, 3)), rng.choice(self.values))
+        if kind == 2:
+            return Suggest(view, vote2=record, prev_vote2=other, vote3=record)
+        return Proof(view, vote1=record, prev_vote1=other, vote4=record)
+
+    def _tick(self) -> None:
+        if self.engine.now > self.horizon:
+            return
+        targets = self.config.node_ids
+        for _ in range(self.burst):
+            message = self._random_message()
+            self.engine._emit([(self._rng.choice(targets), message)])
+        self.engine.ctx.set_timer(self.period, self._tick)
+
+
 # -- factory combinators -------------------------------------------------------
+
+
+def faulty_node(
+    node_id: NodeId,
+    config: ProtocolConfig,
+    deviation: Deviation,
+    initial_value: Value = None,
+) -> FaultyEngine:
+    """A single-shot TetraBFT participant running ``deviation`` over an
+    honest :class:`TetraBFTNode` (which proposes ``initial_value``
+    wherever the deviation lets it speak)."""
+    return FaultyEngine(node_id, TetraBFTNode(node_id, config, initial_value), deviation)
 
 
 def faulty_factory(

@@ -29,12 +29,14 @@ buffered (within a bounded window) until the local chain reaches them,
 and a node left behind — e.g. the crash-recovery scenario's rebooted
 replica, whose peers have long stopped re-sending old-slot votes —
 recovers through a **catch-up channel**: its timeout-driven view-change
-broadcast for a slot its peers already decided is answered with a
-batch of decided blocks (:data:`CATCHUP_BATCH` per probe, far more
-than peers can decide per timeout period, so the deficit shrinks every
-round trip), which the laggard adopts and applies in chain order.
-This is the minimal state-transfer path every deployed SMR system
-pairs with its ordering core.
+broadcast for a slot its peers already decided is answered by f+1 of
+them with a batch of decided blocks (:data:`CATCHUP_BATCH` per probe,
+far more than peers can decide per timeout period, so the deficit
+shrinks every round trip).  The laggard adopts and applies, in chain
+order, the blocks that f+1 distinct peers' replies carry: a blocking
+set contains an honest peer, so one Byzantine reply cannot make it
+finalize a forgery.  This is the minimal state-transfer path every
+deployed SMR system pairs with its ordering core.
 
 Wire messages are the skeleton's own, wrapped in a slot envelope
 (:class:`SlotMessage`); honest-node message complexity per slot is the
@@ -67,16 +69,19 @@ from repro.sim.trace import TraceKind
 RETENTION_SLOTS = 16
 
 #: How far ahead of the local chain a message may be and still be
-#: buffered.  Anything further is dropped — the catch-up channel, not
-#: the buffer, is what brings a badly lagging node back.
+#: buffered, or a catch-up block still be counted towards adoption.
+#: Anything further is dropped — the catch-up channel, not the buffer,
+#: is what brings a badly lagging node back.
 BUFFER_WINDOW = 32
 
 #: Decided blocks served per catch-up reply.  Must comfortably exceed
 #: the slots a peer can decide per view timeout (one per good-case
 #: round trip, ≈ 9Δ/3Δ = 3 for the shortest ladder), so a laggard
 #: probing once per timeout gains ground much faster than it loses it
-#: and converges even under sustained load with repeated outages.
-CATCHUP_BATCH = 64
+#: and converges even under sustained load with repeated outages.  A
+#: receiver counts catch-up blocks only up to BUFFER_WINDOW ahead of
+#: its chain, so a longer reply would carry a tail nobody reads.
+CATCHUP_BATCH = BUFFER_WINDOW + 1
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,9 @@ class ChainedEngine:
         self._shot: _SlotShot | None = None
         self._slot_timers: list = []
         self._buffer: dict[int, list[tuple[NodeId, object]]] = {}
+        # slot → sender → the block that sender's catch-up carried for
+        # it; only slots in [active_slot, active_slot + BUFFER_WINDOW].
+        self._vouched: dict[int, dict[NodeId, Block]] = {}
         self._ctx: NodeContext | None = None
 
     # -- plumbing -------------------------------------------------------------
@@ -282,13 +290,7 @@ class ChainedEngine:
 
     def _receive_one(self, sender: NodeId, message: object) -> None:
         if isinstance(message, CatchUp):
-            if message.slot > self.active_slot:
-                if message.slot <= self.active_slot + BUFFER_WINDOW:
-                    self._buffer.setdefault(message.slot, []).append((sender, message))
-            else:
-                # Even a partially stale batch may reach our active
-                # slot in its tail; _adopt skips what we already have.
-                self._adopt(message.blocks)
+            self._on_catch_up(sender, message.blocks)
             return
         if not isinstance(message, SlotMessage):
             return  # not ours (e.g. cross-protocol traffic in a shared sim)
@@ -304,12 +306,9 @@ class ChainedEngine:
             return
         self._dispatch(sender, message)
 
-    def _dispatch(self, sender: NodeId, message: object) -> None:
-        if isinstance(message, CatchUp):
-            self._adopt(message.blocks)
-        else:
-            assert self._shot is not None
-            self._shot.receive(sender, message.inner)
+    def _dispatch(self, sender: NodeId, message: SlotMessage) -> None:
+        assert self._shot is not None
+        self._shot.receive(sender, message.inner)
 
     def _maybe_serve_catchup(self, sender: NodeId, message: SlotMessage) -> None:
         """Answer a laggard's view-change probe with decided blocks.
@@ -323,10 +322,11 @@ class ChainedEngine:
         deficit shrinks every round trip and convergence is guaranteed
         even while the cluster keeps committing.
 
-        The probe is a broadcast, so exactly one peer — picked by the
-        same deterministic rotation every receiver computes, skipping
-        the prober itself — replies; n-1 identical multi-block replies
-        would all but the first be discarded as stale.
+        The probe is a broadcast, so exactly f+1 peers — the next ones
+        in the same deterministic rotation every receiver computes,
+        skipping the prober itself — reply: the laggard adopts only what
+        f+1 replies agree on, and more identical multi-block replies
+        would be discarded as stale.
         """
         if not isinstance(message.inner, BViewChange):
             return
@@ -334,28 +334,49 @@ class ChainedEngine:
         if slot < 1 or slot > len(self.finalized):
             return
         ids = self.base.node_ids
-        responder = ids[(slot + message.inner.view) % len(ids)]
-        if responder == sender:
-            responder = ids[(slot + message.inner.view + 1) % len(ids)]
-        if responder != self.node_id:
+        start = slot + message.inner.view
+        rotation = [ids[(start + k) % len(ids)] for k in range(len(ids))]
+        responders = [node for node in rotation if node != sender]
+        if self.node_id not in responders[: self.base.quorum_system.blocking_size()]:
             return
         blocks = tuple(self.finalized[slot - 1 : slot - 1 + CATCHUP_BATCH])
         self.ctx.send(sender, CatchUp(slot, blocks))
 
-    def _adopt(self, blocks: tuple[Block, ...]) -> None:
-        """Adopt a peer's decided blocks, in order, from our active slot.
+    def _on_catch_up(self, sender: NodeId, blocks: tuple[Block, ...]) -> None:
+        """Count ``sender``'s reply towards each block it carries in the
+        window, then adopt, in order from our active slot, the blocks
+        f+1 distinct peers vouched for.
 
-        The batch is finalized in one sweep and the protocol resumes
-        with a single slot instance at the end: spinning up (and
-        instantly retiring) an instance per intermediate slot would arm
-        dead timers and, wherever this node leads, mint and broadcast
-        proposals for slots the cluster already decided.
+        A blocking set contains an honest peer, and an honest peer only
+        serves its finalized chain, so a vouched block is the cluster's.
+        One block per (slot, sender) is kept, so a Byzantine peer can
+        only replace its own vouch.  The run is finalized in one sweep
+        and the protocol resumes with a single slot instance at the end:
+        spinning up (and instantly retiring) an instance per
+        intermediate slot would arm dead timers and, wherever this node
+        leads, mint and broadcast proposals for slots the cluster
+        already decided.
         """
-        run = linked_run(blocks, self.active_slot - 1, self._tip_digest())
+        for block in blocks:
+            if self.active_slot <= block.slot <= self.active_slot + BUFFER_WINDOW:
+                self._vouched.setdefault(block.slot, {})[sender] = block
+        run = []
+        while (block := self._vouched_block(self.active_slot + len(run))) is not None:
+            run.append(block)
+        run = linked_run(run, self.active_slot - 1, self._tip_digest())
         for block in run:
             self._finalize_block(block)
         if run:
             self._start_slot(self.active_slot)
+
+    def _vouched_block(self, slot: int) -> Block | None:
+        """The block f+1 distinct peers' catch-ups carry for ``slot``."""
+        by_sender = self._vouched.get(slot, {})
+        for block in by_sender.values():
+            senders = [node for node, other in by_sender.items() if other.digest == block.digest]
+            if self.base.quorum_system.is_blocking(senders):
+                return block
+        return None
 
     # -- finalization --------------------------------------------------------------
 
@@ -378,6 +399,7 @@ class ChainedEngine:
             handle.cancel()
         self._slot_timers.clear()
         self._buffer.pop(block.slot, None)
+        self._vouched.pop(block.slot, None)
         self.ctx.trace(TraceKind.FINALIZE, slot=block.slot, value=block.digest)
         if self.on_finalize is not None:
             self.on_finalize(block)

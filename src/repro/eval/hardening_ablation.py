@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.adversary import EquivocatingLeader
+from repro.adversary import EquivocateValues, faulty_node
 from repro.core import ProtocolConfig, TetraBFTNode
 from repro.sim import (
     PartialSynchronyPolicy,
@@ -62,7 +62,7 @@ def _run_equivocation(vote4_ledger: bool, seed: int = 0, horizon: float = 800.0)
     """
     config = ProtocolConfig.create(4)
     sim = Simulation(UniformRandomDelays(0.2, 1.0, seed=seed))
-    sim.add_node(EquivocatingLeader(0, config, "evil-A", "evil-B"))
+    sim.add_node(faulty_node(0, config, EquivocateValues(0, config, "evil-A", "evil-B")))
     for i in range(1, 4):
         sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}", vote4_ledger=vote4_ledger))
     sim.run_until_all_decided(node_ids=[1, 2, 3], until=horizon)

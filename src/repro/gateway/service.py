@@ -400,7 +400,14 @@ class GatewayService:
     def _agreed(self, held: dict[int, Block]) -> Block | None:
         """The block at this height to apply: a digest f+1 replicas sent
         that extends the applied tip.  Every body held under one digest
-        is the same body, since a :class:`Block` checks its own digest."""
+        is the same body, since a :class:`Block` checks its own digest.
+
+        With at most f Byzantine replicas, ``parent == tip`` cannot fail
+        for an agreed digest: the f+1 senders include an honest replica,
+        whose block at this height extends its own block at the height
+        below, and that block is the honest chain's — the one applied
+        here, by the same rule, as the tip.  The check stays as defence
+        in depth (more than f faulty replicas, or a digest collision)."""
         tip = self._chain[-1].digest if self._chain else GENESIS_DIGEST
         digests = [block.digest for block in held.values()]
         for block in held.values():

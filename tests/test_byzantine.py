@@ -1,8 +1,9 @@
 """Fault-injection tests: safety and liveness under Byzantine nodes.
 
-Each scenario replaces up to ``f`` nodes with an adversarial behaviour
-from :mod:`repro.adversary` and asserts Definition 1's properties for
-the remaining honest nodes, over several network schedules.
+Each scenario corrupts up to ``f`` nodes with a deviation from
+:mod:`repro.adversary` (a :class:`FaultyEngine` over an honest
+:class:`TetraBFTNode`) and asserts Definition 1's properties for the
+remaining honest nodes, over several network schedules.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import (
-    ChaosMonkey,
-    CrashNode,
-    EquivocatingLeader,
-    HistoryFabricator,
-    SilentNode,
-    VoteWithholder,
+    EquivocateValues,
+    ForgeSuggestProof,
+    Havoc,
+    ScheduledCrash,
+    Silence,
+    Withhold,
+    faulty_node,
 )
 from repro.core import Phase, ProtocolConfig, TetraBFTNode
 from repro.sim import Simulation, SynchronousDelays, UniformRandomDelays
@@ -24,11 +26,13 @@ from tests.conftest import assert_agreement
 CFG4 = ProtocolConfig.create(4)
 
 
-def run_with_byzantine(byz_factory, seed: int, n: int = 4, horizon: float = 1500.0):
+def run_with_byzantine(deviation_factory, seed: int, n: int = 4, horizon: float = 1500.0):
+    """Node 0 runs ``deviation_factory(config)``; returns the run and
+    the honest ids."""
     config = ProtocolConfig.create(n)
     policy = UniformRandomDelays(0.2, 1.0, seed=seed)
     sim = Simulation(policy)
-    sim.add_node(byz_factory(config))
+    sim.add_node(faulty_node(0, config, deviation_factory(config)))
     for i in range(1, n):
         sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
     honest = list(range(1, n))
@@ -39,7 +43,7 @@ def run_with_byzantine(byz_factory, seed: int, n: int = 4, horizon: float = 1500
 class TestSilent:
     @pytest.mark.parametrize("seed", range(5))
     def test_agreement_and_termination(self, seed):
-        sim, honest = run_with_byzantine(lambda c: SilentNode(0), seed)
+        sim, honest = run_with_byzantine(lambda c: Silence(), seed)
         assert_agreement(sim, honest)
 
 
@@ -50,17 +54,32 @@ class TestCrash:
         config = CFG4
         policy = UniformRandomDelays(0.9, 1.0, seed=1)
         sim = Simulation(policy)
-        sim.add_node(CrashNode(0, config, "val-0", crash_time=2.5))
+        sim.add_node(faulty_node(0, config, ScheduledCrash(crash_at=2.5), "val-0"))
         for i in range(1, 4):
             sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
         sim.run_until_all_decided(node_ids=[1, 2, 3], until=1000)
         assert_agreement(sim, [1, 2, 3])
 
+    def test_a_crashed_node_sends_nothing_afterwards(self):
+        """Crashed means silent, not only deaf: the wrapped node's own
+        timers keep firing after the crash, and none of what they
+        broadcast may reach the network."""
+        config = CFG4
+        sim = Simulation(UniformRandomDelays(0.9, 1.0, seed=1))
+        sim.add_node(faulty_node(0, config, ScheduledCrash(crash_at=2.5), "val-0"))
+        for i in range(1, 4):
+            sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
+        sim.run(until=2.5)
+        sent_at_crash = sim.metrics.messages.sent_count[0]
+        assert sent_at_crash > 0, "node 0 must take part before its crash"
+        sim.run(until=200.0)
+        assert sim.metrics.messages.sent_count[0] == sent_at_crash
+
     @pytest.mark.parametrize("crash_time", [0.5, 4.0, 9.5, 12.0])
     def test_crash_at_various_times(self, crash_time):
         config = CFG4
         sim = Simulation(SynchronousDelays(1.0))
-        sim.add_node(CrashNode(0, config, "val-0", crash_time=crash_time))
+        sim.add_node(faulty_node(0, config, ScheduledCrash(crash_at=crash_time), "val-0"))
         for i in range(1, 4):
             sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
         sim.run_until_all_decided(node_ids=[1, 2, 3], until=1000)
@@ -71,7 +90,7 @@ class TestEquivocation:
     @pytest.mark.parametrize("seed", range(8))
     def test_equivocating_leader_cannot_split_decisions(self, seed):
         sim, honest = run_with_byzantine(
-            lambda c: EquivocatingLeader(0, c, "evil-A", "evil-B"), seed
+            lambda c: EquivocateValues(0, c, "evil-A", "evil-B"), seed
         )
         value = assert_agreement(sim, honest)
         # Whatever was decided, it is a single value (it may well be
@@ -81,8 +100,8 @@ class TestEquivocation:
     def test_equivocation_in_seven_node_system(self):
         config = ProtocolConfig.create(7)
         sim = Simulation(UniformRandomDelays(0.3, 1.0, seed=42))
-        sim.add_node(EquivocatingLeader(0, config, "eA", "eB"))
-        sim.add_node(EquivocatingLeader(1, config, "eC", "eD"))
+        sim.add_node(faulty_node(0, config, EquivocateValues(0, config, "eA", "eB")))
+        sim.add_node(faulty_node(1, config, EquivocateValues(1, config, "eC", "eD")))
         for i in range(2, 7):
             sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
         honest = list(range(2, 7))
@@ -99,7 +118,7 @@ class TestFabricatedHistories:
         cause disagreement; that is the property asserted here (the
         can't-overturn-real-history cases are pinned in test_rules)."""
         sim, honest = run_with_byzantine(
-            lambda c: HistoryFabricator(0, c, poison_value="poison"), seed
+            lambda c: ForgeSuggestProof(0, c, poison_value="poison"), seed
         )
         assert_agreement(sim, honest)
 
@@ -117,7 +136,7 @@ class TestWithholding:
     def test_withholder_cannot_block_progress(self, phases):
         config = CFG4
         sim = Simulation(SynchronousDelays(1.0))
-        sim.add_node(VoteWithholder(0, config, "val-0", withheld_phases=phases))
+        sim.add_node(faulty_node(0, config, Withhold(phases=phases), "val-0"))
         for i in range(1, 4):
             sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
         sim.run_until_all_decided(node_ids=[1, 2, 3], until=500)
@@ -128,9 +147,7 @@ class TestChaos:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_byzantine_havoc(self, seed):
         sim, honest = run_with_byzantine(
-            lambda c: ChaosMonkey(
-                0, c, values=["val-1", "val-2", "junk"], seed=seed, burst=8
-            ),
+            lambda c: Havoc(c, values=["val-1", "val-2", "junk"], seed=seed, burst=8),
             seed,
         )
         assert_agreement(sim, honest)
@@ -138,8 +155,8 @@ class TestChaos:
     def test_two_monkeys_in_seven_node_system(self):
         config = ProtocolConfig.create(7)
         sim = Simulation(UniformRandomDelays(0.2, 1.0, seed=5))
-        sim.add_node(ChaosMonkey(0, config, values=["x", "y"], seed=1))
-        sim.add_node(ChaosMonkey(1, config, values=["y", "z"], seed=2))
+        sim.add_node(faulty_node(0, config, Havoc(config, values=["x", "y"], seed=1)))
+        sim.add_node(faulty_node(1, config, Havoc(config, values=["y", "z"], seed=2)))
         for i in range(2, 7):
             sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
         honest = list(range(2, 7))

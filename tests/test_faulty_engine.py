@@ -16,14 +16,16 @@ import pytest
 from repro.adversary.faulty_engine import (
     ATTACK_NAMES,
     ATTACKS,
+    Deviation,
     Equivocate,
     FaultyEngine,
     ScheduledCrash,
     Silence,
     faulty_factory,
 )
+from repro.baselines.chained import CatchUp
 from repro.core import ProtocolConfig
-from repro.multishot.block import Block, BlockStore
+from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
 from repro.multishot.messages import MSProposal, MSViewChange, MSVote
 from repro.multishot.node import MultiShotConfig
 from repro.sim import Simulation, SynchronousDelays
@@ -34,7 +36,7 @@ from repro.verification import SafetyAuditor
 
 
 def run_attacked_cluster(
-    attack: str,
+    attack,
     engine: str = "tetrabft",
     n: int = 4,
     faulty_id: int = 1,
@@ -43,10 +45,13 @@ def run_attacked_cluster(
     seed: int = 0,
     trace: bool = False,
 ):
-    """One attacked SMR run; returns (replicas, sim, honest ids)."""
+    """One attacked SMR run; returns (replicas, sim, honest ids).
+
+    ``attack`` names an :data:`ATTACKS` family or is itself a
+    ``(node_id, config, seed) -> Deviation`` builder."""
     base = ProtocolConfig.create(n)
     max_slots = txns // batch + 40 if engine == "tetrabft" else None
-    deviation = ATTACKS[attack]
+    deviation = ATTACKS[attack] if isinstance(attack, str) else attack
     factory = faulty_factory(
         engine_factory(engine, base, max_slots=max_slots),
         lambda node_id: deviation(node_id, base, seed),
@@ -211,6 +216,34 @@ def test_chained_engine_under_equivocation_stays_safe():
     """The wrapper is engine-generic: a chained baseline under the same
     equivocation keeps agreement (catch-up included)."""
     replicas, sim, honest = run_attacked_cluster("equivocate", engine="pbft")
+    report = SafetyAuditor(expected_txns=20).audit([replicas[i] for i in honest])
+    assert report.safe, report.violations
+    assert report.live, report.violations
+
+
+class ForgedCatchUp(Deviation):
+    """Runs honestly, but at start hands replica ``victim`` a catch-up
+    reply whose one block is a forgery for slot 1 on genesis."""
+
+    def __init__(self, victim: int) -> None:
+        self.victim = victim
+        self.forged = Block.create(1, GENESIS_DIGEST, ("forged",))
+
+    def on_start(self) -> None:
+        self.engine._emit([(self.victim, CatchUp(1, (self.forged,)))])
+
+
+@pytest.mark.parametrize("engine", ["pbft", "ithotstuff", "li"])
+def test_a_lone_forged_catch_up_is_never_adopted(engine):
+    """A chained engine adopts catch-up blocks only when f+1 distinct
+    peers' replies carry them; one Byzantine peer's reply is not
+    enough, so the victim finalizes no forged block and cannot fork."""
+    deviation = ForgedCatchUp(victim=1)
+    replicas, _, honest = run_attacked_cluster(
+        lambda node_id, config, seed: deviation, engine=engine, faulty_id=0
+    )
+    for i in honest:
+        assert deviation.forged.digest not in {b.digest for b in replicas[i].finalized_chain}
     report = SafetyAuditor(expected_txns=20).audit([replicas[i] for i in honest])
     assert report.safe, report.violations
     assert report.live, report.violations

@@ -10,9 +10,18 @@ finalized chains never fork, whatever the adversary does.
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
-from repro.adversary.faulty_engine import Delivery, Deviation, faulty_factory
+from repro.adversary.faulty_engine import (
+    Delivery,
+    Deviation,
+    FaultyEngine,
+    Impostor,
+    faulty_factory,
+)
 from repro.core import ProtocolConfig
 from repro.eval.smr_bench import build_workload
 from repro.metrics.smr_trackers import SMRTrackers
@@ -24,19 +33,17 @@ from repro.multishot import (
     MSVote,
     MultiShotConfig,
     MultiShotNode,
-    iter_logical,
 )
+from repro.multishot.node import RETENTION_SLOTS
 from repro.quorums.system import NodeId
-from repro.sim import (
-    NodeContext,
-    SimNode,
-    Simulation,
-    SynchronousDelays,
-    UniformRandomDelays,
-)
+from repro.sim import Simulation, SynchronousDelays, UniformRandomDelays
 from repro.sim.network import DelayPolicy
+from repro.sim.trace import TraceKind
 from repro.smr import Replica, engine_factory
 from repro.verification.audit import SafetyAuditor
+
+#: The faulty replica of every scenario here (n=4).
+FAULTY = 3
 
 
 def assert_consistent(sim: Simulation, node_ids: list[int]) -> list[str]:
@@ -47,69 +54,79 @@ def assert_consistent(sim: Simulation, node_ids: list[int]) -> list[str]:
     return reference
 
 
-class EquivocatingBlockProposer(SimNode):
-    """When it would lead a slot, sends *different blocks* to each half
-    of the network, and echoes every vote it sees for both forks."""
+def _run_multishot(
+    config: MultiShotConfig, deviation: Deviation, policy: DelayPolicy, until: float
+) -> Simulation:
+    """An n=4 pipelined run whose node FAULTY is an honest
+    :class:`MultiShotNode` corrupted by ``deviation``."""
+    sim = Simulation(policy)
+    sim.add_node(FaultyEngine(FAULTY, MultiShotNode(FAULTY, config), deviation))
+    for i in range(3):
+        sim.add_node(MultiShotNode(i, config))
+    sim.run(until=until)
+    return sim
 
-    def __init__(self, node_id: NodeId, config: MultiShotConfig) -> None:
-        self.node_id = node_id
+
+class EquivocatingBlockProposer(Impostor):
+    """When it would lead a slot, sends *different blocks* to each half
+    of the network, and echoes every vote it hears for both forks."""
+
+    def __init__(self, config: MultiShotConfig) -> None:
         self.config = config
-        self._ctx: NodeContext | None = None
+        self.forks: dict[str, set[str]] = {"A": set(), "B": set()}
         self._proposed: set[tuple[int, int]] = set()
         self._parents: dict[int, str] = {0: GENESIS_DIGEST}
 
-    def _halves(self) -> tuple[list[NodeId], list[NodeId]]:
-        ids = self.config.base.node_ids
-        return ids[: len(ids) // 2], ids[len(ids) // 2:]
-
-    def start(self, ctx: NodeContext) -> None:
-        self._ctx = ctx
+    def on_start(self) -> None:
         self._maybe_equivocate(1, 0, GENESIS_DIGEST)
 
     def _maybe_equivocate(self, slot: int, view: int, parent: str) -> None:
-        if self._ctx is None or (slot, view) in self._proposed:
-            return
-        if self.config.leader_of(slot, view) != self.node_id:
+        if (slot, view) in self._proposed or self.config.leader_of(slot, view) != FAULTY:
             return
         self._proposed.add((slot, view))
         fork_a = Block.create(slot, parent, f"fork-A-{slot}-{view}")
         fork_b = Block.create(slot, parent, f"fork-B-{slot}-{view}")
-        half_a, half_b = self._halves()
-        for dst in half_a:
-            self._ctx.send(dst, MSProposal(slot, view, fork_a))
-        for dst in half_b:
-            self._ctx.send(dst, MSProposal(slot, view, fork_b))
+        self.forks["A"].add(fork_a.digest)
+        self.forks["B"].add(fork_b.digest)
+        ids = self.config.base.node_ids
+        half = len(ids) // 2
+        deliveries = [(dst, MSProposal(slot, view, fork_a)) for dst in ids[:half]]
+        deliveries += [(dst, MSProposal(slot, view, fork_b)) for dst in ids[half:]]
+        self.engine._emit(deliveries)
 
-    def receive(self, sender: NodeId, frame: object) -> None:
-        if self._ctx is None:
-            return
-        # Honest peers batch broadcasts into VoteBatch frames; a real
-        # adversary unwraps envelopes like any other receiver.
-        for message in iter_logical(frame):
-            if isinstance(message, MSProposal):
-                # Track lineage so later equivocations extend something real.
-                self._parents[message.slot] = message.block.digest
-                self._maybe_equivocate(message.slot + 1, message.view, message.block.digest)
-            elif isinstance(message, MSVote):
-                # Double-vote: echo the vote back to everyone (it is for
-                # whichever fork the sender saw; we endorse both).
-                self._ctx.broadcast(MSVote(message.slot, message.view, message.digest))
-            elif isinstance(message, MSViewChange):
-                self._ctx.broadcast(message)
-                parent = self._parents.get(message.slot - 1, GENESIS_DIGEST)
-                self._maybe_equivocate(message.slot, message.view, parent)
+    def hear(self, sender: NodeId, message: object) -> None:
+        if sender == FAULTY:
+            return  # our own loop-back: echoing it again would never end
+        if isinstance(message, MSProposal):
+            # Track lineage so later equivocations extend something real.
+            self._parents[message.slot] = message.block.digest
+            self._maybe_equivocate(message.slot + 1, message.view, message.block.digest)
+        elif isinstance(message, MSVote):
+            # Double-vote: echo the vote back to everyone (it is for
+            # whichever fork the sender saw; we endorse both).
+            self.engine._emit([(None, MSVote(message.slot, message.view, message.digest))])
+        elif isinstance(message, MSViewChange):
+            self.engine._emit([(None, message)])
+            parent = self._parents.get(message.slot - 1, GENESIS_DIGEST)
+            self._maybe_equivocate(message.slot, message.view, parent)
+
+
+def _assert_both_forks_reached_honest_nodes(
+    sim: Simulation, deviation: EquivocatingBlockProposer
+) -> None:
+    for fork, digests in deviation.forks.items():
+        held = {d for i in (0, 1, 2) for d in digests if d in sim.nodes[i].store}
+        assert held, f"no honest node holds a fork-{fork} block: the attack never landed"
 
 
 class TestBlockEquivocation:
     @pytest.mark.parametrize("seed", range(6))
     def test_forked_proposals_never_fork_finalized_chains(self, seed):
-        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=10)
-        sim = Simulation(UniformRandomDelays(0.3, 1.0, seed=seed))
         # The equivocator leads slots where (slot + view) % 4 == 3.
-        sim.add_node(EquivocatingBlockProposer(3, config))
-        for i in range(3):
-            sim.add_node(MultiShotNode(i, config))
-        sim.run(until=400)
+        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=10)
+        deviation = EquivocatingBlockProposer(config)
+        sim = _run_multishot(config, deviation, UniformRandomDelays(0.3, 1.0, seed=seed), 400)
+        _assert_both_forks_reached_honest_nodes(sim, deviation)
         reference = assert_consistent(sim, [0, 1, 2])
         # Progress despite the equivocator: the honest slots still chain.
         assert len(reference) >= 4
@@ -119,11 +136,9 @@ class TestBlockEquivocation:
         gather the 3-vote quorum from honest nodes alone, so slot 3
         (the equivocator's) only notarizes via a view-changed retry."""
         config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=8)
-        sim = Simulation(SynchronousDelays(1.0), trace_enabled=True)
-        sim.add_node(EquivocatingBlockProposer(3, config))
-        for i in range(3):
-            sim.add_node(MultiShotNode(i, config))
-        sim.run(until=300)
+        deviation = EquivocatingBlockProposer(config)
+        sim = _run_multishot(config, deviation, SynchronousDelays(1.0), 300)
+        _assert_both_forks_reached_honest_nodes(sim, deviation)
         reference = assert_consistent(sim, [0, 1, 2])
         assert len(reference) >= 4
         # No two different digests finalized for any slot (stronger
@@ -134,69 +149,53 @@ class TestBlockEquivocation:
                 assert by_slot.setdefault(block.slot, block.digest) == block.digest
 
 
-class ChainChaosMonkey(SimNode):
+class ChainHavoc(Impostor):
     """Random multi-shot havoc: bogus votes for random digests/views,
     spurious view-change messages, and malformed proposals."""
 
-    def __init__(self, node_id: NodeId, config: MultiShotConfig, seed: int) -> None:
-        import random
-
-        self.node_id = node_id
+    def __init__(self, config: MultiShotConfig, seed: int) -> None:
         self.config = config
         self._rng = random.Random(seed)
-        self._ctx: NodeContext | None = None
         self._digests: list[str] = [GENESIS_DIGEST]
 
-    def start(self, ctx: NodeContext) -> None:
-        self._ctx = ctx
-        ctx.set_timer(1.0, self._tick)
+    def on_start(self) -> None:
+        self.engine.ctx.set_timer(1.0, self._tick)
 
-    def receive(self, sender: NodeId, frame: object) -> None:
-        for message in iter_logical(frame):
-            if isinstance(message, MSProposal):
-                self._digests.append(message.block.digest)
+    def hear(self, sender: NodeId, message: object) -> None:
+        if isinstance(message, MSProposal):
+            self._digests.append(message.block.digest)
 
     def _tick(self) -> None:
-        if self._ctx is None or self._ctx.now > 120:
+        if self.engine.now > 120:
             return
         rng = self._rng
+        ids = self.config.base.node_ids
         for _ in range(4):
             kind = rng.randrange(3)
             slot = rng.randint(1, 10)
             view = rng.randint(0, 2)
             if kind == 0:
-                self._ctx.send(
-                    rng.choice(self.config.base.node_ids),
-                    MSVote(slot, view, rng.choice(self._digests)),
-                )
+                dst = rng.choice(ids)
+                self.engine._emit([(dst, MSVote(slot, view, rng.choice(self._digests)))])
             elif kind == 1:
-                self._ctx.broadcast(MSViewChange(slot, max(view, 1)))
+                self.engine._emit([(None, MSViewChange(slot, max(view, 1)))])
             else:
                 bogus = Block.create(slot, rng.choice(self._digests), ("junk", slot))
-                self._ctx.send(
-                    rng.choice(self.config.base.node_ids),
-                    MSProposal(slot, view, bogus),
-                )
-        self._ctx.set_timer(1.0, self._tick)
+                self.engine._emit([(rng.choice(ids), MSProposal(slot, view, bogus))])
+        self.engine.ctx.set_timer(1.0, self._tick)
 
 
 class TestChainChaos:
     @pytest.mark.parametrize("seed", range(6))
     def test_chain_consistency_under_havoc(self, seed):
         config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=10)
-        sim = Simulation(UniformRandomDelays(0.3, 1.0, seed=seed))
-        sim.add_node(ChainChaosMonkey(3, config, seed=seed))
-        for i in range(3):
-            sim.add_node(MultiShotNode(i, config))
-        sim.run(until=400)
+        havoc = ChainHavoc(config, seed=seed)
+        sim = _run_multishot(config, havoc, UniformRandomDelays(0.3, 1.0, seed=seed), 400)
         reference = assert_consistent(sim, [0, 1, 2])
         assert len(reference) >= 3, "honest chain made no progress under havoc"
 
 
 # -- proposal guards: each strategy below is the scenario its guard needs ---
-
-#: The faulty replica of the guard scenarios (n=4).
-FAULTY = 3
 
 
 class OutOfTurnProposer(Deviation):
@@ -251,17 +250,40 @@ class FastFrom(DelayPolicy):
         return self.fast if src == self.node else self.slow
 
 
-def _audited_run(deviation: Deviation, policy: DelayPolicy):
+class StaleSlotProposer(Deviation):
+    """Runs honestly until the tip passes ``RETENTION_SLOTS + 6``, then
+    proposes a conflicting view-0 block for the highest slot it leads
+    below ``tip - RETENTION_SLOTS`` — a slot every honest replica has
+    finalized and pruned — on that slot's finalized parent."""
+
+    def __init__(self) -> None:
+        self.forged: Block | None = None
+        self.sent_at = math.inf
+
+    def inbound(self, sender: NodeId, message: object) -> bool:
+        chain = self.engine.finalized_chain
+        if self.forged is None and len(chain) > RETENTION_SLOTS + 6:
+            leader_of = self.engine.inner.config.leader_of
+            slot = max(
+                s for s in range(2, len(chain) - RETENTION_SLOTS) if leader_of(s, 0) == FAULTY
+            )
+            self.forged = Block.create(slot, chain[slot - 2].digest, ("stale", slot))
+            self.sent_at = self.engine.now
+            self.engine._emit([(None, MSProposal(slot, 0, self.forged))])
+        return True
+
+
+def _audited_run(deviation: Deviation, sim: Simulation, also=lambda: True):
     """30 txns through an n=4 SMR cluster on the pipelined engine (as in
-    an A6 cell), replica FAULTY running ``deviation``; returns the
-    honest replicas and their audit."""
+    an A6 cell), replica FAULTY running ``deviation``, until they are
+    applied and ``also()`` holds; returns the honest replicas and their
+    audit."""
     base = ProtocolConfig.create(4)
     factory = faulty_factory(
         engine_factory("tetrabft", base, max_slots=63),
         lambda node_id: deviation,
         (FAULTY,),
     )
-    sim = Simulation(policy)
     trackers = SMRTrackers()
     replicas = [
         Replica(i, max_batch=10, trackers=trackers, engine_factory=factory) for i in range(4)
@@ -272,7 +294,7 @@ def _audited_run(deviation: Deviation, policy: DelayPolicy):
     ids = [replica.node_id for replica in honest]
     sim.run(
         until=300.0,
-        stop_when=lambda: trackers.throughput.min_txns_applied(ids) >= injected,
+        stop_when=lambda: trackers.throughput.min_txns_applied(ids) >= injected and also(),
         stop_check_interval=64,
     )
     return honest, SafetyAuditor(expected_txns=injected).audit(honest)
@@ -284,7 +306,7 @@ class TestProposalGuards:
         reaches every honest replica before the leader's does, yet none
         of them finalizes it, and the run stays safe and live."""
         deviation = OutOfTurnProposer()
-        honest, report = _audited_run(deviation, FastFrom(FAULTY))
+        honest, report = _audited_run(deviation, Simulation(FastFrom(FAULTY)))
         assert len(deviation.forged) >= 3
         for replica in honest:
             assert not {b.digest for b in replica.finalized_chain} & deviation.forged
@@ -295,10 +317,32 @@ class TestProposalGuards:
         leader's blocks all claim the next slot, none is finalized, and
         every finalized block sits at the height its slot names."""
         deviation = MislabelledSlotProposer()
-        honest, report = _audited_run(deviation, SynchronousDelays(1.0))
+        honest, report = _audited_run(deviation, Simulation(SynchronousDelays(1.0)))
         assert deviation.forged
         for replica in honest:
             chain = replica.finalized_chain
             assert not {b.digest for b in chain} & deviation.forged
             assert [b.slot for b in chain] == list(range(1, len(chain) + 1))
+        assert report.safe and report.live, report.violations
+
+    def test_a_proposal_for_a_pruned_finalized_slot_gets_no_vote(self):
+        """The stale-proposal guard (``slot <= finalized_height``) in
+        ``_on_proposal``: the slot's leader proposes again for a slot
+        every honest replica finalized and pruned long ago.  Without the
+        guard each of them would vote for it — a second vote in a
+        finalized slot; with it, none does."""
+        deviation = StaleSlotProposer()
+        sim = Simulation(SynchronousDelays(1.0), trace_enabled=True)
+        honest, report = _audited_run(
+            deviation, sim, also=lambda: sim.scheduler.now > deviation.sent_at + 3.0
+        )
+        assert deviation.forged is not None, "the chain never grew past the retention window"
+        votes = [
+            event
+            for event in sim.trace.events(kind=TraceKind.VOTE)
+            if event.node != FAULTY and event.get("value") == deviation.forged.digest
+        ]
+        assert votes == []
+        for replica in honest:
+            assert deviation.forged.digest not in {b.digest for b in replica.finalized_chain}
         assert report.safe and report.live, report.violations

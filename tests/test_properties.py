@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import ChaosMonkey, EquivocatingLeader, SilentNode
+from repro.adversary import EquivocateValues, Havoc, Silence, faulty_node
 from repro.core import ProtocolConfig, TetraBFTNode
 from repro.multishot import MultiShotConfig, MultiShotNode
 from repro.sim import PartialSynchronyPolicy, Simulation, UniformRandomDelays
@@ -49,11 +49,12 @@ def test_singleshot_agreement_with_byzantine_node(seed, byz_kind, byz_id):
         if i != byz_id:
             sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
         elif byz_kind == "silent":
-            sim.add_node(SilentNode(i))
+            sim.add_node(faulty_node(i, config, Silence()))
         elif byz_kind == "equivocator":
-            sim.add_node(EquivocatingLeader(i, config, "eA", "eB"))
+            sim.add_node(faulty_node(i, config, EquivocateValues(i, config, "eA", "eB")))
         else:
-            sim.add_node(ChaosMonkey(i, config, values=["eA", "val-1", "junk"], seed=seed))
+            havoc = Havoc(config, values=["eA", "val-1", "junk"], seed=seed)
+            sim.add_node(faulty_node(i, config, havoc))
     honest = [i for i in range(4) if i != byz_id]
     sim.run_until_all_decided(node_ids=honest, until=1200)
     latency = sim.metrics.latency

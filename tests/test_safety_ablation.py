@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary import Impostor, faulty_node
 from repro.core import Phase, Proposal, ProtocolConfig, TetraBFTNode, ViewChange
-from repro.core.node import TetraBFTNode as _Node
 from repro.errors import ProtocolViolation, VerificationError
 from repro.quorums.system import NodeId
-from repro.sim import NodeContext, SimNode, Simulation, SynchronousDelays
+from repro.sim import Simulation, SynchronousDelays
 
 
 class UnsafeNode(TetraBFTNode):
@@ -34,7 +34,7 @@ class UnsafeNode(TetraBFTNode):
         self._cast_vote(Phase.VOTE1, state.proposal.value)
 
 
-class ConflictingProposer(SimNode):
+class ConflictingProposer(Impostor):
     """Byzantine leader of view 1: proposes a fresh value with no safety
     justification whatsoever (a correct leader could never propose it,
     and Rule 3 would make followers reject it)."""
@@ -43,19 +43,15 @@ class ConflictingProposer(SimNode):
         self.node_id = node_id
         self.config = config
         self.value = value
-        self._ctx: NodeContext | None = None
         self._proposed = False
 
-    def start(self, ctx: NodeContext) -> None:
-        self._ctx = ctx
-
-    def receive(self, sender: NodeId, message: object) -> None:
-        if self._ctx is None or self._proposed:
+    def hear(self, sender: NodeId, message: object) -> None:
+        if self._proposed:
             return
         if isinstance(message, ViewChange) and message.view >= 1:
             if self.config.leader_of(1) == self.node_id:
                 self._proposed = True
-                self._ctx.broadcast(Proposal(1, self.value))
+                self.engine._emit([(None, Proposal(1, self.value))])
 
 
 def _run(node_cls) -> Exception | None:
@@ -67,7 +63,7 @@ def _run(node_cls) -> Exception | None:
     config = ProtocolConfig.create(4)
     sim = Simulation(SynchronousDelays(1.0))
     sim.add_node(node_cls(0, config, initial_value="value-A"))
-    sim.add_node(ConflictingProposer(1, config, value="value-B"))
+    sim.add_node(faulty_node(1, config, ConflictingProposer(1, config, value="value-B")))
     for i in (2, 3):
         sim.add_node(node_cls(i, config, initial_value=f"val-{i}"))
     try:
