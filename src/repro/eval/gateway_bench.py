@@ -54,8 +54,8 @@ from repro.net.client import ReplicaPool
 from repro.net.cluster import ClusterConfig, cluster_processes, sized_max_slots
 from repro.verification.audit import ReplicaEvidence, SafetyAuditor
 
-#: Offered-rate ramp of the smoke cell, txns/sec.  The gateway's
-#: submission batching lifts the deployed cluster to ~1,500 committed
+#: Offered-rate ramp of the smoke cell, txns/sec.  The client pool's
+#: per-tick submit batching lifts the deployed cluster to ~1,500 committed
 #: txns/sec on this host, so the paced levels sit far below capacity
 #: and the probe level far above it: which levels saturate is a
 #: property of the ramp shape, not of host speed, and the recorded

@@ -2,7 +2,7 @@
 
 Real deployments do not hand every client a TCP connection to every
 replica — a *gateway* terminates untrusted client traffic, enforces
-fairness, batches submissions, and serves reads, so the consensus
+fairness, relays submissions, and serves reads, so the consensus
 cluster only ever sees well-formed, rate-bounded frames from one peer.
 This package is that plane, in three strict layers:
 
@@ -12,13 +12,13 @@ This package is that plane, in three strict layers:
   metrics, and a commit-event subscription stream;
 * **service** (:mod:`repro.gateway.service`,
   :mod:`repro.gateway.ratelimit`) — per-client admission control and
-  token buckets, server-side submission batching (the client-plane
-  sibling of the message plane's vote aggregation), f+1 quorum commit
-  tracking, subscription fan-out with slow-consumer eviction, and the
-  read path, which follows every replica's executed-block stream;
+  token buckets, f+1 quorum commit tracking, subscription fan-out with
+  slow-consumer eviction, and the read path, which follows every
+  replica's executed-block stream;
 * **repository** (:mod:`repro.net.client`) — the same replica
   connection pool the A7 bench driver uses; the gateway adds no second
-  wire implementation.
+  wire implementation, and no second batching rule: the pool sends one
+  event-loop tick's submissions as one frame per replica.
 
 ``python -m repro gateway`` (:mod:`repro.eval.gateway_bench`) drives
 this stack open-loop with thousands of concurrent clients — the A8

@@ -35,6 +35,7 @@ import asyncio
 import json
 
 from repro.gateway.http import (
+    CLOSE_MESSAGE_TOO_BIG,
     CLOSE_TRY_AGAIN_LATER,
     OP_CLOSE,
     OP_PING,
@@ -275,13 +276,21 @@ class GatewayServer:
         finally:
             self.service.unsubscribe(subscription)
             control.cancel()
+            if control.done() and not control.cancelled():
+                control.exception()  # retrieved: a peer's dropped socket ends only its stream
 
     async def _ws_control_loop(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Answer pings and notice the peer closing; returns on close."""
+        """Answer pings and notice the peer closing; returns on close,
+        after a 1009 close frame if the peer sent an oversize frame."""
         while True:
-            frame = await read_ws_frame(reader)
+            try:
+                frame = await read_ws_frame(reader)
+            except ProtocolError:
+                writer.write(encode_close_frame(CLOSE_MESSAGE_TOO_BIG, "frame too large"))
+                await writer.drain()
+                return
             if frame is None:
                 return
             opcode, payload = frame

@@ -35,6 +35,9 @@ OP_PONG = 0xA
 
 #: Close code sent to a slow consumer (RFC 6455 "try again later").
 CLOSE_TRY_AGAIN_LATER = 1013
+#: Close code sent for a frame over :data:`MAX_BODY_BYTES` (RFC 6455
+#: "message too big").
+CLOSE_MESSAGE_TOO_BIG = 1009
 
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 1024 * 1024
@@ -105,10 +108,16 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
         if not sep:
             raise ProtocolError(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ProtocolError(f"malformed Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise ProtocolError(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError("connection closed mid-body") from exc
     return Request(method=method.upper(), path=path, headers=headers, body=body)
 
 

@@ -3,11 +3,11 @@
 The service owns everything stateful about serving clients:
 
 * **submission** — admission control and per-client token buckets
-  (:mod:`repro.gateway.ratelimit`), then server-side batching: client
-  submissions accumulate for a short window (or until ``max_batch``)
-  and travel to every replica as one ``ClientSubmitBatch`` frame —
-  the client-plane sibling of the message plane's VoteBatch discipline
-  (a singleton flush degenerates to the bare ``ClientSubmit``);
+  (:mod:`repro.gateway.ratelimit`), then straight to
+  :meth:`~repro.net.client.ReplicaPool.submit`, which sends everything
+  admitted in one event-loop tick as one ``ClientSubmitBatch`` frame
+  per replica (a lone transaction as the bare ``ClientSubmit``) — no
+  timer holds a write;
 * **commit tracking** — commit acks from all replicas are correlated
   through the shared :class:`~repro.net.client.AckCorrelator`; a
   transaction is *committed* once ``ack_quorum`` = f+1 distinct
@@ -95,16 +95,13 @@ class _RegistryCounters:
     def __setitem__(self, name: str, value: float) -> None:
         self._registry.counter(self._prefix + name).set(float(value))
 
-    def keys(self):
-        return iter(self._names)
-
     def __iter__(self):
         return iter(self._names)
 
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Tunables of one gateway instance."""
+    """Tunables of one gateway instance; none of them holds a write back."""
 
     #: Replica count of the cluster behind the gateway (quorum math).
     n: int
@@ -116,11 +113,6 @@ class GatewayConfig:
     rate: float = 200.0
     #: Token-bucket burst capacity per client.
     burst: float = 50.0
-    #: Cap on how long a submission waits for batch-mates: the buffer
-    #: flushes this many seconds after its first submission arrived.
-    batch_window: float = 0.005
-    #: Cap on the buffer: the submission that fills it flushes at once.
-    max_batch: int = 64
     #: Per-subscriber event queue depth before eviction.
     subscriber_queue: int = 256
 
@@ -215,9 +207,6 @@ class GatewayService:
         self.correlator.track_nodes(pool.live)
         self.txns: dict[str, TxnStatus] = {}
         self.subscriptions: list[Subscription] = []
-        self._buffer: list[Transaction] = []
-        self._flush_handle: asyncio.TimerHandle | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         # The read path: the applied chain, its state, and what the
         # followed replicas sent above it.
         self._applier = BlockApplier()
@@ -245,32 +234,28 @@ class GatewayService:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self, *, start_consensus: bool = True) -> None:
-        """Bind to the running loop, follow every replica from the
-        applied height, and optionally start the cluster."""
-        self._loop = asyncio.get_running_loop()
+        """Follow every replica from the applied height, and optionally
+        start the cluster."""
         self.started_at = self._clock()
         self.pool.follow(lambda: self.height)
         if start_consensus:
             self.pool.start_run()
 
     async def stop(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        self._flush()
         for sub in self.subscriptions:
             sub.closed = True
 
     # -- submission path ------------------------------------------------------
 
     def submit(self, client_id: str, txn: Transaction) -> TxnStatus:
-        """Admit, rate-limit, dedup, and batch one client submission.
+        """Admit, rate-limit and dedup one client submission, then hand
+        it to the pool.
 
         Raises :class:`~repro.gateway.ratelimit.AdmissionDenied`,
         :class:`~repro.gateway.ratelimit.RateLimited`, or
-        :class:`DuplicateTransaction`; on success the transaction is
-        queued for the next batch flush and its status is tracked until
-        quorum commit.
+        :class:`DuplicateTransaction`; on success the transaction leaves
+        for the replicas at the end of this loop tick and its status is
+        tracked until quorum commit.
         """
         if txn.txid in self.txns:
             self.counters["duplicates"] += 1
@@ -285,25 +270,9 @@ class GatewayService:
         state.txids.add(txn.txid)
         self.counters["submitted"] += 1
         self.tracer.record(txn.txid, "admit", at=now)
-        self._buffer.append(txn)
-        if len(self._buffer) >= self.config.max_batch:
-            self._flush()
-        elif self._flush_handle is None and self._loop is not None:
-            self._flush_handle = self._loop.call_later(self.config.batch_window, self._flush)
+        self.pool.submit(txn)
+        self.tracer.record(txn.txid, "submit", at=now)
         return status
-
-    def _flush(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        if not self._buffer:
-            return
-        batch, self._buffer = self._buffer, []
-        self.pool.submit_many(batch)
-        for txn in batch:
-            self.tracer.record(txn.txid, "submit")
-        self.counters["flushes"] += 1
-        self.counters["flushed_txns"] += len(batch)
 
     # -- commit path ----------------------------------------------------------
 
@@ -495,6 +464,9 @@ class GatewayService:
         self.registry.gauge("gateway.clients").set(len(self.admission.clients))
         self.registry.gauge("gateway.subscribers").set(len(self.subscriptions))
         self.registry.gauge("gateway.replicas_live").set(len(self.pool.live))
+        # Submit frames are the pool's: it counts the per-tick drains.
+        self.counters["flushes"] = self.pool.flushes
+        self.counters["flushed_txns"] = self.pool.flushed_txns
         self.tracer.publish(self.registry, prefix="gateway.trace.")
         return {
             **{name: self.counters[name] for name in self.counters},

@@ -233,6 +233,9 @@ class ReplicaPool:
         self._reply_lock = asyncio.Lock()
         #: Submits queued since the last flush, in call order.
         self._pending: list[Transaction] = []
+        #: Flushes that wrote a submit frame, and the transactions in them.
+        self.flushes = 0
+        self.flushed_txns = 0
 
     @classmethod
     def from_specs(cls, specs, **kwargs) -> "ReplicaPool":
@@ -328,7 +331,8 @@ class ReplicaPool:
 
         The queue is flushed once per event-loop tick (``call_soon``,
         never a timer), so N submits in one tick cost one encode and one
-        frame per replica.
+        frame per replica.  This is the client plane's one coalescing
+        rule: the gateway hands each admitted transaction straight here.
         """
         self._pending.append(txn)
         if len(self._pending) == 1:
@@ -337,6 +341,8 @@ class ReplicaPool:
     def _flush(self) -> None:
         if self._pending:
             txns, self._pending = self._pending, []
+            self.flushes += 1
+            self.flushed_txns += len(txns)
             self.submit_many(txns)
 
     def submit_many(self, txns: list[Transaction]) -> None:

@@ -3,7 +3,7 @@
 A transaction crosses five stages on its way through the deployed
 stack::
 
-    admit     gateway admission (HTTP accepted into a batch)
+    admit     gateway admission (HTTP request accepted)
     submit    ClientSubmit hits the driver / replica client port
     propose   a leader packs the txn into a proposed block
     finalize  the block finalizes and the txn executes

@@ -10,19 +10,22 @@ ends of the hand-rolled wire get covered at once.
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.gateway.app import GatewayServer, parse_transaction
 from repro.gateway.http import (
+    MAX_BODY_BYTES,
     HTTPClient,
     ProtocolError,
     WSClient,
+    read_request,
     websocket_accept_value,
 )
 from repro.gateway.service import GatewayConfig, GatewayService
 from repro.multishot.block import GENESIS_DIGEST, Block
-from repro.net.codec import CommitAck, MetricsReply
+from repro.net.codec import ClientSubmitBatch, CommitAck, MetricsReply
 from repro.smr.mempool import Transaction
 
 from tests.test_gateway_service import FakeClock, StubPool, _chain, _reply
@@ -35,7 +38,7 @@ def _commit(service: GatewayService, txid: str, *, slot: int = 1) -> None:
 
 async def _started_server(**overrides) -> tuple[GatewayServer, GatewayService, StubPool]:
     pool = StubPool(4)
-    defaults = dict(n=4, rate=10.0, burst=2.0, max_batch=1000)
+    defaults = dict(n=4, rate=10.0, burst=2.0)
     defaults.update(overrides)
     service = GatewayService(pool, GatewayConfig(**defaults), clock=FakeClock())
     await service.start(start_consensus=False)
@@ -50,6 +53,24 @@ def _submission(i: int) -> dict:
 
 def run(scenario) -> None:
     asyncio.run(scenario())
+
+
+def _watch_loop_errors() -> list[dict]:
+    """What the running loop would log as unhandled, collected instead."""
+    errors: list[dict] = []
+    asyncio.get_running_loop().set_exception_handler(lambda _loop, context: errors.append(context))
+    return errors
+
+
+async def _read_response(reader: asyncio.StreamReader) -> tuple[int, bytes]:
+    head = await reader.readuntil(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    length = 0
+    for line in head.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return status, await reader.readexactly(length)
 
 
 # -- request validation -------------------------------------------------------
@@ -70,6 +91,26 @@ def test_parse_transaction_validates_shape():
     ):
         with pytest.raises(ProtocolError):
             parse_transaction(bad)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"POST /v1/transactions HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        b"POST /v1/transactions HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+        b"POST /v1/transactions HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"tx",  # EOF
+    ],
+    ids=["not-a-number", "negative", "body-cut-short"],
+)
+def test_read_request_turns_bad_framing_into_a_protocol_error(raw):
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        with pytest.raises(ProtocolError):
+            await read_request(reader)
+
+    run(scenario)
 
 
 def test_websocket_accept_value_matches_rfc6455_example():
@@ -165,6 +206,56 @@ def test_structured_errors_for_duplicate_capacity_and_bad_json():
         assert bad.status == 400
         assert bad.json()["error"]["code"] == "bad_request"
         client.close()
+        await service.stop()
+        await server.stop()
+
+    run(scenario)
+
+
+def test_a_malformed_request_gets_a_400_and_the_server_keeps_serving():
+    async def scenario():
+        errors = _watch_loop_errors()
+        server, service, _pool = await _started_server()
+        for length in (b"abc", b"-5"):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(
+                b"POST /v1/transactions HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+            )
+            status, body = await _read_response(reader)
+            assert status == 400 and b"bad_request" in body
+            assert await reader.read() == b""  # then the server hangs up
+            writer.close()
+        fresh = HTTPClient(server.host, server.port)
+        assert (await fresh.request("GET", "/v1/health")).status == 200
+        fresh.close()
+        await service.stop()
+        await server.stop()
+        assert errors == []
+
+    run(scenario)
+
+
+def test_pipelined_posts_in_one_write_reach_the_pool_as_one_frame():
+    async def scenario():
+        server, service, pool = await _started_server(rate=1000.0, burst=1000.0)
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        requests = []
+        for i in range(5):
+            body = f'{{"txid":"t{i}","op":["set","k",{i}]}}'.encode()
+            requests.append(
+                b"POST /v1/transactions HTTP/1.1\r\nx-client-id: a\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+        writer.write(b"".join(requests))
+        for _ in requests:
+            status, _body = await _read_response(reader)
+            assert status == 202
+        await asyncio.sleep(0)
+        assert pool.sent == [
+            ClientSubmitBatch(tuple(Transaction(f"t{i}", ("set", "k", i)) for i in range(5)))
+        ]
+        writer.close()
         await service.stop()
         await server.stop()
 
@@ -281,7 +372,6 @@ def test_a_read_after_the_commit_event_sees_the_write():
             headers={"x-client-id": "a"},
         )
         assert accepted.status == 202
-        await asyncio.sleep(0.05)  # the batch window flushes
         block = Block.create(1, GENESIS_DIGEST, (Transaction("w1", ("set", "x", 7)),))
         for node_id in range(4):
             pool.stream(node_id, block)
@@ -331,5 +421,25 @@ def test_ws_slow_consumer_is_closed_with_1013():
         http.close()
         await service.stop()
         await server.stop()
+
+    run(scenario)
+
+
+def test_an_oversize_ws_frame_is_closed_with_1009():
+    async def scenario():
+        errors = _watch_loop_errors()
+        server, service, _pool = await _started_server()
+        ws = WSClient(server.host, server.port)
+        await ws.connect()
+        await asyncio.sleep(0.05)  # subscription registered
+        # A masked TEXT frame header announcing one byte over the cap.
+        ws.writer.write(bytes([0x81, 0x80 | 127]) + struct.pack(">Q", MAX_BODY_BYTES + 1))
+        assert await asyncio.wait_for(ws.next_json(), timeout=5.0) is None
+        assert ws.close_code == 1009
+        assert service.subscriptions == []
+        ws.close()
+        await service.stop()
+        await server.stop()
+        assert errors == []
 
     run(scenario)

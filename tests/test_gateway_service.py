@@ -39,7 +39,6 @@ from repro.net.codec import (
 )
 from repro.smr.mempool import Transaction
 from repro.verification.audit import replay_chain
-from tests.conftest import FakeTimer
 
 
 class FakeClock:
@@ -54,8 +53,9 @@ class FakeClock:
 
 
 class StubPool:
-    """Records submissions and follow requests; scrape() serves canned
-    replies; :meth:`stream` plays a replica's block stream."""
+    """Runs the real pool's submit path and records the frames it would
+    broadcast; records follow requests; scrape() serves canned replies;
+    :meth:`stream` plays a replica's block stream."""
 
     def __init__(self, n: int = 4) -> None:
         self.live = set(range(n))
@@ -69,6 +69,18 @@ class StubPool:
         self.since_height = None
         #: (replica, height) per follow request, in order.
         self.follows: list[tuple[int, int]] = []
+        self._pending: list[Transaction] = []
+        self.flushes = 0
+        self.flushed_txns = 0
+
+    # The pool's own per-tick rule: submit queues, the queue drains once
+    # per event-loop tick, and each drain is one broadcast frame.
+    submit = ReplicaPool.submit
+    _flush = ReplicaPool._flush
+    submit_many = ReplicaPool.submit_many
+
+    def broadcast(self, message: object) -> None:
+        self.sent.append(message)
 
     def start_run(self) -> None:
         self.started = True
@@ -87,15 +99,6 @@ class StubPool:
         for block in blocks:
             ReplicaPool._on_message(self, node_id, BlockExecuted(node_id, block))
 
-    def submit(self, txn: Transaction) -> None:
-        self.sent.append(ClientSubmit(txn))
-
-    def submit_many(self, txns: list[Transaction]) -> None:
-        if len(txns) == 1:
-            self.submit(txns[0])
-        elif txns:
-            self.sent.append(ClientSubmitBatch(tuple(txns)))
-
     async def scrape(self, timeout=None) -> dict[int, MetricsReply]:
         if self.scrape_error is not None:
             raise self.scrape_error
@@ -111,7 +114,7 @@ def _service(
 ) -> tuple[GatewayService, StubPool, FakeClock]:
     clock = clock or FakeClock()
     pool = StubPool(n)
-    defaults = dict(n=n, rate=10.0, burst=3.0, max_batch=4)
+    defaults = dict(n=n, rate=10.0, burst=3.0)
     defaults.update(overrides)
     service = GatewayService(pool, GatewayConfig(**defaults), clock=clock)
     return service, pool, clock
@@ -210,80 +213,61 @@ def test_inflight_cap_limits_uncommitted_submissions_per_client():
         admission.check_submit("a")
 
 
-# -- submission batching ------------------------------------------------------
+# -- submission: the pool's per-tick rule -------------------------------------
 
 
-def test_submissions_batch_up_to_max_batch_into_one_frame():
+def test_writes_admitted_in_one_tick_leave_as_one_batch_frame():
     async def scenario():
-        service, pool, _clock = _service(rate=1000.0, burst=1000.0, max_batch=3)
+        service, pool, _clock = _service(rate=1000.0, burst=1000.0)
         await service.start(start_consensus=False)
         for i in range(3):
             service.submit("alice", _txn(i))
-        assert len(pool.sent) == 1
-        (frame,) = pool.sent
-        assert isinstance(frame, ClientSubmitBatch)
-        assert [txn.txid for txn in frame.txns] == ["t0", "t1", "t2"]
+        assert pool.sent == []  # the tick is not over yet
+        await asyncio.sleep(0)
+        assert pool.sent == [ClientSubmitBatch((_txn(0), _txn(1), _txn(2)))]
+        # The next tick's writes are the next frame, however few.
+        service.submit("bob", _txn(3))
+        service.submit("bob", _txn(4))
+        await asyncio.sleep(0)
+        assert pool.sent[1:] == [ClientSubmitBatch((_txn(3), _txn(4)))]
+        metrics = service.metrics()
+        assert (metrics["flushes"], metrics["flushed_txns"]) == (2, 5)
+        assert metrics["registry"]["gateway.flushes"] == 2.0
         await service.stop()
 
     asyncio.run(scenario())
 
 
-def test_batch_window_flushes_a_singleton_as_bare_submit():
+def test_a_lone_write_leaves_within_one_tick_as_a_bare_submit():
     async def scenario():
-        service, pool, _clock = _service(
-            rate=1000.0, burst=1000.0, max_batch=64, batch_window=0.01
-        )
+        service, pool, _clock = _service(rate=1000.0, burst=1000.0)
         await service.start(start_consensus=False)
         service.submit("alice", _txn(0))
-        assert pool.sent == []  # still buffered
-        await asyncio.sleep(0.05)
-        assert len(pool.sent) == 1
-        assert isinstance(pool.sent[0], ClientSubmit)
+        await asyncio.sleep(0)
+        assert pool.sent == [ClientSubmit(_txn(0))]
         await service.stop()
 
     asyncio.run(scenario())
 
 
-class _RecordingTimers:
-    """Stands in for the event loop's ``call_later``: records each
-    armed timer (``deadline`` holds the delay asked for) so a test
-    fires it by hand instead of sleeping."""
+def test_nothing_on_the_submit_path_arms_a_timer(monkeypatch):
+    armed: list[tuple[str, object]] = []
 
-    def __init__(self) -> None:
-        self.armed: list[FakeTimer] = []
-
-    def call_later(self, delay, callback) -> FakeTimer:
-        self.armed.append(FakeTimer(delay, callback))
-        return self.armed[-1]
-
-
-def test_flush_at_max_batch_or_batch_window_whichever_first():
     async def scenario():
-        service, pool, clock = _service(
-            rate=1000.0, burst=1000.0, max_batch=4, batch_window=0.005
-        )
+        service, pool, _clock = _service(rate=1000.0, burst=1000.0)
         await service.start(start_consensus=False)
-        timers = service._loop = _RecordingTimers()
-        # A fast burst: the max_batch-th submission flushes at once and
-        # disarms the window the first one armed.
+        loop = asyncio.get_running_loop()
+        for name in ("call_later", "call_at"):
+            monkeypatch.setattr(loop, name, lambda when, *_a, name=name: armed.append((name, when)))
         for i in range(4):
-            clock.advance(0.0001)
             service.submit("alice", _txn(i))
-        (frame,) = pool.sent
-        assert [txn.txid for txn in frame.txns] == ["t0", "t1", "t2", "t3"]
-        (burst_timer,) = timers.armed
-        assert burst_timer.cancelled
-        # A lone submission right behind the burst still gets the whole
-        # window, however fast its predecessors arrived.
-        service.submit("alice", _txn(4))
-        lone_timer = timers.armed[-1]
-        assert burst_timer.deadline == lone_timer.deadline == 0.005
-        assert len(pool.sent) == 1  # buffered until the window closes
-        lone_timer.callback()
-        assert pool.sent[1] == ClientSubmit(_txn(4))
+        await asyncio.sleep(0)
+        monkeypatch.undo()
+        assert pool.sent == [ClientSubmitBatch(tuple(_txn(i) for i in range(4)))]
         await service.stop()
 
     asyncio.run(scenario())
+    assert armed == []
 
 
 def test_duplicate_txid_is_rejected_without_spending_tokens():
@@ -366,9 +350,7 @@ def test_commit_events_fan_out_to_every_subscriber():
 
 def test_slow_subscriber_is_evicted_with_a_sentinel():
     async def scenario():
-        service, _pool, _clock = _service(
-            n=4, rate=1000.0, burst=1000.0, subscriber_queue=2, max_batch=1000
-        )
+        service, _pool, _clock = _service(n=4, rate=1000.0, burst=1000.0, subscriber_queue=2)
         await service.start(start_consensus=False)
         slow = service.subscribe()
         for i in range(4):
@@ -574,25 +556,30 @@ def test_a_stream_far_ahead_is_dropped_and_followed_again(monkeypatch):
 
 def test_a_commit_is_published_after_its_block_is_applied():
     """Read-your-commits: when the ``commit`` event for a txid goes out,
-    a read already sees its write."""
-    service, pool, _clock = _service(n=4, rate=1000.0, burst=1000.0)
-    sub = service.subscribe()
-    seen_at_publish = []
-    publish = service._publish
+    a read already sees its write.  Submitting needs a running loop, as
+    the pool's per-tick drain does."""
 
-    def spy(event: dict) -> None:
-        seen_at_publish.append((event["txid"], service.read_state("x").value))
-        publish(event)
+    async def scenario():
+        service, pool, _clock = _service(n=4, rate=1000.0, burst=1000.0)
+        sub = service.subscribe()
+        seen_at_publish = []
+        publish = service._publish
 
-    service._publish = spy
-    txn = Transaction("w1", ("set", "x", 7))
-    service.submit("alice", txn)
-    block = Block.create(1, GENESIS_DIGEST, (txn,))
-    for node_id in range(4):
-        pool.stream(node_id, block)
-    assert seen_at_publish == [("w1", 7)]
-    assert sub.queue.get_nowait()["txid"] == "w1"
-    assert service.txn_view("w1")["slot"] == 1
+        def spy(event: dict) -> None:
+            seen_at_publish.append((event["txid"], service.read_state("x").value))
+            publish(event)
+
+        service._publish = spy
+        txn = Transaction("w1", ("set", "x", 7))
+        service.submit("alice", txn)
+        block = Block.create(1, GENESIS_DIGEST, (txn,))
+        for node_id in range(4):
+            pool.stream(node_id, block)
+        assert seen_at_publish == [("w1", 7)]
+        assert sub.queue.get_nowait()["txid"] == "w1"
+        assert service.txn_view("w1")["slot"] == 1
+
+    asyncio.run(scenario())
 
 
 def test_chain_history_reports_slots_and_txids():

@@ -18,6 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import _ENV_KEYS, ReproConfig, repro_config
+from repro.core.config import ProtocolConfig
+from repro.gateway.service import GatewayConfig
+from repro.multishot.node import MultiShotConfig
+from repro.net.cluster import ClusterConfig
+from repro.net.replica_main import ReplicaSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +66,24 @@ def test_knob_census():
         if path.name != "config.py":
             consumed.update(reads.findall(path.read_text(encoding="utf-8")))
     assert fields <= consumed, f"parsed but never consumed: {sorted(fields - consumed)}"
+
+
+def test_config_field_census():
+    """Every field of the stack's config dataclasses is read as
+    ``.<field>`` somewhere in ``src/repro``: a setting whose mechanism
+    is gone fails here instead of staying on as an option that does
+    nothing.  The match is by name, so a field sharing its name with an
+    attribute read elsewhere can still hide."""
+    source = "\n".join(
+        path.read_text(encoding="utf-8") for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+    )
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in (GatewayConfig, ClusterConfig, ReplicaSpec, MultiShotConfig, ProtocolConfig)
+        for field in dataclasses.fields(cls)
+        if not re.search(rf"\.{field.name}\b", source)
+    ]
+    assert unread == [], f"config fields never read: {unread}"
 
 
 def test_defaults_with_nothing_set():
