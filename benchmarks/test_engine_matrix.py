@@ -43,13 +43,13 @@ from repro.multishot.block import Block
 from repro.sim import Simulation, SynchronousDelays
 from repro.smr import (
     ENGINE_NAMES,
-    InFlightIndex,
     KVStore,
     Mempool,
     Replica,
     Transaction,
 )
 from repro.smr.engine import multishot_engine
+from repro.smr.replica import finalized_frontier, txids_in_flight
 
 heavy = pytest.mark.skipif(
     not os.environ.get("REPRO_HEAVY"),
@@ -147,13 +147,13 @@ class _DirectWiredReplica:
         self.node_id = node_id
         self.mempool = Mempool(max_batch=max_batch)
         self.store = KVStore()
+        self.executed_blocks: list[Block] = []
         self.consensus = MultiShotNode(
             node_id,
             config,
             payload_fn=self._make_payload,
             on_finalize=self._execute_block,
         )
-        self.in_flight = InFlightIndex(self.consensus.store)
 
     def start(self, ctx) -> None:
         self.consensus.start(ctx)
@@ -173,10 +173,13 @@ class _DirectWiredReplica:
 
     def _make_payload(self, slot: int, parent: str) -> object:
         del slot
-        return self.mempool.next_batch(exclude=self.in_flight.txids_on(parent))
+        finalized = finalized_frontier(self.executed_blocks)
+        return self.mempool.next_batch(
+            exclude=txids_in_flight(self.consensus.store, parent, finalized)
+        )
 
     def _execute_block(self, block: Block) -> None:
-        self.in_flight.mark_finalized(block)
+        self.executed_blocks.append(block)
         payload = block.payload
         if not isinstance(payload, tuple):
             return

@@ -11,8 +11,9 @@ replicated KV store over Multi-shot TetraBFT):
   sync/geo/crash-recovery × n ∈ {4, 16, 64} — the client-observed
   latency table ``python -m repro smr`` prints.
 * **2× micro-benchmark** (tier-1): the proposal+finalization hot path —
-  indexed mempool + incremental :class:`InFlightIndex` + frontier-based
-  :class:`ChainState` — against a faithful replica of the seed
+  FIFO mempool + one lineage walk per proposal that stops at the
+  finalized frontier (:func:`~repro.smr.replica.txids_in_flight`) +
+  frontier-based :class:`ChainState` — against a faithful replica of the seed
   implementation (O(chain) ``chain_to_genesis`` walk per proposal,
   ``sorted()`` full rescan per notarization, linear finalized-tail
   scan, full-chain rebuild per finalization) on the n=64 bursty slot
@@ -42,7 +43,8 @@ from repro.multishot import MultiShotConfig
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
 from repro.multishot.chain import FINALITY_WINDOW, ChainState
 from repro.sim import Simulation, SynchronousDelays
-from repro.smr import InFlightIndex, KVStore, Mempool, Replica, Transaction
+from repro.smr import KVStore, Mempool, Replica, Transaction
+from repro.smr.replica import finalized_frontier, txids_in_flight
 from repro.workloads import BurstyWorkload
 
 heavy = pytest.mark.skipif(
@@ -271,6 +273,21 @@ class _SeedInFlight:
         pass  # the seed kept no finalized frontier
 
 
+class _LineageWalk:
+    """The indexed in-flight computation: one lineage walk per proposal,
+    stopping at the finalized frontier (what :class:`Replica` runs)."""
+
+    def __init__(self, store: BlockStore) -> None:
+        self._store = store
+        self._executed: list[Block] = []
+
+    def txids_on(self, parent: str) -> set[str]:
+        return txids_in_flight(self._store, parent, finalized_frontier(self._executed))
+
+    def mark_finalized(self, block: Block) -> None:
+        self._executed.append(block)
+
+
 def _bursty_feed(slots: int, batch: int) -> list[tuple[float, Transaction]]:
     """The bursty transaction stream, sized so the pool never runs dry.
 
@@ -349,7 +366,7 @@ def test_indexed_smr_path_at_least_2x_seed(benchmark):
 
     def indexed_run():
         return _drive_proposal_finalization(
-            ChainState, Mempool(max_batch=batch), InFlightIndex,
+            ChainState, Mempool(max_batch=batch), _LineageWalk,
             feed, slots, batch,
         )
 

@@ -8,7 +8,7 @@ protocol runs on, answered without pausing consensus — rendering one
 table row per replica:
 
 * consensus: total commits, live windowed commit rate, current view,
-  view changes, mempool depth, in-flight txns;
+  view changes, mempool depth;
 * transport: worst per-peer outbound queue lag;
 * durability (durable clusters): fsyncs, WAL bytes;
 * the event-log ring depth (``ev``).
@@ -35,7 +35,6 @@ from repro.net.cluster import (
     schedule_from_workload,
     sized_max_slots,
 )
-from repro.net.codec import WIRE_CODEC, ClientSubmit
 
 #: Default live-view shape: one n=4 lan cell's worth of workload.
 OBS_N = 4
@@ -54,7 +53,6 @@ def _replica_row(node_id: int, reply) -> dict:
         "view": int(reply_metric(reply, "consensus.view")),
         "vchg": int(reply_metric(reply, "consensus.view_changes")),
         "mempool": int(reply_metric(reply, "mempool.depth")),
-        "inflight": int(reply_metric(reply, "mempool.in_flight")),
         "lag": int(reply_metric(reply, "transport.queue_lag")),
         "fsync": int(reply_metric(reply, "storage.fsyncs")),
         "walB": int(reply_metric(reply, "storage.wal_bytes")),
@@ -73,7 +71,6 @@ def format_obs_table(replies: dict, title: str) -> str:
             "view",
             "vchg",
             "mempool",
-            "inflight",
             "lag",
             "fsync",
             "walB",
@@ -102,7 +99,7 @@ async def _observe(config: ClusterConfig, specs, schedule, interval, rounds) -> 
             if wait > 0:
                 await asyncio.sleep(wait)
             correlator.record_submit(txn.txid, time.monotonic())
-            pool.broadcast_frame(WIRE_CODEC.encode_frame(ClientSubmit(txn)))
+            pool.submit(txn)
 
     driver = asyncio.ensure_future(drive())
     done = False

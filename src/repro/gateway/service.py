@@ -38,7 +38,7 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 
-from repro.gateway.ratelimit import AdmissionController
+from repro.gateway.ratelimit import AdmissionController, AdmissionDenied, RateLimited
 from repro.metrics.smr_trackers import nearest_rank_percentiles
 from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.net.client import AckCorrelator, ReplicaPool
@@ -260,7 +260,14 @@ class GatewayService:
         if txn.txid in self.txns:
             self.counters["duplicates"] += 1
             raise DuplicateTransaction(f"transaction {txn.txid!r} was already submitted")
-        state = self.admission.check_submit(client_id)
+        try:
+            state = self.admission.check_submit(client_id)
+        except RateLimited:
+            self.counters["rejected_rate"] += 1
+            raise
+        except AdmissionDenied:
+            self.counters["rejected_admission"] += 1
+            raise
         now = self._clock()
         status = TxnStatus(txid=txn.txid, client_id=client_id, submitted_at=now)
         self.txns[txn.txid] = status

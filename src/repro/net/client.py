@@ -321,10 +321,7 @@ class ReplicaPool:
 
     def broadcast(self, message: object) -> None:
         """Encode once, send to every live replica."""
-        self.broadcast_frame(self.codec.encode_frame(message))
-
-    def broadcast_frame(self, frame: bytes) -> None:
-        self._write(self._live_conns(), frame)
+        self._write(self._live_conns(), self.codec.encode_frame(message))
 
     def submit(self, txn: Transaction) -> None:
         """Queue one transaction for every live replica.
@@ -332,7 +329,8 @@ class ReplicaPool:
         The queue is flushed once per event-loop tick (``call_soon``,
         never a timer), so N submits in one tick cost one encode and one
         frame per replica.  This is the client plane's one coalescing
-        rule: the gateway hands each admitted transaction straight here.
+        rule and its one submit path: the gateway, the A7 driver and the
+        ``obs`` demo hand each transaction straight here.
         """
         self._pending.append(txn)
         if len(self._pending) == 1:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.client import AckCorrelator, ReplicaPool
-from repro.net.codec import WIRE_CODEC, ClientSubmit, CollectReply, MetricsReply, StartRun
+from repro.net.codec import CollectReply, MetricsReply, StartRun
 from repro.net.replica_main import ReplicaSpec, run_replica
 from repro.smr.engine import ENGINE_NAMES
 from repro.smr.mempool import Transaction
@@ -335,9 +335,7 @@ async def _drive(
         if first_submit is None:
             first_submit = now
         correlator.record_submit(txn.txid, now)
-        # One serialization per transaction, not per connection — the
-        # encode sits inside the measured latency window.
-        pool.broadcast_frame(WIRE_CODEC.encode_frame(ClientSubmit(txn)))
+        pool.submit(txn)
     # Kill scheduled past the end of the workload (fraction >= 1).
     if kill_at_index is not None and kill_at_index >= len(schedule) and not killed:
         kill_victim()

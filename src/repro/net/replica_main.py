@@ -403,7 +403,6 @@ class ReplicaProcess:
             time.monotonic() - self._run_t0 if started else 0.0
         )
         registry.gauge("mempool.depth").set(self.replica.mempool.pending_count)
-        registry.gauge("mempool.in_flight").set(self.replica.mempool.in_flight_count)
         registry.counter("storage.recovered_blocks").set(self._recovered_blocks)
         registry.gauge("events.buffered").set(len(self.events))
         self.transport.publish_metrics(registry)

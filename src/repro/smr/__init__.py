@@ -10,13 +10,12 @@ from repro.smr.engine import (
 )
 from repro.smr.kvstore import KVCommandError, KVStore
 from repro.smr.mempool import Mempool, Transaction
-from repro.smr.replica import InFlightIndex, Replica
+from repro.smr.replica import Replica
 
 __all__ = [
     "ConsensusEngine",
     "ENGINE_NAMES",
     "EngineFactory",
-    "InFlightIndex",
     "KVCommandError",
     "KVStore",
     "Mempool",

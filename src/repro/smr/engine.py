@@ -23,9 +23,9 @@ anything):
   :class:`~repro.sim.runner.SimNode` plumbing, forwarded verbatim by
   the replica;
 * ``store`` — the engine's :class:`~repro.multishot.block.BlockStore`
-  (the *storage hook*: the replica's
-  :class:`~repro.smr.replica.InFlightIndex` resolves lineage walks
-  against it, and engines prune it behind their finalized tip);
+  (the *storage hook*: the replica's proposer walks the lineage it
+  extends through it, :func:`~repro.smr.replica.txids_in_flight`, and
+  engines prune it behind their finalized tip);
 * ``finalized_chain`` — the committed blocks, oldest first.
 
 Two implementations ship:

@@ -7,18 +7,15 @@ between clients and block proposers: FIFO with deduplication, batch
 extraction for payloads, and acknowledgement of finalized transactions
 so re-proposals stop.
 
-Internally the pool keeps an **in-flight index**: transactions a
-proposer excluded (because they already sit in an unfinalized block on
-the lineage being extended) are parked in a side queue instead of being
-re-scanned from the head of the pool on every proposal.  They return to
-the proposable queue — in their original FIFO position — only when a
-later call stops excluding them, which happens exactly when their block
-was aborted by a view change (finalization removes them altogether).
+The pool does not track which transactions ride unfinalized blocks: a
+proposer names them per proposal (``exclude``, one lineage walk —
+:func:`~repro.smr.replica.txids_in_flight`), so a transaction whose
+block was aborted is proposable again, in its FIFO position, as soon as
+no lineage being extended carries it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 
@@ -35,18 +32,12 @@ class Transaction:
 
 
 class Mempool:
-    """FIFO pool with dedup, an in-flight index, and a finalization ledger."""
+    """FIFO pool of unfinalized transactions with a finalization ledger."""
 
     def __init__(self, max_batch: int = 100) -> None:
         self.max_batch = max_batch
-        # Proposable transactions, in submission (seq) order.
-        self._pending: OrderedDict[str, Transaction] = OrderedDict()
-        # In-flight transactions: excluded by the last next_batch call
-        # because they already ride an unfinalized block.
-        self._in_flight: OrderedDict[str, Transaction] = OrderedDict()
-        # Submission order, used to restore FIFO position on release.
-        self._seq: dict[str, int] = {}
-        self._next_seq = 0
+        # Unfinalized transactions, in submission order.
+        self._pending: dict[str, Transaction] = {}
         # The dedup ledger: every txid ever finalized, kept forever *by
         # design* — it is what stops a finalized transaction from being
         # resubmitted by a client or re-executed from a duplicate block,
@@ -58,84 +49,38 @@ class Mempool:
     def add(self, txn: Transaction) -> bool:
         """Queue a transaction; returns False for duplicates/finalized."""
         txid = txn.txid
-        if txid in self._pending or txid in self._in_flight or txid in self._finalized:
+        if txid in self._pending or txid in self._finalized:
             return False
         self._pending[txid] = txn
-        self._seq[txid] = self._next_seq
-        self._next_seq += 1
         return True
 
     def next_batch(self, exclude: Set[str] = frozenset()) -> tuple[Transaction, ...]:
-        """Up to ``max_batch`` oldest proposable transactions.
+        """Up to ``max_batch`` oldest transactions not in ``exclude``.
 
         Transactions are not removed here — they stay queued until
         acknowledged via :meth:`mark_finalized`, so a failed block's
         payload is re-proposed by a later leader.  ``exclude`` names
         transactions already included in the unfinalized chain the
-        proposer is extending (they are in flight, not failed): they
-        are parked in the in-flight index, so the *next* proposal skips
-        them without re-walking them at the head of the queue, and any
-        parked transaction no longer excluded (its block was aborted)
-        is released back into its FIFO position first.
+        proposer is extending (they are in flight, not failed).
         """
-        if self._in_flight:
-            released = [txid for txid in self._in_flight if txid not in exclude]
-            if released:
-                self._release(released)
         batch: list[Transaction] = []
-        parked: list[str] = []
         for txid, txn in self._pending.items():
             if txid in exclude:
-                parked.append(txid)
                 continue
             batch.append(txn)
             if len(batch) >= self.max_batch:
                 break
-        for txid in parked:
-            self._in_flight[txid] = self._pending.pop(txid)
         return tuple(batch)
-
-    def _release(self, txids: list[str]) -> None:
-        """Return aborted in-flight transactions to the proposable queue.
-
-        ``_pending`` is always in submission (seq) order, so a linear
-        merge with the seq-sorted released entries restores global FIFO
-        order in O(pending + released·log released) — no full re-sort.
-        """
-        seq = self._seq
-        released = sorted(txids, key=seq.__getitem__)
-        merged: OrderedDict[str, Transaction] = OrderedDict()
-        rel_iter = iter(released)
-        rel_id = next(rel_iter, None)
-        for txid, txn in self._pending.items():
-            while rel_id is not None and seq[rel_id] < seq[txid]:
-                merged[rel_id] = self._in_flight.pop(rel_id)
-                rel_id = next(rel_iter, None)
-            merged[txid] = txn
-        while rel_id is not None:
-            merged[rel_id] = self._in_flight.pop(rel_id)
-            rel_id = next(rel_iter, None)
-        self._pending = merged
 
     def mark_finalized(self, txids: Iterable[str]) -> None:
         for txid in txids:
             self._pending.pop(txid, None)
-            self._in_flight.pop(txid, None)
-            self._seq.pop(txid, None)
             self._finalized.add(txid)
 
     @property
     def pending_count(self) -> int:
         """Queued-but-unfinalized transactions, in flight included."""
-        return len(self._pending) + len(self._in_flight)
-
-    @property
-    def in_flight_count(self) -> int:
-        return len(self._in_flight)
-
-    @property
-    def finalized_count(self) -> int:
-        return len(self._finalized)
+        return len(self._pending)
 
     def is_finalized(self, txid: str) -> bool:
         return txid in self._finalized

@@ -18,17 +18,19 @@ Submissions may land before the simulation starts; their submit
 timestamps are recorded at the replica's first tick (the earliest
 instant it could have seen them), not at a fictitious ``t=0``.
 
-Proposal-time duplicate avoidance is incremental: an
-:class:`InFlightIndex` caches each block's transaction-id set and walks
-parent pointers only through the *unfinalized* suffix of the lineage
-being extended (bounded by the abort window), instead of re-walking the
-whole chain to genesis on every proposal as the seed implementation
-did.  Hook a :class:`~repro.metrics.smr_trackers.SMRTrackers` bundle
-into the constructor to record client-observed submit→finalize latency
-and commit throughput for the ``smr`` experiment.
+Proposal-time duplicate avoidance is one rule: the proposer excludes
+the transactions on the *unfinalized* suffix of the lineage it extends
+(:func:`txids_in_flight`, a parent-pointer walk through the engine's
+block store that stops at the finalized frontier, so it is bounded by
+the abort window, not the chain length).  Hook a
+:class:`~repro.metrics.smr_trackers.SMRTrackers` bundle into the
+constructor to record client-observed submit→finalize latency and
+commit throughput for the ``smr`` experiment.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence, Set
 
 from repro.errors import ConfigurationError
 from repro.metrics.smr_trackers import SMRTrackers
@@ -42,78 +44,48 @@ from repro.smr.mempool import Mempool, Transaction
 from repro.storage.api import MemoryStorage, ReplicaStorage
 
 
-class InFlightIndex:
-    """Incrementally maintained map of which txids ride which lineage.
+#: Slots of finalized history behind the tip whose digests end a
+#: lineage walk.  An independent constant: it must stay >= the
+#: consensus node's own retention (RETENTION_SLOTS in
+#: multishot/node.py, 8) so the frontier outlives every lineage a
+#: proposer can still extend; kept at double that for slack.  If a walk
+#: ever outruns it anyway, the pruned block store truncates the walk
+#: and the proposer merely excludes less — never incorrectly.
+FRONTIER_SLOTS = 16
 
-    ``txids_on(parent)`` is the set a proposer must exclude: every
-    transaction already included in an unfinalized block on the chain
-    ending at ``parent``.  Each block's txid set is extracted from its
-    payload exactly once (then cached), and the lineage walk stops at
-    the finalized frontier, so the per-proposal cost is O(abort window
-    × batch) regardless of chain length.  Memory is bounded the same
-    way: every finalization prunes cache and frontier entries more than
-    :data:`RETENTION_SLOTS` behind the tip (only digests a future
-    lineage walk can still reach matter — all within the abort window).
+
+def finalized_frontier(executed: Sequence[Block]) -> set[Digest]:
+    """Digests of the executed blocks at slots >= tip − :data:`FRONTIER_SLOTS`."""
+    if not executed:
+        return set()
+    horizon = executed[-1].slot - FRONTIER_SLOTS
+    frontier: set[Digest] = set()
+    for block in reversed(executed):
+        if block.slot < horizon:
+            break
+        frontier.add(block.digest)
+    return frontier
+
+
+def txids_in_flight(store: BlockStore, parent: Digest, finalized: Set[Digest]) -> set[str]:
+    """Txids on the unfinalized lineage ending at ``parent``.
+
+    This is what a proposer extending ``parent`` must exclude.  The walk
+    follows parent pointers until genesis, a digest in ``finalized``
+    (those transactions left the mempool at finalization) or a missing
+    body: the proposer excludes what it can see, and a partial exclusion
+    only lets through a duplicate that execution discards.
     """
-
-    #: Slots of frontier/cache history retained behind the finalized
-    #: tip.  An independent constant: it must stay >= the consensus
-    #: node's own retention (RETENTION_SLOTS in multishot/node.py, 8)
-    #: so the frontier outlives every lineage a proposer can still
-    #: extend; kept at double that for slack.  If a walk ever outruns
-    #: it anyway, the pruned block store truncates the walk and the
-    #: proposer merely excludes less — never incorrectly.
-    RETENTION_SLOTS = 16
-
-    def __init__(self, store: BlockStore) -> None:
-        self._store = store
-        # digest → (parent digest, block slot, txids carried by it).
-        self._by_digest: dict[Digest, tuple[Digest, int, frozenset[str]]] = {}
-        # Finalized-frontier digests (→ slot): lineage walks stop here
-        # (their transactions left the mempool at finalization).
-        self._finalized: dict[Digest, int] = {}
-
-    @staticmethod
-    def block_txids(block: Block) -> frozenset[str]:
-        payload = block.payload
-        if not isinstance(payload, tuple):
-            return frozenset()
-        return frozenset(txn.txid for txn in payload if isinstance(txn, Transaction))
-
-    def txids_on(self, parent: Digest) -> set[str]:
-        """Union of txids on the unfinalized suffix ending at ``parent``.
-
-        A missing block body truncates the walk: the proposer excludes
-        what it can see (the seed behaviour excluded nothing in that
-        case; a partial exclusion only avoids more duplicates).
-        """
-        in_flight: set[str] = set()
-        current = parent
-        while current != GENESIS_DIGEST and current not in self._finalized:
-            entry = self._by_digest.get(current)
-            if entry is None:
-                block = self._store.get(current)
-                if block is None:
-                    break
-                entry = (block.parent, block.slot, self.block_txids(block))
-                self._by_digest[current] = entry
-            in_flight.update(entry[2])
-            current = entry[0]
-        return in_flight
-
-    def mark_finalized(self, block: Block) -> None:
-        """Advance the frontier: ``block`` no longer counts as in flight."""
-        self._finalized[block.digest] = block.slot
-        self._by_digest.pop(block.digest, None)
-        horizon = block.slot - self.RETENTION_SLOTS
-        if horizon <= 0:
-            return
-        # Frontier digests and cached lineages (finalized *or* aborted)
-        # behind the horizon can never be reached by a future walk.
-        for digest in [d for d, s in self._finalized.items() if s < horizon]:
-            del self._finalized[digest]
-        for digest in [d for d, e in self._by_digest.items() if e[1] < horizon]:
-            del self._by_digest[digest]
+    txids: set[str] = set()
+    current = parent
+    while current != GENESIS_DIGEST and current not in finalized:
+        block = store.get(current)
+        if block is None:
+            break
+        if isinstance(block.payload, tuple):
+            txids.update(txn.txid for txn in block.payload if isinstance(txn, Transaction))
+        current = block.parent
+    return txids
 
 
 class Replica(SimNode):
@@ -149,7 +121,6 @@ class Replica(SimNode):
         self.consensus: ConsensusEngine = engine_factory(
             node_id, self._make_payload, self._execute_block
         )
-        self.in_flight = InFlightIndex(self.consensus.store)
 
     # -- SimNode plumbing -----------------------------------------------------
 
@@ -195,8 +166,8 @@ class Replica(SimNode):
         Installs ``blocks`` (a hash-linked chain from slot 1, e.g. a
         :class:`~repro.storage.api.RecoveredState`'s) into the engine as
         already-finalized history, then re-executes them through the
-        normal execution path so the kvstore, dedup ledger, and
-        in-flight index are rebuilt exactly as a live run would have
+        normal execution path so the kvstore, dedup ledger and
+        finalized frontier are rebuilt exactly as a live run would have
         built them.  Trackers and the storage hook are suppressed during
         the replay: these blocks were already recorded (and persisted)
         in a previous life.
@@ -252,7 +223,10 @@ class Replica(SimNode):
         duplicates the executor must then discard.
         """
         del slot
-        batch = self.mempool.next_batch(exclude=self.in_flight.txids_on(parent))
+        exclude = txids_in_flight(
+            self.consensus.store, parent, finalized_frontier(self.executed_blocks)
+        )
+        batch = self.mempool.next_batch(exclude=exclude)
         if self.trackers is not None and batch:
             now = self._ctx.now if self._ctx is not None else 0.0
             self.trackers.record_proposal(
@@ -265,7 +239,6 @@ class Replica(SimNode):
     def _execute_block(self, block: Block) -> None:
         """Apply one finalized block in chain order."""
         self.executed_blocks.append(block)
-        self.in_flight.mark_finalized(block)
         payload = block.payload
         if not isinstance(payload, tuple):
             # e.g. a synthetic payload from a non-SMR proposer: nothing

@@ -36,7 +36,6 @@ from repro.sim.runner import NodeContext, SimNode
 from repro.smr import (
     ConsensusEngine,
     ENGINE_NAMES,
-    InFlightIndex,
     KVStore,
     Mempool,
     Replica,
@@ -44,6 +43,7 @@ from repro.smr import (
     engine_factory,
     multishot_engine,
 )
+from repro.smr.replica import finalized_frontier, txids_in_flight
 
 BASELINE_ENGINES = tuple(name for name in ENGINE_NAMES if name != "tetrabft")
 
@@ -76,7 +76,6 @@ class _DirectWiredReplica(SimNode):
             payload_fn=self._make_payload,
             on_finalize=self._execute_block,
         )
-        self.in_flight = InFlightIndex(self.consensus.store)
 
     def start(self, ctx: NodeContext) -> None:
         self._ctx = ctx
@@ -97,11 +96,13 @@ class _DirectWiredReplica(SimNode):
 
     def _make_payload(self, slot: int, parent: str) -> object:
         del slot
-        return self.mempool.next_batch(exclude=self.in_flight.txids_on(parent))
+        finalized = finalized_frontier(self.executed_blocks)
+        return self.mempool.next_batch(
+            exclude=txids_in_flight(self.consensus.store, parent, finalized)
+        )
 
     def _execute_block(self, block: Block) -> None:
         self.executed_blocks.append(block)
-        self.in_flight.mark_finalized(block)
         payload = block.payload
         if not isinstance(payload, tuple):
             return

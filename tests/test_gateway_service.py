@@ -284,6 +284,32 @@ def test_duplicate_txid_is_rejected_without_spending_tokens():
     asyncio.run(scenario())
 
 
+def test_refusals_count_as_rejected_rate_and_rejected_admission():
+    """A 429 (rate) and a capacity 503 (admission) each count once in
+    the metrics view and on the registry; the refusal itself is the
+    controller's exception, re-raised unchanged."""
+
+    async def scenario():
+        service, _pool, _clock = _service(rate=10.0, burst=2.0, max_clients=1)
+        await service.start(start_consensus=False)
+        service.submit("alice", _txn(0))
+        service.submit("alice", _txn(1))
+        with pytest.raises(RateLimited) as rate_info:
+            service.submit("alice", _txn(2))
+        assert rate_info.value.retry_after > 0
+        with pytest.raises(AdmissionDenied) as admission_info:
+            service.submit("bob", _txn(3))
+        assert admission_info.value.code == "client_capacity"
+        metrics = service.metrics()
+        assert (metrics["rejected_rate"], metrics["rejected_admission"]) == (1, 1)
+        assert metrics["submitted"] == 2
+        assert metrics["registry"]["gateway.rejected_rate"] == 1.0
+        assert metrics["registry"]["gateway.rejected_admission"] == 1.0
+        await service.stop()
+
+    asyncio.run(scenario())
+
+
 # -- quorum commit tracking ---------------------------------------------------
 
 

@@ -53,7 +53,6 @@ def test_scrape_during_live_run_carries_the_metric_series(tmp_path):
             "consensus.commit.rate",
             "consensus.view_changes",
             "mempool.depth",
-            "mempool.in_flight",
             "net.frames_in",
             "net.messages_in",
             "net.client_frames_in",

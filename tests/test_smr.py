@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import ProtocolConfig
@@ -15,13 +17,13 @@ from repro.sim import (
     silence_nodes,
 )
 from repro.smr import (
-    InFlightIndex,
     KVCommandError,
     KVStore,
     Mempool,
     Replica,
     Transaction,
 )
+from repro.smr.replica import FRONTIER_SLOTS, finalized_frontier, txids_in_flight
 
 
 class TestMempool:
@@ -59,40 +61,45 @@ class TestMempool:
         batch = pool.next_batch(exclude=frozenset({"t0", "t1"}))
         assert [t.txid for t in batch] == ["t2", "t3"]
 
-    def test_excluded_txns_parked_in_in_flight_index(self):
-        """Excluded txns move to the in-flight index: later proposals
-        do not re-walk them at the head of the queue."""
+    def test_excluded_txns_stay_queued_and_are_skipped(self):
+        """Excluded txns stay in the pool (they may yet be aborted) and
+        every proposal that excludes them again skips them."""
         pool = Mempool(max_batch=2)
         for k in range(4):
             pool.add(Transaction(f"t{k}", ("noop",)))
-        pool.next_batch(exclude=frozenset({"t0", "t1"}))
-        assert pool.in_flight_count == 2
+        first = pool.next_batch(exclude=frozenset({"t0", "t1"}))
         assert pool.pending_count == 4  # in flight still counts as queued
-        # Same exclusions again: already parked, nothing to rescan.
-        batch = pool.next_batch(exclude=frozenset({"t0", "t1"}))
-        assert [t.txid for t in batch] == ["t2", "t3"]
-        assert pool.in_flight_count == 2
+        again = pool.next_batch(exclude=frozenset({"t0", "t1"}))
+        assert [t.txid for t in first] == [t.txid for t in again] == ["t2", "t3"]
 
     def test_aborted_in_flight_released_in_fifo_position(self):
         """When an exclusion disappears (block aborted by a view
-        change), the txn re-enters the proposable queue in its original
-        FIFO position, ahead of later submissions."""
+        change), the txn is proposable again in its original FIFO
+        position, ahead of later submissions."""
         pool = Mempool(max_batch=4)
         for k in range(3):
             pool.add(Transaction(f"t{k}", ("noop",)))
-        pool.next_batch(exclude=frozenset({"t0"}))
+        assert [t.txid for t in pool.next_batch(exclude=frozenset({"t0"}))] == ["t1", "t2"]
         pool.add(Transaction("t3", ("noop",)))
         batch = pool.next_batch()  # t0's block aborted: no exclusions
         assert [t.txid for t in batch] == ["t0", "t1", "t2", "t3"]
-        assert pool.in_flight_count == 0
 
     def test_finalization_clears_in_flight(self):
+        """Finalizing the block that carries t0 ends its exclusion: the
+        walk stops at the block, and the pool neither offers t0 nor
+        takes it back."""
+        store = BlockStore()
         pool = Mempool(max_batch=2)
         for k in range(3):
             pool.add(Transaction(f"t{k}", ("noop",)))
-        pool.next_batch(exclude=frozenset({"t0"}))
+        b1 = _payload_block(1, GENESIS_DIGEST, ["t0"])
+        store.add(b1)
+        exclude = txids_in_flight(store, b1.digest, set())
+        assert exclude == {"t0"}
+        assert [t.txid for t in pool.next_batch(exclude)] == ["t1", "t2"]
         pool.mark_finalized(["t0"])
-        assert pool.in_flight_count == 0
+        assert txids_in_flight(store, b1.digest, finalized_frontier([b1])) == set()
+        assert [t.txid for t in pool.next_batch()] == ["t1", "t2"]
         assert pool.pending_count == 2
         assert pool.is_finalized("t0")
         assert not pool.add(Transaction("t0", ("noop",)))
@@ -100,9 +107,9 @@ class TestMempool:
     def test_duplicate_rejected_while_in_flight(self):
         pool = Mempool(max_batch=2)
         pool.add(Transaction("t0", ("noop",)))
-        pool.next_batch(exclude=frozenset({"t0"}))
-        assert pool.in_flight_count == 1
+        assert pool.next_batch(exclude=frozenset({"t0"})) == ()
         assert not pool.add(Transaction("t0", ("noop",)))
+        assert [t.txid for t in pool.next_batch()] == ["t0"]
 
 
 def _payload_block(slot: int, parent: str, txids: list[str]) -> Block:
@@ -111,65 +118,111 @@ def _payload_block(slot: int, parent: str, txids: list[str]) -> Block:
 
 
 class TestInFlightIndex:
+    """The in-flight set a proposer excludes: :func:`txids_in_flight`."""
+
     def test_collects_unfinalized_lineage(self):
         store = BlockStore()
-        index = InFlightIndex(store)
         b1 = _payload_block(1, GENESIS_DIGEST, ["a", "b"])
         b2 = _payload_block(2, b1.digest, ["c"])
         store.add(b1)
         store.add(b2)
-        assert index.txids_on(b2.digest) == {"a", "b", "c"}
-        assert index.txids_on(b1.digest) == {"a", "b"}
-        assert index.txids_on(GENESIS_DIGEST) == set()
+        assert txids_in_flight(store, b2.digest, set()) == {"a", "b", "c"}
+        assert txids_in_flight(store, b1.digest, set()) == {"a", "b"}
+        assert txids_in_flight(store, GENESIS_DIGEST, set()) == set()
 
     def test_walk_stops_at_finalized_frontier(self):
         store = BlockStore()
-        index = InFlightIndex(store)
         b1 = _payload_block(1, GENESIS_DIGEST, ["a"])
         b2 = _payload_block(2, b1.digest, ["b"])
         b3 = _payload_block(3, b2.digest, ["c"])
         for block in (b1, b2, b3):
             store.add(block)
-        index.mark_finalized(b1)
         # a left the pool at finalization; only the unfinalized suffix counts.
-        assert index.txids_on(b3.digest) == {"b", "c"}
-        index.mark_finalized(b2)
-        assert index.txids_on(b3.digest) == {"c"}
+        assert txids_in_flight(store, b3.digest, finalized_frontier([b1])) == {"b", "c"}
+        assert txids_in_flight(store, b3.digest, finalized_frontier([b1, b2])) == {"c"}
 
     def test_missing_body_truncates_walk(self):
         store = BlockStore()
-        index = InFlightIndex(store)
         b1 = _payload_block(1, GENESIS_DIGEST, ["a"])
         b2 = _payload_block(2, b1.digest, ["b"])
         store.add(b2)  # b1's body never arrived
-        assert index.txids_on(b2.digest) == {"b"}
+        assert txids_in_flight(store, b2.digest, set()) == {"b"}
 
     def test_non_smr_payloads_contribute_nothing(self):
         store = BlockStore()
-        index = InFlightIndex(store)
         block = Block.create(1, GENESIS_DIGEST, "opaque-payload")
         store.add(block)
-        assert index.txids_on(block.digest) == set()
+        assert txids_in_flight(store, block.digest, set()) == set()
 
-    def test_frontier_and_cache_stay_bounded(self):
-        """Finalization prunes frontier/cache entries behind the
-        retention horizon: memory does not grow with chain length."""
+    def test_frontier_stays_bounded_and_ends_walks(self):
+        """The frontier is the last FRONTIER_SLOTS + 1 finalized slots,
+        however long the chain, and its tip still ends the walk from a
+        fresh child."""
         store = BlockStore()
-        index = InFlightIndex(store)
+        executed: list[Block] = []
         parent = GENESIS_DIGEST
-        chain_len = 3 * InFlightIndex.RETENTION_SLOTS
+        chain_len = 3 * FRONTIER_SLOTS
         for slot in range(1, chain_len + 1):
             block = _payload_block(slot, parent, [f"t{slot}"])
             store.add(block)
-            index.txids_on(block.digest)  # populate the cache
-            index.mark_finalized(block)
+            executed.append(block)
             parent = block.digest
-        assert len(index._finalized) <= InFlightIndex.RETENTION_SLOTS + 1
-        assert len(index._by_digest) <= InFlightIndex.RETENTION_SLOTS + 1
-        # The frontier tip still terminates walks from fresh children.
+        frontier = finalized_frontier(executed)
+        assert frontier == {b.digest for b in executed[-(FRONTIER_SLOTS + 1) :]}
         child = _payload_block(chain_len + 1, parent, ["fresh"])
         store.add(child)
-        assert index.txids_on(child.digest) == {"fresh"}
+        assert txids_in_flight(store, child.digest, frontier) == {"fresh"}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_walk_equals_brute_force_on_random_forked_trees(self, seed):
+        """A random block tree: a finalized chain with aborted (skipped)
+        slots, finalized to a random depth, and unfinalized forks grown
+        off its frontier.  From every block a proposer can extend (a
+        frontier or unfinalized block), the walk over the frontier
+        equals the txids of its ancestors-or-self that are not
+        finalized at all."""
+        rng = random.Random(seed)
+        store = BlockStore()
+        parents: dict[str, str] = {}
+        txids: dict[str, set[str]] = {}
+        counter = iter(range(10**6))
+
+        def grow(slot: int, parent: str) -> Block:
+            names = [f"x{next(counter)}" for _ in range(rng.randint(0, 3))]
+            block = _payload_block(slot, parent, names)
+            store.add(block)
+            parents[block.digest] = parent
+            txids[block.digest] = set(names)
+            return block
+
+        finalized: list[Block] = []
+        slot, parent = 0, GENESIS_DIGEST
+        for _ in range(rng.randint(0, 3 * FRONTIER_SLOTS)):
+            slot += rng.choice((1, 1, 1, 2, 3))  # aborted views skip slots
+            finalized.append(grow(slot, parent))
+            parent = finalized[-1].digest
+        frontier = finalized_frontier(finalized)
+        # Forks may branch off any frontier block, or genesis while
+        # nothing is finalized.
+        tips = [b for b in finalized if b.digest in frontier] or [None]
+        unfinalized: list[Block] = []
+        for _ in range(rng.randint(1, 20)):
+            base = rng.choice(tips + unfinalized)
+            base_slot, base_digest = (
+                (0, GENESIS_DIGEST) if base is None else (base.slot, base.digest)
+            )
+            block = grow(base_slot + rng.randint(1, 3), base_digest)
+            unfinalized.append(block)
+
+        settled = {b.digest for b in finalized}
+        for block in [b for b in finalized if b.digest in frontier] + unfinalized:
+            ancestry = set()
+            digest = block.digest
+            while digest != GENESIS_DIGEST:
+                ancestry.add(digest)
+                digest = parents[digest]
+            expected = set().union(*(txids[d] for d in ancestry - settled))
+            assert txids_in_flight(store, block.digest, frontier) == expected
 
 
 class TestKVStore:
