@@ -19,7 +19,7 @@ ever reach a replica mempool.  Two mechanisms, both per client:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReproError
 
@@ -95,8 +95,6 @@ class ClientState:
     inflight: int = 0
     submitted: int = 0
     rejected: int = 0
-    #: txids this client submitted (dedup + accounting).
-    txids: set[str] = field(default_factory=set)
 
 
 class AdmissionController:

@@ -274,7 +274,6 @@ class GatewayService:
         self.correlator.record_submit(txn.txid, now)
         state.inflight += 1
         state.submitted += 1
-        state.txids.add(txn.txid)
         self.counters["submitted"] += 1
         self.tracer.record(txn.txid, "admit", at=now)
         self.pool.submit(txn)

@@ -28,6 +28,21 @@ Protocol flow implemented here:
   single-shot).  Slots never previously started still begin at view 0,
   exactly as slot 4 does in the paper's Fig. 3.
 
+  Outside the paper's model, a context that can tell a lost peer
+  connection (``ctx.peer_lost(peer)``, the deployed transport's) makes
+  the timer of a slot whose current-view leader is lost fire at once,
+  once per (slot, view): on arming while the leader is lost, and on the
+  loss itself (:meth:`MultiShotNode.on_peer_lost`).  The guard is
+  ``vc_sent <= view``: the early timeout raises ``vc_sent`` past the
+  view, so the timer it re-arms runs the full 9Δ.  This is a liveness
+  aid and cannot touch safety.  Safety never depends on timer values,
+  since an honest node may ask for a view change at any time.  A view
+  still needs f+1 view-change messages to be echoed and a quorum to
+  move, so at most f nodes that wrongly suspect a leader change
+  nothing.  A Byzantine peer that drops its connections only gets its
+  own slots skipped sooner.  The simulator's context has no
+  ``peer_lost``, so every simulated run keeps the plain 9Δ timers.
+
 :class:`MultiShotNode` is also the **reference implementation** of the
 SMR layer's :class:`~repro.smr.engine.ConsensusEngine` boundary: it
 satisfies the protocol structurally (``start``/``receive``/``store``/
@@ -158,6 +173,7 @@ class MultiShotNode(SimNode):
         self._ctx: NodeContext | None = None
         self._batching = batching
         self._batch_ctx: BatchingContext | None = None
+        self._peer_lost: Callable[[NodeId], bool] | None = None
 
     # -- helpers -------------------------------------------------------------------
 
@@ -183,6 +199,7 @@ class MultiShotNode(SimNode):
     # -- lifecycle ------------------------------------------------------------------
 
     def start(self, ctx: NodeContext) -> None:
+        self._peer_lost = getattr(ctx, "peer_lost", None)
         if self._batching:
             self._batch_ctx = BatchingContext(ctx)
             ctx = self._batch_ctx
@@ -244,17 +261,44 @@ class MultiShotNode(SimNode):
         state = self.slot_state(slot)
         if state.timer is not None:
             state.timer.cancel()
-        state.timer = self.ctx.set_timer(
-            self.config.base.view_timeout, lambda: self._on_timeout(slot)
+        lost = self._leader_lost(slot, state)
+        delay = 0 if lost else self.config.base.view_timeout
+        state.timer = self.ctx.set_timer(delay, lambda: self._on_timeout(slot, lost))
+
+    def _leader_lost(self, slot: int, state: _SlotState) -> bool:
+        """Whether the slot's current-view leader is a lost peer and we
+        have not yet asked to leave that view (see "View change")."""
+        return (
+            self._peer_lost is not None
+            and state.vc_sent <= state.view
+            and self._peer_lost(self.config.leader_of(slot, state.view))
         )
 
-    def _on_timeout(self, slot: int) -> None:
+    def on_peer_lost(self, peer: NodeId) -> None:
+        """Our connection to ``peer`` went down: time out now every
+        started, unfinalized slot that ``peer`` leads in its current view."""
+        if self._peer_lost is None:
+            return
+        tip = self.chain.finalized_height
+        for slot, state in self.slots.items():
+            if (
+                slot > tip
+                and state.started
+                and self.config.leader_of(slot, state.view) == peer
+                and self._leader_lost(slot, state)
+            ):
+                self._arm_timer(slot)
+
+    def _on_timeout(self, slot: int, leader_lost: bool = False) -> None:
         if self.chain.finalized_height >= slot:
             return  # finalized while the timer was in flight
         state = self.slot_state(slot)
         if not state.started:
             return
-        self.ctx.trace(TraceKind.TIMER, slot=slot, view=state.view)
+        if leader_lost:
+            self.ctx.trace(TraceKind.TIMER, slot=slot, view=state.view, leader_lost=True)
+        else:
+            self.ctx.trace(TraceKind.TIMER, slot=slot, view=state.view)
         next_view = max(state.view + 1, state.vc_sent)
         state.vc_sent = next_view
         self.ctx.broadcast(MSViewChange(slot, next_view))

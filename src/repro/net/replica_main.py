@@ -31,7 +31,10 @@ do not decode is closed and leaves an ``anomaly`` event):
 * ``CollectRequest`` answers with a ``CollectReply`` carrying the
   finalized chain, live state digest and applied-transaction log — the
   exact :class:`~repro.verification.audit.ReplicaEvidence` fields the
-  safety auditor replays — then shuts the process down gracefully.
+  safety auditor replays — then shuts the process down gracefully;
+* a peer lane that loses its connection leaves a ``peer_lost`` event
+  and is handed to the engine (``on_peer_lost``), which times out at
+  once the slots that peer leads (``consensus.leader_lost_timeouts``).
 """
 
 from __future__ import annotations
@@ -173,13 +176,16 @@ class _ObsNetContext(NetContext):
     Engines announce a view entry either with ``report_view_entry`` or,
     per slot, with a bare ``trace(VIEW_ENTER, slot=, view=)``.  The
     first ends in ``trace`` as well, so that is the one place to look.
-    View 0 is a slot starting, not a view change.
+    View 0 is a slot starting, not a view change.  A slot timer that
+    fired at once because its leader's connection was lost traces
+    ``TIMER`` with ``leader_lost=True``; those are counted too.
     """
 
     def __init__(self, node_id, transport, time_scale, registry, events) -> None:
         super().__init__(node_id, transport, time_scale)
         self._view_changes = registry.counter("consensus.view_changes")
         self._view = registry.gauge("consensus.view")
+        self._leader_lost_timeouts = registry.counter("consensus.leader_lost_timeouts")
         self._events = events
 
     def trace(self, kind: TraceKind, **detail: object) -> None:
@@ -189,6 +195,8 @@ class _ObsNetContext(NetContext):
                 self._view.set(view)
             self._view_changes.inc()
             self._events.emit("view_enter", **detail)
+        elif kind is TraceKind.TIMER and detail.get("leader_lost"):
+            self._leader_lost_timeouts.inc()
 
 
 class ReplicaProcess:
@@ -251,6 +259,7 @@ class ReplicaProcess:
             {pid: (host, port) for pid, host, port in spec.peer_addrs},
             self._on_peer_message,
             latency=spec.build_latency(),
+            on_peer_lost=self._on_peer_lost,
         )
         self.ctx = _ObsNetContext(
             spec.node_id, self.transport, spec.time_scale, self.registry, self.events
@@ -300,6 +309,14 @@ class ReplicaProcess:
             self._pre_start.append((sender, message))
             return
         self.replica.receive(sender, message)
+
+    def _on_peer_lost(self, peer: int) -> None:
+        """A peer lane lost its connection: log it, and let a started
+        engine time out the slots that peer leads."""
+        self.events.emit("peer_lost", peer=peer)
+        on_peer_lost = getattr(self.replica.consensus, "on_peer_lost", None)
+        if self._started and on_peer_lost is not None:
+            on_peer_lost(peer)
 
     def _start_consensus(self) -> None:
         if self._started:

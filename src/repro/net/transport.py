@@ -21,6 +21,14 @@ matter operationally:
   keeps absorbing messages, so a rebooted peer picks up from the live
   traffic without any node noticing at the protocol layer.  A peer's
   ``Hello`` on our port ends the backoff towards it: it is listening.
+  A lane that had connected and lost its socket reports the peer lost
+  (:meth:`NetTransport.peer_lost`, and one ``on_peer_lost`` call per
+  loss, none once :meth:`NetTransport.stop` has begun) until it
+  reconnects; a lane that never connected is not lost, so start-up
+  order reports nothing.  The consensus node treats a lost peer that
+  leads a slot as a timed-out leader (``multishot/node.py``, "View
+  change"): a liveness aid only, since an honest node may ask for a
+  view change at any time.
 * **Injected link latency** — an optional per-link one-way delay,
   applied as a FIFO pipe (a frame is written no earlier than
   ``enqueue time + latency``): it lets the sync/geo scenarios of the
@@ -115,6 +123,7 @@ class _PeerLane(asyncio.Protocol):
 
     def __init__(self, owner: "NetTransport", peer_id: int) -> None:
         self.owner = owner
+        self.peer_id = peer_id
         self.loop = owner._loop
         self.addr = owner.peers[peer_id]
         self.latency = owner.latency.of(owner.node_id, peer_id)
@@ -209,6 +218,9 @@ class _PeerLane(asyncio.Protocol):
         if self.handle is not None:
             self.handle.cancel()
         self._redial()
+        owner = self.owner
+        if not owner._closed and owner.on_peer_lost is not None:
+            owner.on_peer_lost(self.peer_id)
 
     def pause_writing(self) -> None:
         self.paused = True
@@ -313,12 +325,16 @@ class NetTransport:
         peers: dict[int, tuple[str, int]],
         on_message: Callable[[int, object], None],
         latency: LinkLatency | None = None,
+        on_peer_lost: Callable[[int], None] | None = None,
     ) -> None:
         self.node_id = node_id
         self.listen_host = listen_host
         self.listen_port = listen_port
         self.peers = dict(peers)
         self.on_message = on_message
+        #: Called with a peer id each time a connected lane loses its
+        #: socket (see :meth:`peer_lost`).
+        self.on_peer_lost = on_peer_lost
         self.codec = WIRE_CODEC
         self.latency = latency if latency is not None else LinkLatency()
         self.hello = WIRE_CODEC.encode_frame(Hello(node_id))
@@ -350,6 +366,11 @@ class NetTransport:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+
+    def peer_lost(self, peer: int) -> bool:
+        """Whether our lane to ``peer`` had connected and is now down."""
+        lane = self._lanes.get(peer)
+        return lane is not None and lane.connects > 0 and lane.sock is None
 
     # -- sending --------------------------------------------------------------
 
@@ -445,7 +466,9 @@ class NetContext:
     ``time_scale`` is seconds of wall clock per protocol Δ: timers a
     node arms in Δ units fire ``delay * time_scale`` seconds later, and
     ``now`` reports wall time elapsed since :meth:`start_clock` in Δ
-    units, matching the simulated geometry.
+    units, matching the simulated geometry.  ``peer_lost`` asks the
+    transport whether a peer's connection went down, a capability the
+    simulator's context does not have.
     """
 
     def __init__(self, node_id: int, transport: NetTransport, time_scale: float) -> None:
@@ -473,6 +496,9 @@ class NetContext:
 
     def broadcast(self, message: object) -> None:
         self.transport.broadcast(message)
+
+    def peer_lost(self, peer: int) -> bool:
+        return self.transport.peer_lost(peer)
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> _NetTimerHandle:
         def fire() -> None:

@@ -36,6 +36,7 @@ KNOWN_KINDS = (
     "finalize",  # block finalized/executed
     "state_transfer",  # state-transfer served or applied
     "anomaly",  # protocol anomaly (unknown frame, decode error, ...)
+    "peer_lost",  # a connected peer lane lost its socket
 )
 
 

@@ -8,7 +8,7 @@ from repro.smr.engine import (
     engine_factory,
     multishot_engine,
 )
-from repro.smr.kvstore import KVCommandError, KVStore
+from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Mempool, Transaction
 from repro.smr.replica import Replica
 
@@ -16,7 +16,6 @@ __all__ = [
     "ConsensusEngine",
     "ENGINE_NAMES",
     "EngineFactory",
-    "KVCommandError",
     "KVStore",
     "Mempool",
     "Replica",

@@ -12,6 +12,20 @@ not expressiveness):
 * ``("del", key)``
 * ``("incr", key, amount)`` — arithmetic on integer cells
 * ``("noop",)``
+
+Execution is total.  Blocks reach :meth:`KVStore.apply` from any
+client and from any leader, Byzantine ones included, and nothing on the
+vote path looks at payloads, so a command that cannot apply must not
+stop a replica: it leaves the map unchanged, still consumes its txid
+and is appended to the applied log, so every replica agrees on it and
+the digest covers it.  A command cannot apply when it has the wrong
+shape, an unknown kind or a key that is not a ``str`` (keys are sorted
+for the digest), when it ``incr``s a non-integer cell, or when a value
+it would store is anything but ``None``, a bool, a float, a str, bytes,
+an int of at most :data:`MAX_INT_BITS` bits or a tuple of these (the
+digest ``repr``s every cell: these are the plain values the wire codec
+decodes, whose ``repr`` is the same in every process, and Python refuses
+to render ints past a few thousand digits).
 """
 
 from __future__ import annotations
@@ -19,11 +33,16 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.errors import ReproError
+#: Widest int a cell may hold, so the digest can always render it.
+MAX_INT_BITS = 4096
 
 
-class KVCommandError(ReproError):
-    """A transaction carried a malformed command."""
+def _storable(value: object) -> bool:
+    if type(value) is tuple:
+        return all(_storable(item) for item in value)
+    if isinstance(value, int):
+        return value.bit_length() <= MAX_INT_BITS
+    return isinstance(value, (type(None), float, str, bytes))
 
 
 class KVStore:
@@ -33,33 +52,37 @@ class KVStore:
         self._data: dict[str, Any] = {}
         self._applied: list[str] = []
 
-    def apply(self, txid: str, op: object) -> None:
-        """Apply one finalized command.  Malformed commands raise
-        (replicas validate payloads before proposing; a malformed one
-        reaching execution is a bug, not Byzantine input)."""
-        if not isinstance(op, tuple) or not op:
-            raise KVCommandError(f"command must be a non-empty tuple, got {op!r}")
-        kind = op[0]
-        if kind == "set":
-            if len(op) != 3:
-                raise KVCommandError(f"set needs (set, key, value), got {op!r}")
-            self._data[op[1]] = op[2]
-        elif kind == "del":
-            if len(op) != 2:
-                raise KVCommandError(f"del needs (del, key), got {op!r}")
-            self._data.pop(op[1], None)
-        elif kind == "incr":
-            if len(op) != 3 or not isinstance(op[2], int):
-                raise KVCommandError(f"incr needs (incr, key, int), got {op!r}")
-            current = self._data.get(op[1], 0)
-            if not isinstance(current, int):
-                raise KVCommandError(f"incr on non-integer cell {op[1]!r}")
-            self._data[op[1]] = current + op[2]
-        elif kind == "noop":
-            pass
-        else:
-            raise KVCommandError(f"unknown command kind {kind!r}")
+    def apply(self, txid: str, op: object) -> bool:
+        """Apply one finalized command; returns whether it took effect.
+
+        Never raises: a command that cannot apply (see the module
+        docstring) is a no-op that still consumes ``txid``.
+        """
         self._applied.append(txid)
+        if not isinstance(op, tuple) or not op:
+            return False
+        kind = op[0]
+        if kind == "noop":
+            return True
+        if len(op) < 2 or not isinstance(op[1], str):
+            return False
+        key = op[1]
+        data = self._data
+        if kind == "set" and len(op) == 3 and _storable(op[2]):
+            data[key] = op[2]
+        elif kind == "del" and len(op) == 2:
+            data.pop(key, None)
+        elif kind == "incr" and len(op) == 3 and isinstance(op[2], int):
+            total = data.get(key, 0)
+            if not isinstance(total, int):
+                return False
+            total += op[2]
+            if total.bit_length() > MAX_INT_BITS:
+                return False
+            data[key] = total
+        else:
+            return False
+        return True
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._data.get(key, default)

@@ -21,6 +21,7 @@ from repro.multishot import (
     MultiShotNode,
 )
 from repro.multishot.chain import FINALITY_WINDOW
+from repro.multishot.messages import MSProposal, MSViewChange
 from repro.multishot.node import RETENTION_SLOTS
 from repro.sim import (
     PartialSynchronyPolicy,
@@ -32,6 +33,7 @@ from repro.sim import (
 )
 from repro.smr import Replica
 from repro.smr.engine import engine_factory
+from tests.conftest import FakeContext
 
 
 def chain_digests(node: MultiShotNode) -> list[str]:
@@ -538,3 +540,85 @@ class TestMultiShotViewChange:
         sim.run(until=30)
         assert received == sorted(received)
         assert received[0] == 1
+
+
+class _PeerLossContext(FakeContext):
+    """A FakeContext that, like the deployed transport's, can tell
+    which peers' connections are lost."""
+
+    def __init__(self, node_id: int = 0) -> None:
+        super().__init__(node_id)
+        self.lost: set[int] = set()
+
+    def peer_lost(self, peer: int) -> bool:
+        return peer in self.lost
+
+
+def _live_timers(ctx: FakeContext) -> list:
+    return [timer for timer in ctx.timers if not timer.cancelled]
+
+
+class TestLeaderLostTimers:
+    """A slot whose current-view leader is a lost peer times out at
+    once, at most once per (slot, view); n=4, so the leader of
+    ``(slot, view)`` is node ``(slot + view) % 4``."""
+
+    TIMEOUT = ProtocolConfig.create(4).view_timeout
+
+    @staticmethod
+    def _start(ctx: FakeContext) -> MultiShotNode:
+        node = MultiShotNode(0, MultiShotConfig(base=ProtocolConfig.create(4), max_slots=12))
+        node.start(ctx)
+        return node
+
+    def test_a_lost_leader_gets_one_early_timeout_per_slot_and_view(self):
+        ctx = _PeerLossContext()
+        ctx.lost = {1, 2}  # slot 1's leaders at views 0 and 1
+        node = self._start(ctx)
+        [timer] = _live_timers(ctx)
+        assert timer.deadline == 0
+        assert ctx.fire_timers() == 1
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(1, 1)]
+        assert (TraceKind.TIMER, {"slot": 1, "view": 0, "leader_lost": True}) in ctx.trace_events
+        # The timer re-armed after the early timeout runs the full 9Δ,
+        # and another loss notice for the same leader changes nothing:
+        # no busy loop of view-change broadcasts.
+        node.on_peer_lost(1)
+        [timer] = _live_timers(ctx)
+        assert timer.deadline == self.TIMEOUT
+        assert ctx.fire_timers() == 0
+        # A quorum moves slot 1 to view 1, whose leader (2) is lost too:
+        # that view gets its own single early timeout.
+        for sender in (1, 2, 3):
+            node.receive(sender, MSViewChange(1, 1))
+        assert node.slots[1].view == 1
+        [timer] = _live_timers(ctx)
+        assert timer.deadline == 0
+        assert ctx.fire_timers() == 1
+        assert ctx.messages_of(MSViewChange)[-1] == MSViewChange(1, 2)
+        [timer] = _live_timers(ctx)
+        assert timer.deadline == self.TIMEOUT
+
+    def test_a_peer_lost_mid_slot_rearms_exactly_the_slots_it_leads(self):
+        ctx = _PeerLossContext()
+        node = self._start(ctx)
+        parent = GENESIS_DIGEST
+        for slot in (1, 2, 3):  # each leader's proposal starts the next slot
+            block = Block.create(slot, parent, f"p{slot}")
+            node.receive(slot % 4, MSProposal(slot, 0, block))
+            parent = block.digest
+        assert sorted(s for s, state in node.slots.items() if state.started) == [1, 2, 3, 4]
+        assert [t.deadline for t in _live_timers(ctx)] == [self.TIMEOUT] * 4
+        ctx.lost.add(2)
+        node.on_peer_lost(2)
+        assert sorted(t.deadline for t in _live_timers(ctx)) == [0] + [self.TIMEOUT] * 3
+        assert ctx.fire_timers() == 1
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1)]
+
+    def test_a_context_without_peer_lost_keeps_the_full_timer(self):
+        ctx = FakeContext(0)
+        node = self._start(ctx)
+        node.on_peer_lost(1)
+        [timer] = _live_timers(ctx)
+        assert timer.deadline == self.TIMEOUT
+        assert ctx.fire_timers() == 0

@@ -8,7 +8,9 @@ acceptance surface of the deployment subsystem:
   :class:`~repro.verification.audit.SafetyAuditor`, and all four state
   digests are byte-identical;
 * SIGTERMing one replica mid-run (n=4 tolerates f=1) still finalizes
-  the whole workload on the survivors, audited the same way;
+  the whole workload on the survivors, audited the same way, and each
+  survivor times out the dead replica's slots as soon as its
+  connection to it drops;
 * the engine registry carries over: a chained baseline engine runs the
   identical client path over sockets;
 * a replica acks per block: a raw client connection sees at most one
@@ -118,6 +120,23 @@ def test_killing_one_replica_still_finalizes():
     assert any(
         reply_metric(reply, "consensus.view_changes") > 0 for reply in result.replies.values()
     )
+
+
+def test_survivors_time_out_a_dead_leaders_slots_at_once():
+    """Each survivor's lane to the killed replica reports the lost
+    connection, and the slots that replica leads time out at once
+    (``consensus.leader_lost_timeouts``) instead of after 9Δ."""
+    result = run_cluster_workload(
+        ClusterConfig(n=4, engine="tetrabft", deadline=25.0),
+        _schedule(40),
+        kill_after=(2, 0.5),
+    )
+    assert result.killed == (2,) and result.completed
+    report = SafetyAuditor(expected_txns=result.injected).audit_evidence(result.evidence)
+    assert report.safe and report.live, report.violations
+    assert sorted(result.replies) == [0, 1, 3]
+    for reply in result.replies.values():
+        assert reply_metric(reply, "consensus.leader_lost_timeouts") > 0
 
 
 def test_chained_engine_runs_over_sockets():

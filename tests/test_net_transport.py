@@ -129,6 +129,40 @@ def test_a_peer_that_dials_in_ends_the_backoff_towards_it(monkeypatch):
     asyncio.run(scenario())
 
 
+def test_peer_lost_only_between_a_lost_connection_and_the_reconnect():
+    """Never connected is not lost; a dropped connection is, with one
+    notice; the reconnect ends it; our own ``stop`` notifies nothing."""
+    inboxes = {0: [], 1: []}
+    ports = allocate_ports(2)
+    notices: list[int] = []
+
+    async def scenario():
+        a, b = _pair(ports, inboxes)
+        reborn = _pair(ports, inboxes)[1]
+        a.on_peer_lost = notices.append
+        await a.start()
+        try:
+            lane = a._lanes[1]
+            await _wait_for(lambda: lane.handle is not None)  # the first dial failed
+            assert not a.peer_lost(1)
+            await b.start()
+            await _wait_for(lambda: lane.sock is not None)
+            assert not a.peer_lost(1)
+            await b.stop()
+            await _wait_for(lambda: a.peer_lost(1))
+            assert NetContext(0, a, time_scale=0.05).peer_lost(1)
+            assert notices == [1]
+            await reborn.start()  # its Hello cuts our backoff short
+            await _wait_for(lambda: not a.peer_lost(1))
+        finally:
+            await a.stop()
+            await b.stop()
+            await reborn.stop()
+
+    asyncio.run(scenario())
+    assert notices == [1]
+
+
 def test_injected_latency_delays_delivery():
     inboxes = {0: [], 1: []}
     ports = allocate_ports(2)

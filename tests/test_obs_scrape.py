@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import os
 
-from repro.net.cluster import ClusterConfig, reply_metric, run_cluster_workload
-from repro.net.replica_main import _AckingTrackers, _ObsNetContext
+from repro.net.cluster import ClusterConfig, build_specs, reply_metric, run_cluster_workload
+from repro.net.replica_main import ReplicaProcess, _AckingTrackers, _ObsNetContext
 from repro.obs import EVENT_FIELDS, CommitPathTracer, EventLog, MetricsRegistry
 from repro.sim.trace import TraceKind
 from repro.smr.mempool import Transaction
@@ -141,6 +141,20 @@ def test_view_changes_are_counted_whichever_call_announces_them():
     assert scrape["consensus.view"] == 2
     logged = [(e["kind"], e["view"], e["slot"]) for e in events.tail()]
     assert logged == [("view_enter", 1, -1), ("view_enter", 2, 7)]
+
+
+def test_a_lost_peer_leaves_one_event_and_early_timeouts_are_counted():
+    """A lane loss is one ``peer_lost`` event (a replica not yet in
+    consensus has no slots to hand it to), and only a slot timer that
+    fired because its leader was lost counts as a leader-lost timeout."""
+    process = ReplicaProcess(build_specs(ClusterConfig(n=4, max_slots=8))[0])
+    process._on_peer_lost(2)
+    assert [(e["kind"], e["payload"]) for e in process.events.tail()] == [
+        ("peer_lost", {"peer": 2})
+    ]
+    process.ctx.trace(TraceKind.TIMER, slot=7, view=0)
+    process.ctx.trace(TraceKind.TIMER, slot=8, view=0, leader_lost=True)
+    assert process.registry.snapshot()["consensus.leader_lost_timeouts"] == 1
 
 
 def test_replica_trackers_keep_no_per_txn_samples():

@@ -5,24 +5,29 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ProtocolConfig
 from repro.multishot import MultiShotConfig
+from repro.core.values import Phase
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
+from repro.net.codec import WIRE_CODEC, ClientSubmit, FrameBuffer
 from repro.sim import (
     PartialSynchronyPolicy,
     Simulation,
     SynchronousDelays,
     TargetedDropPolicy,
+    UniformRandomDelays,
     silence_nodes,
 )
 from repro.smr import (
-    KVCommandError,
     KVStore,
     Mempool,
     Replica,
     Transaction,
 )
+from repro.smr.kvstore import MAX_INT_BITS
 from repro.smr.replica import FRONTIER_SLOTS, finalized_frontier, txids_in_flight
 
 
@@ -240,19 +245,48 @@ class TestKVStore:
         assert store.get("c") == 3
 
     def test_incr_on_non_integer_rejected(self):
+        """Execution is total: the incr is a no-op that still consumes
+        its txid, so the map keeps the string and the log has both."""
         store = KVStore()
-        store.apply("1", ("set", "k", "text"))
-        with pytest.raises(KVCommandError):
-            store.apply("2", ("incr", "k", 1))
+        assert store.apply("1", ("set", "k", "text"))
+        assert not store.apply("2", ("incr", "k", 1))
+        assert store.get("k") == "text"
+        assert store.applied_txids == ["1", "2"]
 
     @pytest.mark.parametrize(
         "bad_op",
         [("set", "k"), ("del",), ("incr", "k", "NaN"), ("unknown",), "not-a-tuple", ()],
     )
     def test_malformed_commands_rejected(self, bad_op):
+        """A command that cannot apply changes nothing but the applied
+        log: the digest equals that of a noop under the same txid."""
+        store, reference = KVStore(), KVStore()
+        assert not store.apply("1", bad_op)
+        reference.apply("1", ("noop",))
+        assert store.items() == []
+        assert store.applied_txids == ["1"]
+        assert store.state_digest() == reference.state_digest()
+
+    @pytest.mark.parametrize(
+        "bad_op",
+        [("set", 1, "x"), ("set", "k", 1 << 5000), ("set", "k", ({1},)), ("incr", ("k",), 1)],
+    )
+    def test_values_the_digest_cannot_render_are_not_stored(self, bad_op):
+        """A non-str key beside str keys would make the digest's sort
+        raise, and an int past Python's repr limit its repr: neither is
+        stored."""
         store = KVStore()
-        with pytest.raises(KVCommandError):
-            store.apply("1", bad_op)
+        store.apply("1", ("set", "a", "x"))
+        assert not store.apply("2", bad_op)
+        assert store.items() == [("a", "x")]
+        store.state_digest()
+
+    def test_incr_past_the_int_bound_is_a_no_op(self):
+        store = KVStore()
+        assert store.apply("1", ("incr", "c", (1 << MAX_INT_BITS) - 1))
+        assert not store.apply("2", ("incr", "c", 1))
+        assert store.get("c") == (1 << MAX_INT_BITS) - 1
+        store.state_digest()
 
     def test_digest_covers_order(self):
         a, b = KVStore(), KVStore()
@@ -268,6 +302,51 @@ class TestKVStore:
             store.apply("1", ("set", "x", 1))
             store.apply("2", ("incr", "x", 1))
         assert a.state_digest() == b.state_digest()
+
+
+#: Every kind of value the wire codec decodes: the scalars, Phase,
+#: a registered dataclass, ints past 64 bits and past Python's repr
+#: limit, and tuples of all of them.
+_WIRE_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(1 << 20_000), 1 << 20_000)
+    | st.floats(allow_nan=True)
+    | st.text(max_size=8)
+    | st.binary(max_size=8)
+    | st.sampled_from(list(Phase))
+    | st.just(Block.create(1, GENESIS_DIGEST, ())),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=6,
+)
+_KEYS = st.sampled_from(["a", "b"]) | _WIRE_VALUES
+_OPS = st.one_of(
+    _WIRE_VALUES,
+    st.tuples(st.sampled_from(["set", "incr"]), _KEYS, _WIRE_VALUES),
+    st.tuples(st.sampled_from(["del", "noop", "set", "incr"]), _KEYS),
+    st.tuples(st.sampled_from(["noop", "del"])),
+)
+
+
+def _decoded(op: object) -> object:
+    """``op`` as a replica's client port sees it: through the codec."""
+    [message] = FrameBuffer(WIRE_CODEC).feed(
+        WIRE_CODEC.encode_frame(ClientSubmit(Transaction("t", op)))
+    )
+    return message.txn.op
+
+
+@given(ops=st.lists(_OPS, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_apply_is_total_and_deterministic_over_every_decodable_op(ops):
+    a, b = KVStore(), KVStore()
+    for k, op in enumerate(ops):
+        op = _decoded(op)
+        assert a.apply(f"t{k}", op) == b.apply(f"t{k}", op)
+    assert a.state_digest() == b.state_digest()
+    assert a.items() == b.items()
+    assert a.applied_txids == [f"t{k}" for k in range(len(ops))]
 
 
 def run_replicas(
@@ -325,6 +404,32 @@ class TestReplicaIntegration:
         digests = {r.state_digest() for r in live}
         assert len(digests) == 1
         assert all(r.store.applied_count == 30 for r in live)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_write_that_cannot_apply_does_not_stop_the_cluster(self, seed):
+        """Two well-formed writes, ``set k "x"`` then ``incr k 1``, and
+        a write with a non-str key: every replica executes through them
+        (no-ops that consume their txids) and the valid writes around
+        them, and all four agree."""
+        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=40)
+        sim = Simulation(UniformRandomDelays(0.5, 1.0, seed=seed))
+        replicas = [Replica(i, config, max_batch=2) for i in range(4)]
+        for replica in replicas:
+            sim.add_node(replica)
+        txns = [
+            Transaction("poison-set", ("set", "k", "x")),
+            Transaction("poison-incr", ("incr", "k", 1)),
+            Transaction("int-key", ("set", 1, "x")),
+        ] + [Transaction(f"ok{k}", ("incr", f"c{k % 3}", 1)) for k in range(12)]
+        for txn in txns:
+            for replica in replicas:
+                replica.submit(txn)
+        sim.run(until=200.0)
+        for replica in replicas:
+            assert sorted(replica.store.applied_txids) == sorted(t.txid for t in txns)
+            assert replica.store.get("k") == "x"
+            assert replica.store.get("c0") == 4
+        assert len({r.state_digest() for r in replicas}) == 1
 
     def test_submission_to_single_replica_insufficient_alone(self):
         """A txn submitted only to a non-leader replica executes only
