@@ -11,7 +11,7 @@ GET    ``/v1/transactions/<txid>``  commit status of one transaction
 GET    ``/v1/state/<key>``          executed-state read (followed chain)
 GET    ``/v1/chain``                applied chain summary
 GET    ``/v1/health``               liveness/quorum summary
-GET    ``/v1/metrics``              registry snapshot + latency percentiles
+GET    ``/v1/metrics``              registry snapshot + windowed latency percentiles
 GET    ``/v1/cluster/metrics``      in-band scrape of every live replica
 GET    ``/v1/ws``                   WebSocket commit-event subscription
 ====== ============================ =======================================

@@ -224,6 +224,8 @@ class GatewayService:
         # the gateway's own registry (``/v1/metrics`` is a view of it).
         self.registry = MetricsRegistry(clock=clock)
         self.counters = _RegistryCounters(self.registry, GATEWAY_COUNTERS)
+        #: Submit → quorum-ack latency of the recent commits, ms.
+        self.commit_latency_ms = self.registry.histogram("gateway.commit_latency_ms")
         #: Gateway end of the commit-path trace: admission → quorum ack.
         #: Same deterministic txid sampling as the replica tracers, so
         #: a sampled transaction is sampled at every hop.
@@ -294,6 +296,8 @@ class GatewayService:
             status.slot = ack.slot
         if not status.committed and len(status.acks) >= self.config.ack_quorum:
             status.committed_at = now
+            latency_ms = (now - status.submitted_at) * 1000.0
+            self.commit_latency_ms.record(latency_ms, at=now)
             self.tracer.record(status.txid, "ack", at=now)
             self.counters["committed"] += 1
             client = self.admission.clients.get(status.client_id)
@@ -305,7 +309,7 @@ class GatewayService:
                     "txid": status.txid,
                     "slot": status.slot,
                     "acks": len(status.acks),
-                    "latency_ms": (now - status.submitted_at) * 1000.0,
+                    "latency_ms": latency_ms,
                 }
             )
 
@@ -455,13 +459,16 @@ class GatewayService:
         }
 
     def latency_percentiles(self) -> dict[int, float]:
-        """Gateway-level commit latency (submit → quorum ack), ms."""
-        samples = [
-            status.latency for status in self.txns.values() if status.latency is not None
-        ]
-        return {p: v * 1000.0 for p, v in nearest_rank_percentiles(samples).items()}
+        """Gateway-level commit latency (submit → quorum ack), ms: p50,
+        p95 and p99 over the commits inside ``commit_latency_ms``'s
+        window (its last 10 s, at most its ``maxlen`` newest; NaN when
+        none)."""
+        return nearest_rank_percentiles(self.commit_latency_ms.values())
 
     def metrics(self) -> dict:
+        """The ``/v1/metrics`` payload: the counters, the registry
+        snapshot and ``latency_ms``, whose percentiles are windowed
+        (:meth:`latency_percentiles`), not over every commit ever seen."""
         pending = self.counters["submitted"] - self.counters["committed"]
         # Derived values live on the registry as gauges so a registry
         # snapshot is self-contained; the endpoint's flat keys are kept

@@ -22,26 +22,46 @@ Protocol flow implemented here:
 * **View change (§6.2).**  Each slot has a 9Δ timer from its start; on
   expiry without finalization the node broadcasts
   ``⟨view-change, slot, v+1⟩``.  f+1 of those are echoed; a quorum
-  moves every non-finalized slot ≥ the named slot into the new view,
-  resets timers, and broadcasts per-slot suggest/proof messages so the
-  new leaders can find safe values (Rules 1–4, unchanged from
-  single-shot).  Slots never previously started still begin at view 0,
-  exactly as slot 4 does in the paper's Fig. 3.
+  moves the named slot, started or not, and every non-finalized
+  started slot above it into the new view, resets the started slots'
+  timers, and broadcasts per-slot suggest/proof messages so the new
+  leaders can find safe values (Rules 1–4, unchanged from
+  single-shot).  A named slot that has not started yet gets its timer
+  when it starts, in the view it is in by then.  Other slots never
+  previously started still begin at view 0, exactly as slot 4 does in
+  the paper's Fig. 3.
 
   Outside the paper's model, a context that can tell a lost peer
-  connection (``ctx.peer_lost(peer)``, the deployed transport's) makes
-  the timer of a slot whose current-view leader is lost fire at once,
-  once per (slot, view): on arming while the leader is lost, and on the
-  loss itself (:meth:`MultiShotNode.on_peer_lost`).  The guard is
-  ``vc_sent <= view``: the early timeout raises ``vc_sent`` past the
-  view, so the timer it re-arms runs the full 9Δ.  This is a liveness
-  aid and cannot touch safety.  Safety never depends on timer values,
-  since an honest node may ask for a view change at any time.  A view
-  still needs f+1 view-change messages to be echoed and a quorum to
-  move, so at most f nodes that wrongly suspect a leader change
-  nothing.  A Byzantine peer that drops its connections only gets its
-  own slots skipped sooner.  The simulator's context has no
-  ``peer_lost``, so every simulated run keeps the plain 9Δ timers.
+  connection (``ctx.peer_lost(peer)``, the deployed transport's) lets
+  a node leave a lost leader's view early, once per (slot, view):
+
+  - the timer of a started slot whose current-view leader is lost
+    fires at once, on arming while the leader is lost and on the loss
+    itself (:meth:`MultiShotNode.on_peer_lost`);
+  - on starting slot t, and on a loss, the node broadcasts
+    ``⟨view-change, s, v+1⟩`` for every unstarted slot s in
+    (t, t + :data:`VIEW_CHANGE_LEAD`] whose view-v leader is lost (t
+    the newest started slot).  A view change takes two message delays
+    and the good case starts one slot per delay, so the quorum has
+    moved s to view v+1 by the time s starts, and its new leader
+    proposes without a view change in the way.
+
+  The guard is ``vc_sent <= view``: an early request raises
+  ``vc_sent`` past the view, so the timer re-armed after it runs the
+  full 9Δ.  These are liveness aids and cannot touch safety.  Safety
+  never depends on timer values, since an honest node may ask for a
+  view change at any time.  Entering a view still takes a quorum of
+  view-change messages, exactly as on a timeout.  A node that enters
+  the named slot's view before starting that slot reports its own vote
+  records for the slot in its suggest and proof, as at any view entry,
+  and from then on votes in that slot only in that view.  A Byzantine
+  minority reaches neither the f+1 echo nor the quorum, so at most f
+  nodes that wrongly suspect a leader change nothing, and a Byzantine
+  peer that drops its connections only gets its own slots skipped
+  sooner.  Honest early requests reach at most ``VIEW_CHANGE_LEAD``
+  slots past the sender's newest started slot.  The simulator's
+  context has no ``peer_lost``, so simulated runs keep the plain 9Δ
+  timers and never look ahead; the quorum rule runs there too.
 
 :class:`MultiShotNode` is also the **reference implementation** of the
 SMR layer's :class:`~repro.smr.engine.ConsensusEngine` boundary: it
@@ -97,6 +117,11 @@ FinalizeCallback = Callable[[Block], None]
 #: How many slots of per-slot working state to retain behind the
 #: finalized tip.  5 covers the paper's maximum abort window.
 RETENTION_SLOTS = 8
+
+#: How many unstarted slots past its newest started one a node moves
+#: out of a lost leader's view ahead of time (see "View change"): two
+#: message delays for the view change, one slot more for link jitter.
+VIEW_CHANGE_LEAD = 3
 
 
 def default_payload(slot: int, parent: Digest) -> object:
@@ -255,7 +280,9 @@ class MultiShotNode(SimNode):
             return
         state.started = True
         self._arm_timer(slot)
-        self.ctx.trace(TraceKind.VIEW_ENTER, slot=slot, view=state.view)
+        if state.view == 0:  # a later view traced its entry on the view change
+            self.ctx.trace(TraceKind.VIEW_ENTER, slot=slot, view=0)
+        self._look_ahead(slot)
 
     def _arm_timer(self, slot: int) -> None:
         state = self.slot_state(slot)
@@ -274,20 +301,43 @@ class MultiShotNode(SimNode):
             and self._peer_lost(self.config.leader_of(slot, state.view))
         )
 
+    def _look_ahead(self, newest: int) -> None:
+        """Ask now to leave the view of every unstarted slot within
+        :data:`VIEW_CHANGE_LEAD` past ``newest`` whose leader is lost."""
+        if self._peer_lost is None:
+            return
+        last = min(newest + VIEW_CHANGE_LEAD, self.config.max_slots)
+        for slot in range(newest + 1, last + 1):
+            state = self.slots.get(slot)
+            if state is None:
+                if not self._peer_lost(self.config.leader_of(slot, 0)):
+                    continue
+                state = self.slot_state(slot)
+            elif state.started or not self._leader_lost(slot, state):
+                continue
+            self._request_view_change(slot, state, leader_lost=True)
+
     def on_peer_lost(self, peer: NodeId) -> None:
         """Our connection to ``peer`` went down: time out now every
-        started, unfinalized slot that ``peer`` leads in its current view."""
+        started, unfinalized slot that ``peer`` leads in its current
+        view, and look ahead from the newest started slot."""
         if self._peer_lost is None:
             return
         tip = self.chain.finalized_height
-        for slot, state in self.slots.items():
+        newest = tip
+        for slot, state in list(self.slots.items()):
+            if not state.started:
+                continue
+            newest = max(newest, slot)
             if (
                 slot > tip
-                and state.started
                 and self.config.leader_of(slot, state.view) == peer
                 and self._leader_lost(slot, state)
             ):
                 self._arm_timer(slot)
+        self._look_ahead(newest)
+        if self._batch_ctx is not None:
+            self._batch_ctx.flush()
 
     def _on_timeout(self, slot: int, leader_lost: bool = False) -> None:
         if self.chain.finalized_height >= slot:
@@ -295,6 +345,10 @@ class MultiShotNode(SimNode):
         state = self.slot_state(slot)
         if not state.started:
             return
+        self._request_view_change(slot, state, leader_lost)
+        self._arm_timer(slot)
+
+    def _request_view_change(self, slot: int, state: _SlotState, leader_lost: bool) -> None:
         if leader_lost:
             self.ctx.trace(TraceKind.TIMER, slot=slot, view=state.view, leader_lost=True)
         else:
@@ -302,7 +356,6 @@ class MultiShotNode(SimNode):
         next_view = max(state.view + 1, state.vc_sent)
         state.vc_sent = next_view
         self.ctx.broadcast(MSViewChange(slot, next_view))
-        self._arm_timer(slot)
 
     # -- receive dispatch ---------------------------------------------------------------
 
@@ -561,12 +614,14 @@ class MultiShotNode(SimNode):
             self._do_view_change(slot, view)
 
     def _do_view_change(self, from_slot: int, view: int) -> None:
-        """Move every non-finalized started slot ≥ ``from_slot`` to ``view``."""
+        """Move ``from_slot``, started or not, and every non-finalized
+        started slot above it to ``view``."""
         tip = self.chain.finalized_height
         aborted = sorted(
             slot
             for slot, state in self.slots.items()
-            if slot >= from_slot and slot > tip and state.started
+            if tip < slot <= self.config.max_slots
+            and (slot == from_slot or (slot > from_slot and state.started))
         )
         for slot in aborted:
             state = self.slot_state(slot)
@@ -574,7 +629,8 @@ class MultiShotNode(SimNode):
                 continue
             state.view = view
             state.vc_sent = max(state.vc_sent, view)
-            self._arm_timer(slot)
+            if state.started:
+                self._arm_timer(slot)
             self.ctx.trace(TraceKind.VIEW_ENTER, slot=slot, view=view)
             suggest = state.storage.make_suggest(view)
             proof = state.storage.make_proof(view)

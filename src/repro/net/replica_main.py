@@ -176,9 +176,11 @@ class _ObsNetContext(NetContext):
     Engines announce a view entry either with ``report_view_entry`` or,
     per slot, with a bare ``trace(VIEW_ENTER, slot=, view=)``.  The
     first ends in ``trace`` as well, so that is the one place to look.
-    View 0 is a slot starting, not a view change.  A slot timer that
-    fired at once because its leader's connection was lost traces
-    ``TIMER`` with ``leader_lost=True``; those are counted too.
+    View 0 is a slot starting, not a view change.  A view-change
+    request made because the leader's connection was lost traces
+    ``TIMER`` with ``leader_lost=True`` and counts as a leader-lost
+    timeout; any other ``TIMER`` is a view timer that ran out, counted
+    as a timeout and logged as a ``timeout`` event.
     """
 
     def __init__(self, node_id, transport, time_scale, registry, events) -> None:
@@ -186,6 +188,7 @@ class _ObsNetContext(NetContext):
         self._view_changes = registry.counter("consensus.view_changes")
         self._view = registry.gauge("consensus.view")
         self._leader_lost_timeouts = registry.counter("consensus.leader_lost_timeouts")
+        self._timeouts = registry.counter("consensus.timeouts")
         self._events = events
 
     def trace(self, kind: TraceKind, **detail: object) -> None:
@@ -195,8 +198,12 @@ class _ObsNetContext(NetContext):
                 self._view.set(view)
             self._view_changes.inc()
             self._events.emit("view_enter", **detail)
-        elif kind is TraceKind.TIMER and detail.get("leader_lost"):
-            self._leader_lost_timeouts.inc()
+        elif kind is TraceKind.TIMER:
+            if detail.get("leader_lost"):
+                self._leader_lost_timeouts.inc()
+            else:
+                self._timeouts.inc()
+                self._events.emit("timeout", **detail)
 
 
 class ReplicaProcess:

@@ -37,6 +37,7 @@ KNOWN_KINDS = (
     "state_transfer",  # state-transfer served or applied
     "anomaly",  # protocol anomaly (unknown frame, decode error, ...)
     "peer_lost",  # a connected peer lane lost its socket
+    "timeout",  # a view timer ran out
 )
 
 

@@ -77,7 +77,8 @@ class WindowedHistogram:
     def record(self, value: float, at: float | None = None) -> None:
         self._samples.append((self.clock() if at is None else at, float(value)))
 
-    def _live(self) -> list[float]:
+    def values(self) -> list[float]:
+        """The samples inside the window, oldest first."""
         horizon = self.clock() - self.window
         while self._samples and self._samples[0][0] < horizon:
             self._samples.popleft()
@@ -85,20 +86,20 @@ class WindowedHistogram:
 
     @property
     def count(self) -> int:
-        return len(self._live())
+        return len(self.values())
 
     @property
     def rate(self) -> float:
         """Events per second over the window."""
-        return len(self._live()) / self.window if self.window > 0 else 0.0
+        return len(self.values()) / self.window if self.window > 0 else 0.0
 
     def percentile(self, q: int) -> float:
         """Nearest-rank percentile of the windowed samples (0 if empty)."""
-        live = self._live()
+        live = self.values()
         return nearest_rank_percentiles(live, (q,))[q] if live else 0.0
 
     def stats(self) -> dict[str, float]:
-        live = sorted(self._live())
+        live = sorted(self.values())
         if not live:
             return {"count": 0.0, "rate": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
         n = len(live)

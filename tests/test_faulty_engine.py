@@ -25,6 +25,7 @@ from repro.adversary.faulty_engine import (
 )
 from repro.baselines.chained import CatchUp
 from repro.core import ProtocolConfig
+from repro.eval.attacks import run_attack_cell
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
 from repro.multishot.messages import MSProposal, MSViewChange, MSVote
 from repro.multishot.node import MultiShotConfig
@@ -189,6 +190,18 @@ def test_equivocating_leader_cannot_fork_the_cluster():
     assert report.live, report.violations
     digests = {replicas[i].state_digest() for i in honest}
     assert len(digests) == 1
+
+
+def test_an_equivocating_leader_and_a_crash_recovery_do_not_stall_the_cluster():
+    """The heavy A6 grid's tetrabft × equivocate × crash-recovery × n=4
+    cell.  A replica can hear a view-change quorum for a slot before it
+    starts that slot; it joins that view at once instead of sitting in
+    view 0 while its peers have moved on, so the honest replicas
+    execute every write."""
+    row = run_attack_cell("equivocate", "tetrabft", "crash-recovery", 4)
+    assert row.safe, row.checks
+    assert row.live
+    assert row.committed == row.txns == 30
 
 
 # -- determinism ---------------------------------------------------------------

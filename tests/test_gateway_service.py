@@ -337,6 +337,36 @@ def test_commit_requires_f_plus_one_distinct_replica_acks():
     asyncio.run(scenario())
 
 
+def test_latency_percentiles_read_a_bounded_window_of_commits():
+    """``latency_ms`` is served from the registry's windowed histogram,
+    which keeps at most ``maxlen`` samples however many commits the
+    gateway has seen, and stays off the per-transaction table."""
+
+    async def scenario():
+        service, _pool, clock = _service(rate=1e9, burst=1e9)
+        await service.start(start_consensus=False)
+        histogram = service.commit_latency_ms
+        for i in range(histogram.maxlen + 50):
+            service.submit("alice", _txn(i))
+            clock.advance(0.001)
+            _commit(service, f"t{i}", n_acks=2)
+        assert service.counters["committed"] == histogram.maxlen + 50
+        assert len(histogram.values()) == histogram.maxlen
+        assert service.latency_percentiles() == pytest.approx({50: 1.0, 95: 1.0, 99: 1.0})
+        # Percentiles come from the histogram, not from the txn table.
+        for status in service.txns.values():
+            status.committed_at = status.submitted_at + 9.0
+        histogram.record(7.0)
+        assert service.metrics()["latency_ms"]["99"] == pytest.approx(1.0)
+        for _ in range(histogram.maxlen):
+            histogram.record(7.0)
+        assert service.metrics()["latency_ms"] == pytest.approx({"50": 7.0, "95": 7.0, "99": 7.0})
+        assert service.metrics()["registry"]["gateway.commit_latency_ms.count"] == histogram.maxlen
+        await service.stop()
+
+    asyncio.run(scenario())
+
+
 def test_commit_frees_the_clients_inflight_budget():
     async def scenario():
         service, _pool, _clock = _service(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +21,11 @@ from repro.multishot import (
     MultiShotNode,
 )
 from repro.multishot.chain import FINALITY_WINDOW
-from repro.multishot.messages import MSProposal, MSViewChange
-from repro.multishot.node import RETENTION_SLOTS
+from repro.metrics.smr_trackers import SMRTrackers
+from repro.multishot.messages import MSProof, MSProposal, MSSuggest, MSViewChange
+from repro.multishot.node import RETENTION_SLOTS, VIEW_CHANGE_LEAD
+from repro.net.replica_main import _ObsNetContext
+from repro.obs import EventLog, MetricsRegistry
 from repro.sim import (
     PartialSynchronyPolicy,
     Simulation,
@@ -31,8 +34,11 @@ from repro.sim import (
     TraceKind,
     silence_nodes,
 )
+from repro.sim.runner import NodeContext
 from repro.smr import Replica
+from repro.smr.mempool import Transaction
 from repro.smr.engine import engine_factory
+from repro.verification.audit import SafetyAuditor
 from tests.conftest import FakeContext
 
 
@@ -577,8 +583,10 @@ class TestLeaderLostTimers:
         node = self._start(ctx)
         [timer] = _live_timers(ctx)
         assert timer.deadline == 0
+        # Starting slot 1 looks ahead: slot 2's view-0 leader (2) is lost.
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1)]
         assert ctx.fire_timers() == 1
-        assert ctx.messages_of(MSViewChange) == [MSViewChange(1, 1)]
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1), MSViewChange(1, 1)]
         assert (TraceKind.TIMER, {"slot": 1, "view": 0, "leader_lost": True}) in ctx.trace_events
         # The timer re-armed after the early timeout runs the full 9Δ,
         # and another loss notice for the same leader changes nothing:
@@ -612,8 +620,10 @@ class TestLeaderLostTimers:
         ctx.lost.add(2)
         node.on_peer_lost(2)
         assert sorted(t.deadline for t in _live_timers(ctx)) == [0] + [self.TIMEOUT] * 3
+        # The loss also looks ahead from slot 4: of slots 5–7, peer 2 leads 6.
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(6, 1)]
         assert ctx.fire_timers() == 1
-        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1)]
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(6, 1), MSViewChange(2, 1)]
 
     def test_a_context_without_peer_lost_keeps_the_full_timer(self):
         ctx = FakeContext(0)
@@ -622,3 +632,177 @@ class TestLeaderLostTimers:
         [timer] = _live_timers(ctx)
         assert timer.deadline == self.TIMEOUT
         assert ctx.fire_timers() == 0
+
+
+def _proposal(slot: int, payload: str = "p") -> MSProposal:
+    """Slot ``slot``'s view-0 proposal (n=4: from node ``slot % 4``)."""
+    return MSProposal(slot, 0, Block.create(slot, GENESIS_DIGEST, f"{payload}{slot}"))
+
+
+class TestLookaheadViewChange:
+    """Starting a slot asks to leave the view of each unstarted slot
+    within ``VIEW_CHANGE_LEAD`` whose leader is lost, once per (slot,
+    view); a quorum moves the slot it names even before it starts."""
+
+    TIMEOUT = ProtocolConfig.create(4).view_timeout
+
+    @staticmethod
+    def _start(ctx: FakeContext) -> MultiShotNode:
+        node = MultiShotNode(0, MultiShotConfig(base=ProtocolConfig.create(4), max_slots=12))
+        node.start(ctx)
+        return node
+
+    def test_asks_once_per_slot_and_view_for_unstarted_slots_within_the_lead(self):
+        assert VIEW_CHANGE_LEAD == 3  # the slot numbers below count on it
+        ctx = _PeerLossContext()
+        ctx.lost = {2}
+        node = self._start(ctx)
+        # Slot 1 starts; of slots 2–4 peer 2 leads slot 2, and slot 6
+        # (peer 2's next) lies past the lead.
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1)]
+        assert (TraceKind.TIMER, {"slot": 2, "view": 0, "leader_lost": True}) in ctx.trace_events
+        assert sorted(node.slots) == [1, 2], "state allocated for a slot whose leader is alive"
+        node.on_peer_lost(2)
+        node.receive(1, _proposal(1))  # starts slot 2: asked already, so its timer is 9Δ
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1)]
+        assert node.slots[2].started
+        assert sorted(t.deadline for t in _live_timers(ctx)) == [self.TIMEOUT] * 2
+        node.receive(3, _proposal(3))  # starts slot 4: of 5–7, peer 2 leads 6
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1), MSViewChange(6, 1)]
+        node.receive(1, _proposal(5))  # starts slot 6, already asked: nothing new
+        node.on_peer_lost(2)
+        assert ctx.messages_of(MSViewChange) == [MSViewChange(2, 1), MSViewChange(6, 1)]
+        assert 3 not in node.slots or not node.slots[3].started
+
+    def test_a_context_without_peer_lost_looks_nowhere_ahead(self):
+        ctx = FakeContext(0)
+        node = self._start(ctx)
+        node.receive(1, _proposal(1))
+        node.receive(3, _proposal(3))
+        node.on_peer_lost(2)
+        assert ctx.messages_of(MSViewChange) == []
+        assert [t.deadline for t in _live_timers(ctx)] == [self.TIMEOUT] * 3
+
+    def test_a_quorum_moves_an_unstarted_slot_alone_and_arms_it_when_it_starts(self):
+        ctx = FakeContext(0)
+        node = self._start(ctx)
+        for sender in (1, 2, 3):
+            node.receive(sender, MSViewChange(2, 1))
+        # Slot 2 has not started, yet it is in view 1: it sent its proof
+        # to all and its suggest to the view-1 leader (node 3).  Slot 1
+        # and the slots above are untouched.
+        assert not node.slots[2].started
+        assert node.slots[2].view == 1 and node.slots[1].view == 0
+        assert 3 not in node.slots
+        assert [(m.slot, m.view) for m in ctx.messages_of(MSProof)] == [(2, 1)]
+        assert [(dst, m.slot, m.view) for dst, m in ctx.sent if isinstance(m, MSSuggest)] == [
+            (3, 2, 1)
+        ]
+        assert [t.deadline for t in _live_timers(ctx)] == [self.TIMEOUT], "timer armed early"
+        ctx.advance(5.0)
+        node.receive(1, _proposal(1))  # starts slot 2, in view 1, with a full 9Δ timer
+        assert node.slots[2].started and node.slots[2].view == 1
+        assert sorted(t.deadline for t in _live_timers(ctx)) == [self.TIMEOUT, 5.0 + self.TIMEOUT]
+        entries = [d for k, d in ctx.trace_events if k is TraceKind.VIEW_ENTER and d["slot"] == 2]
+        assert entries == [{"slot": 2, "view": 1}]
+        node.receive(2, _proposal(2))  # slot 3 still begins at view 0
+        assert node.slots[3].started and node.slots[3].view == 0
+
+    def test_the_early_view_entry_is_counted_once(self):
+        registry = MetricsRegistry()
+        obs = _ObsNetContext(0, None, 0.05, registry, EventLog(replica=0))
+        ctx = FakeContext(0)
+        node = self._start(ctx)
+        for sender in (1, 2, 3):
+            node.receive(sender, MSViewChange(2, 1))
+        node.receive(1, _proposal(1))
+        for kind, detail in ctx.trace_events:
+            obs.trace(kind, **detail)
+        assert registry.snapshot()["consensus.view_changes"] == 1
+
+
+class _PeerLossNodeContext(NodeContext):
+    """The simulator's context plus the deployed transport's
+    ``peer_lost``, answered from ``lost``."""
+
+    __slots__ = ("lost",)
+
+    def __init__(self, node_id: int, simulation: Simulation) -> None:
+        super().__init__(node_id, simulation)
+        self.lost: set[int] = set()
+
+    def peer_lost(self, peer: int) -> bool:
+        return peer in self.lost
+
+
+class _PeerLossSimulation(Simulation):
+    def start(self) -> None:
+        self._started = True
+        self.contexts = {}
+        for node_id in sorted(self.nodes):
+            self.contexts[node_id] = _PeerLossNodeContext(node_id, self)
+            self.nodes[node_id].start(self.contexts[node_id])
+
+
+@dataclass
+class _CommitTimes(SMRTrackers):
+    commits: dict[str, list[float]] = field(default_factory=dict)
+
+    def record_commit(self, node: int, txid: str, time: float) -> None:
+        self.commits.setdefault(txid, []).append(time)
+
+
+class TestLeaderOutageLatency:
+    """n=4, Δ=1: node 1 falls silent for 50Δ while a request is due
+    every 0.5Δ.  Survivors that see its connection lost move its slots
+    to view 1 before they start, so the outage's requests commit as
+    fast as the good case's (f+1 commits 5.5Δ after submission), even
+    with one survivor blind to the loss."""
+
+    DOWN, UP = 10.0, 60.0
+
+    def _run(self, blind: set[int]) -> tuple[int, list[Replica]]:
+        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=200)
+        policy = TargetedDropPolicy(
+            SynchronousDelays(1.0), silence_nodes([1]), start=self.DOWN, end=self.UP
+        )
+        sim = _PeerLossSimulation(policy)
+        trackers = _CommitTimes()
+        replicas = [Replica(i, config, max_batch=10, trackers=trackers) for i in range(4)]
+        sim.add_nodes(replicas)
+        seeing = [r for r in replicas if r.node_id != 1 and r.node_id not in blind]
+
+        def lose() -> None:
+            for replica in seeing:
+                sim.contexts[replica.node_id].lost.add(1)
+                replica.consensus.on_peer_lost(1)
+
+        def reconnect() -> None:
+            for replica in seeing:
+                sim.contexts[replica.node_id].lost.discard(1)
+
+        sim.scheduler.schedule(self.DOWN, lose)
+        sim.scheduler.schedule(self.UP, reconnect)
+        due: dict[str, float] = {}
+        for k in range(100):
+            txn = Transaction(f"t{k}", ("incr", f"c{k % 5}", 1))
+            due[txn.txid] = self.DOWN + 0.5 * k
+            sim.scheduler.schedule(due[txn.txid], lambda txn=txn: [r.submit(txn) for r in replicas])
+        sim.run(until=90.0)
+        fast = sum(
+            1
+            for txid, submitted in due.items()
+            if len(trackers.commits.get(txid, ())) >= 2
+            and sorted(trackers.commits[txid])[1] - submitted <= 5.5
+        )
+        assert SafetyAuditor(expected_txns=100).audit(replicas).ok
+        assert len({r.state_digest() for r in replicas}) == 1
+        return fast, replicas
+
+    def test_every_survivor_sees_the_loss(self):
+        fast, _ = self._run(blind=set())
+        assert fast >= 90, f"only {fast} of 100 outage requests committed within 5.5Δ"
+
+    def test_one_survivor_is_blind_to_the_loss(self):
+        fast, _ = self._run(blind={3})
+        assert fast >= 85, f"only {fast} of 100 outage requests committed within 5.5Δ"

@@ -64,6 +64,7 @@ from repro.net.codec import (
 )
 from repro.net.replica_main import ReplicaProcess, _ClientPort
 from repro.smr.mempool import Transaction
+from repro.storage import DiskStorage
 from repro.storage.wal import read_wal
 from repro.verification.audit import SafetyAuditor
 
@@ -174,6 +175,36 @@ def test_deepest_admitted_transaction_finalizes_and_survives_the_wal(tmp_path):
         records, torn = read_wal(tmp_path / f"replica-{node_id}" / "wal.log")
         assert not torn
         assert deep in (txn for record in records for txn in record.block.payload)
+
+
+def test_writes_that_cannot_apply_neither_stop_the_cluster_nor_tear_the_wal(tmp_path):
+    """``set k "x"``, then ``incr k 1`` on that string, then ``set``
+    without a value: each is a no-op that consumes its txid.  Every
+    write, those three included, is acked by f+1 replicas, the chains
+    agree, and every data dir recovers at least the whole collected
+    chain with no torn tail."""
+    poison = [
+        Transaction("poison-set", ("set", "k", "x")),
+        Transaction("poison-incr", ("incr", "k", 1)),
+        Transaction("poison-arity", ("set", "k")),
+    ]
+    schedule = [(k / 10.0, txn) for k, txn in enumerate(poison)]
+    schedule += [(0.3 + k / 10.0, txn) for k, (_, txn) in enumerate(_schedule(30))]
+    result = run_cluster_workload(
+        ClusterConfig(n=4, engine="tetrabft", deadline=25.0, data_dir=str(tmp_path)), schedule
+    )
+    assert result.completed
+    for _, txn in schedule:
+        acks = sum(txn.txid in acked for acked in result.acked.values())
+        assert acks >= 2, f"{txn.txid} acked by {acks} replicas"
+    report = SafetyAuditor(expected_txns=result.injected).audit_evidence(result.evidence)
+    assert report.safe and report.live, report.violations
+    for evidence in result.evidence:
+        recovered = DiskStorage(tmp_path / f"replica-{evidence.node_id}").recover()
+        assert not recovered.torn_tail
+        # The WAL may hold a block executed after the collect answered.
+        chain = [b.digest for b in evidence.chain]
+        assert [b.digest for b in recovered.chain][: len(chain)] == chain
 
 
 def test_client_port_drops_transactions_too_deep_for_a_batched_proposal():

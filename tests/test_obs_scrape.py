@@ -52,6 +52,7 @@ def test_scrape_during_live_run_carries_the_metric_series(tmp_path):
             "consensus.commits",
             "consensus.commit.rate",
             "consensus.view_changes",
+            "consensus.timeouts",
             "mempool.depth",
             "net.frames_in",
             "net.messages_in",
@@ -125,7 +126,8 @@ def test_view_changes_are_counted_whichever_call_announces_them():
     """The replica's obs seam, in-process.  Single-shot nodes announce
     a view with ``report_view_entry``; the multi-shot node and the
     chained baselines trace ``VIEW_ENTER`` per slot.  Both count, both
-    log; view 0 (a slot starting) does neither."""
+    log; view 0 (a slot starting) does neither, and a view timer
+    running out is a ``timeout``, not a view change."""
     registry = MetricsRegistry()
     events = EventLog(replica=0)
     ctx = _ObsNetContext(0, None, 0.05, registry, events)
@@ -133,14 +135,14 @@ def test_view_changes_are_counted_whichever_call_announces_them():
     ctx.trace(TraceKind.VIEW_ENTER, slot=7, view=0)
     ctx.trace(TraceKind.TIMER, slot=7, view=0)
     assert registry.snapshot()["consensus.view_changes"] == 0
-    assert events.tail() == []
+    assert [e["kind"] for e in events.tail()] == ["timeout"]
     ctx.report_view_entry(1)
     ctx.trace(TraceKind.VIEW_ENTER, slot=7, view=2)
     scrape = registry.snapshot()
     assert scrape["consensus.view_changes"] == 2
     assert scrape["consensus.view"] == 2
     logged = [(e["kind"], e["view"], e["slot"]) for e in events.tail()]
-    assert logged == [("view_enter", 1, -1), ("view_enter", 2, 7)]
+    assert logged == [("timeout", 0, 7), ("view_enter", 1, -1), ("view_enter", 2, 7)]
 
 
 def test_a_lost_peer_leaves_one_event_and_early_timeouts_are_counted():
@@ -155,6 +157,22 @@ def test_a_lost_peer_leaves_one_event_and_early_timeouts_are_counted():
     process.ctx.trace(TraceKind.TIMER, slot=7, view=0)
     process.ctx.trace(TraceKind.TIMER, slot=8, view=0, leader_lost=True)
     assert process.registry.snapshot()["consensus.leader_lost_timeouts"] == 1
+
+
+def test_a_view_timer_that_runs_out_is_counted_and_logged_with_its_slot():
+    """A plain view-timer expiry (no lost leader) is a ``timeout``: one
+    count and one event carrying the slot and view, so an event log
+    shows which slot waited out its 9Δ.  A leader-lost request is not
+    one."""
+    registry = MetricsRegistry()
+    events = EventLog(replica=0)
+    ctx = _ObsNetContext(0, None, 0.05, registry, events)
+    ctx.trace(TraceKind.TIMER, slot=8, view=0, leader_lost=True)
+    ctx.trace(TraceKind.TIMER, slot=7, view=1)
+    ctx.trace(TraceKind.TIMER, view=3)  # a single-shot or chained engine's view timer
+    assert registry.snapshot()["consensus.timeouts"] == 2
+    logged = [(e["kind"], e["slot"], e["view"]) for e in events.tail()]
+    assert logged == [("timeout", 7, 1), ("timeout", -1, 3)]
 
 
 def test_replica_trackers_keep_no_per_txn_samples():
