@@ -8,12 +8,12 @@ The service owns everything stateful about serving clients:
   admitted in one event-loop tick as one ``ClientSubmitBatch`` frame
   per replica (a lone transaction as the bare ``ClientSubmit``) — no
   timer holds a write;
-* **commit tracking** — commit acks from all replicas are correlated
-  through the shared :class:`~repro.net.client.AckCorrelator`; a
-  transaction is *committed* once ``ack_quorum`` = f+1 distinct
-  replicas acked it (at least one honest replica executed it), which
-  stamps the gateway-level latency sample and fans a commit event out
-  to every WebSocket subscriber;
+* **commit tracking** — each replica's commit ack lands on the
+  transaction's :class:`TxnStatus` (an ack for a txid never submitted,
+  or a replica's repeat, is dropped); a transaction is *committed*
+  once ``ack_quorum`` = f+1 distinct replicas acked it (at least one
+  honest replica executed it), which stamps the gateway-level latency
+  sample and fans a commit event out to every WebSocket subscriber;
 * **subscriptions** — bounded per-subscriber queues with slow-consumer
   eviction: a subscriber that cannot drain its queue is cut loose
   (with a final eviction notice) rather than allowed to grow gateway
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from repro.gateway.ratelimit import AdmissionController, AdmissionDenied, RateLimited
 from repro.metrics.smr_trackers import nearest_rank_percentiles
 from repro.multishot.block import GENESIS_DIGEST, Block
-from repro.net.client import AckCorrelator, ReplicaPool
+from repro.net.client import ReplicaPool
 from repro.net.codec import CollectReply, CommitAck
 from repro.obs import CommitPathTracer, MetricsRegistry, items_to_dict
 from repro.smr.mempool import Transaction
@@ -203,8 +203,6 @@ class GatewayService:
             burst=config.burst,
             clock=clock,
         )
-        self.correlator = AckCorrelator()
-        self.correlator.track_nodes(pool.live)
         self.txns: dict[str, TxnStatus] = {}
         self.subscriptions: list[Subscription] = []
         # The read path: the applied chain, its state, and what the
@@ -273,7 +271,6 @@ class GatewayService:
         now = self._clock()
         status = TxnStatus(txid=txn.txid, client_id=client_id, submitted_at=now)
         self.txns[txn.txid] = status
-        self.correlator.record_submit(txn.txid, now)
         state.inflight += 1
         state.submitted += 1
         self.counters["submitted"] += 1
@@ -286,11 +283,9 @@ class GatewayService:
 
     def _on_ack(self, node_id: int, ack: CommitAck) -> None:
         now = self._clock()
-        if self.correlator.record_ack(node_id, ack, now) is None:
-            return
         status = self.txns.get(ack.txid)
-        if status is None:  # pragma: no cover - correlator already filters
-            return
+        if status is None or node_id in status.acks:
+            return  # an ack for a txid never submitted, or a repeat
         status.acks.add(node_id)
         if status.slot is None:
             status.slot = ack.slot

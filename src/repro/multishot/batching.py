@@ -45,12 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro.multishot.messages import VoteBatch
-
-#: Most logical messages one envelope may carry.  One activation emits
-#: a handful of broadcasts, so the cap only guards pathological
-#: adversarial fan-out.
-MAX_BATCH = 32
+from repro.multishot.messages import MAX_BATCH, VoteBatch
 
 
 def iter_logical(message: object) -> Iterable[object]:

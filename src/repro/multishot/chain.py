@@ -68,6 +68,13 @@ class ChainState:
         return set(self._notarized.get(slot, set()))
 
     @property
+    def max_notarized_slot(self) -> int:
+        """The highest slot ever notarized (or installed finalized by
+        :meth:`bootstrap`): every run :meth:`check_finalization` can
+        complete lies at or below it."""
+        return self._max_notarized
+
+    @property
     def finalized_height(self) -> int:
         return self.finalized[-1].slot if self.finalized else 0
 

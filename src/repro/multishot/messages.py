@@ -73,6 +73,14 @@ class MSProof:
     vote4: VoteRecord = EMPTY_VOTE
 
 
+#: Most logical messages one :class:`VoteBatch` may carry.  One
+#: activation emits a handful of broadcasts, so the cap only guards
+#: pathological adversarial fan-out: the batcher splits a longer run
+#: into several envelopes, and a decoded envelope over the cap does not
+#: construct, which the wire codec turns into a ``CodecError``.
+MAX_BATCH = 32
+
+
 @dataclass(frozen=True)
 class VoteBatch:
     """Aggregated vote frame: one physical envelope, many logical messages.
@@ -87,6 +95,10 @@ class VoteBatch:
     """
 
     messages: tuple
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.messages, tuple) or len(self.messages) > MAX_BATCH:
+            raise ValueError(f"a VoteBatch carries a tuple of at most {MAX_BATCH} messages")
 
     def logical_count(self) -> int:
         """Number of protocol messages this envelope carries."""

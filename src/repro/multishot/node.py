@@ -63,6 +63,28 @@ Protocol flow implemented here:
   context has no ``peer_lost``, so simulated runs keep the plain 9Δ
   timers and never look ahead; the quorum rule runs there too.
 
+**Exactness of the vote path.**  A slot costs n² vote deliveries, so
+the receive path skips work that cannot change an outcome, and every
+skip is exact — traces, message counts and decisions are those of the
+unskipped code:
+
+* a vote's supporter set is tested for a quorum only while no block of
+  that view is notarized in the slot, and a threshold system rejects a
+  set with fewer than n − f entries before intersecting it with the
+  node set (fewer entries, fewer distinct members);
+* the storage reported after each own vote is
+  :data:`SLOT_STORAGE_BYTES` per retained slot: every slot's
+  :class:`~repro.core.storage.VoteStorage` holds six records whatever
+  it has seen, so that is the sum of their ``size_bytes()``;
+* a proposal's body triggers a finalization check only at or below the
+  highest notarized slot.  A finalization run and the walk under it
+  read notarized blocks and their ancestors, all at or below that
+  slot: a notarization carries an honest vote, and an honest node
+  votes (explicitly or as leader) only for a block of the slot it
+  votes in whose parent is a block of the slot below.  A body above
+  that slot is read by no check until its own slot is notarized, and
+  notarizing runs the check.
+
 :class:`MultiShotNode` is also the **reference implementation** of the
 SMR layer's :class:`~repro.smr.engine.ConsensusEngine` boundary: it
 satisfies the protocol structurally (``start``/``receive``/``store``/
@@ -122,6 +144,10 @@ RETENTION_SLOTS = 8
 #: out of a lost leader's view ahead of time (see "View change"): two
 #: message delays for the view change, one slot more for link jitter.
 VIEW_CHANGE_LEAD = 3
+
+#: What one slot's :class:`VoteStorage` reports: its six records, a
+#: size fixed by design (Table 1's constant storage).
+SLOT_STORAGE_BYTES = VoteStorage().size_bytes()
 
 
 def default_payload(slot: int, parent: Digest) -> object:
@@ -199,6 +225,16 @@ class MultiShotNode(SimNode):
         self._batching = batching
         self._batch_ctx: BatchingContext | None = None
         self._peer_lost: Callable[[NodeId], bool] | None = None
+        self._quorums = config.quorum_system
+        # Exact-type dispatch: a logical message of any other type
+        # (a nested VoteBatch, another protocol's traffic) is ignored.
+        self._handlers: dict[type, Callable[[NodeId, object], None]] = {
+            MSProposal: self._on_proposal,
+            MSVote: self._register_vote,
+            MSViewChange: self._on_view_change,
+            MSSuggest: self._on_suggest,
+            MSProof: self._on_proof,
+        }
 
     # -- helpers -------------------------------------------------------------------
 
@@ -217,9 +253,6 @@ class MultiShotNode(SimNode):
             state = _SlotState()
             self.slots[slot] = state
         return state
-
-    def _qs(self):
-        return self.config.quorum_system
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -360,25 +393,14 @@ class MultiShotNode(SimNode):
     # -- receive dispatch ---------------------------------------------------------------
 
     def receive(self, sender: NodeId, message: object) -> None:
-        if type(message) is VoteBatch:
-            for item in message.messages:
-                self._dispatch(sender, item)
-        else:
-            self._dispatch(sender, message)
+        handlers = self._handlers
+        items = message.messages if type(message) is VoteBatch else (message,)
+        for item in items:
+            handler = handlers.get(type(item))
+            if handler is not None:
+                handler(sender, item)
         if self._batch_ctx is not None:
             self._batch_ctx.flush()
-
-    def _dispatch(self, sender: NodeId, message: object) -> None:
-        if isinstance(message, MSProposal):
-            self._on_proposal(sender, message)
-        elif isinstance(message, MSVote):
-            self._on_vote(sender, message)
-        elif isinstance(message, MSViewChange):
-            self._on_view_change(sender, message)
-        elif isinstance(message, MSSuggest):
-            self._on_suggest(sender, message)
-        elif isinstance(message, MSProof):
-            self._on_proof(sender, message)
 
     # -- proposals ------------------------------------------------------------------------
 
@@ -408,7 +430,10 @@ class MultiShotNode(SimNode):
         self._start_slot(slot + 1)
         self._maybe_vote(slot)
         self._maybe_propose(slot + 1)
-        self._after_body_arrival()
+        if slot <= self.chain.max_notarized_slot:
+            # A body above every notarized slot is in no finalization
+            # run yet ("Exactness of the vote path" above).
+            self._after_body_arrival()
 
     def _maybe_propose(self, slot: int) -> None:
         if slot < 1 or slot > self.config.max_slots:
@@ -478,7 +503,7 @@ class MultiShotNode(SimNode):
             for node, s in state.suggests.get(view, {}).items()
         }
         fresh = Block.create(slot, fresh_parent, self.payload_fn(slot, fresh_parent))
-        value = find_safe_value(suggests, view, self._qs(), default_value=fresh.digest)
+        value = find_safe_value(suggests, view, self._quorums, default_value=fresh.digest)
         if value is None:
             return None
         if value == fresh.digest:
@@ -510,7 +535,7 @@ class MultiShotNode(SimNode):
                 node: Proof(view, p.vote1, p.prev_vote1, p.vote4)
                 for node, p in state.proofs.get(view, {}).items()
             }
-            if not proposal_is_safe(proofs, view, block.digest, self._qs()):
+            if not proposal_is_safe(proofs, view, block.digest, self._quorums):
                 return
         # We need the ancestor bodies to record the pipelined phases.
         if self.store.ancestor_digest(block.digest, FINALITY_WINDOW - 1) is None:
@@ -533,33 +558,32 @@ class MultiShotNode(SimNode):
                 storage.record_vote(phase, view, current)
             block = self.store.get(current)
             current = block.parent if block is not None else None
-        self.ctx.report_storage(self._storage_bytes())
-
-    def _storage_bytes(self) -> int:
-        return sum(s.storage.size_bytes() for s in self.slots.values())
-
-    def _on_vote(self, sender: NodeId, message: MSVote) -> None:
-        if message.slot < 1:
-            return
-        self._register_vote(sender, message)
+        self.ctx.report_storage(SLOT_STORAGE_BYTES * len(self.slots))
 
     def _register_vote(self, sender: NodeId, vote: MSVote) -> None:
+        """Count one vote, received or implied by a proposal."""
+        if vote.slot < 1:
+            return
         state = self.slot_state(vote.slot)
         key = (vote.view, vote.digest)
-        supporters = state.votes.setdefault(key, set())
-        if sender in supporters:
+        supporters = state.votes.get(key)
+        if supporters is None:
+            supporters = state.votes[key] = {sender}
+        elif sender in supporters:
             return
-        supporters.add(sender)
-        if self._qs().is_quorum(supporters) and vote.view not in state.notarized_by_view:
-            state.notarized_by_view[vote.view] = vote.digest
-            self.ctx.trace(TraceKind.NOTARIZE, slot=vote.slot, view=vote.view, value=vote.digest)
-            newly_final = self.chain.notarize(vote.slot, vote.digest)
-            self._handle_finalized(newly_final)
-            # A fresh notarization can unlock the next slot's vote and
-            # the next-next leader's proposal.
-            self._maybe_vote(vote.slot + 1)
-            self._maybe_propose(vote.slot + 1)
-            self._maybe_propose(vote.slot + 2)
+        else:
+            supporters.add(sender)
+        if vote.view in state.notarized_by_view or not self._quorums.is_quorum(supporters):
+            return
+        state.notarized_by_view[vote.view] = vote.digest
+        self.ctx.trace(TraceKind.NOTARIZE, slot=vote.slot, view=vote.view, value=vote.digest)
+        newly_final = self.chain.notarize(vote.slot, vote.digest)
+        self._handle_finalized(newly_final)
+        # A fresh notarization can unlock the next slot's vote and the
+        # next-next leader's proposal.
+        self._maybe_vote(vote.slot + 1)
+        self._maybe_propose(vote.slot + 1)
+        self._maybe_propose(vote.slot + 2)
 
     def _after_body_arrival(self) -> None:
         """A late block body can complete a pending finalization run."""
@@ -605,12 +629,12 @@ class MultiShotNode(SimNode):
             return
         senders = state.vc_senders.setdefault(view, set())
         senders.add(sender)
-        if self._qs().is_blocking(senders) and view > state.vc_sent:
+        if self._quorums.is_blocking(senders) and view > state.vc_sent:
             state.vc_sent = view
             self.ctx.broadcast(MSViewChange(slot, view))
         # Re-read: our own echo loops back synchronously and may have
         # advanced the slot's view already.
-        if self._qs().is_quorum(senders) and view > state.view:
+        if self._quorums.is_quorum(senders) and view > state.view:
             self._do_view_change(slot, view)
 
     def _do_view_change(self, from_slot: int, view: int) -> None:

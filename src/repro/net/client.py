@@ -80,11 +80,13 @@ def scaled_timeout(base: float, time_scale: float) -> float:
 class AckCorrelator:
     """Correlates CommitAcks from many replicas back to submissions.
 
-    The single source of truth for ack bookkeeping: which txids were
-    submitted (and when), which replica acked which txid, the submit →
-    ack wall-clock latency samples, and the slot each transaction
-    finalized in.  Duplicate acks and acks for transactions never
-    submitted are ignored.
+    A bounded run's ack bookkeeping (the A7 driver and the live obs
+    run): which txids were submitted (and when), which replica acked
+    which txid, the submit → ack wall-clock latency samples, and the
+    slot each transaction finalized in.  Duplicate acks and acks for
+    transactions never submitted are ignored.  It keeps every entry for
+    its lifetime, so a long-lived service tracks acks on its own
+    per-transaction records instead (the gateway's ``TxnStatus``).
     """
 
     expected: set[str] = field(default_factory=set)

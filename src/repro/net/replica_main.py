@@ -399,7 +399,7 @@ class ReplicaProcess:
         self._flush_acks()
         self._followers.add(sock)
         buf = bytearray()
-        blocks = [b for b in self.replica.executed_blocks if b.slot > since_height]
+        blocks = self.replica.executed_above(since_height)
         for block in blocks:
             self.codec.encode_frame_into(BlockExecuted(self.spec.node_id, block), buf)
         self._write_clients((sock,), bytes(buf), len(blocks))
@@ -451,9 +451,10 @@ class ReplicaProcess:
     # -- state-transfer catch-up ----------------------------------------------
 
     def _finalized_tip(self) -> tuple[int, str]:
-        """(height, digest) of the local finalized tip; genesis at 0."""
-        chain = self.replica.finalized_chain
-        return (chain[-1].slot, chain[-1].digest) if chain else (0, GENESIS_DIGEST)
+        """(height, digest) of the local finalized tip; genesis at 0.
+        Read off the executed blocks, which are the finalized chain."""
+        executed = self.replica.executed_blocks
+        return (executed[-1].slot, executed[-1].digest) if executed else (0, GENESIS_DIGEST)
 
     async def _catch_up_loop(self) -> None:
         """Fetch the finalized gap from a peer whenever progress stalls.
@@ -530,10 +531,9 @@ class ReplicaProcess:
                 self._start_consensus()
             elif isinstance(message, Follow) and type(message.since_height) is int:
                 self._follow(sock, message.since_height)
-            elif isinstance(message, StateTransferRequest):
-                chain = self.replica.finalized_chain
-                tip = chain[-1].slot if chain else 0
-                blocks = tuple(b for b in chain if b.slot > message.since_slot)
+            elif isinstance(message, StateTransferRequest) and type(message.since_slot) is int:
+                tip, _digest = self._finalized_tip()
+                blocks = tuple(self.replica.executed_above(message.since_slot))
                 self.events.emit(
                     "state_transfer", slot=tip, served=len(blocks), since=message.since_slot
                 )

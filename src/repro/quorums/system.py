@@ -81,6 +81,9 @@ class ThresholdQuorumSystem(QuorumSystem):
             raise ConfigurationError(f"f must be non-negative, got {self.f}")
         if n <= 3 * self.f:
             raise ConfigurationError(f"threshold quorum system needs n > 3f, got n={n}, f={self.f}")
+        # The thresholds, fixed once: a vote path asks on every delivery.
+        object.__setattr__(self, "_quorum_size", n - self.f)
+        object.__setattr__(self, "_blocking_size", self.f + 1)
 
     @classmethod
     def for_nodes(cls, n: int, f: int | None = None) -> "ThresholdQuorumSystem":
@@ -105,18 +108,28 @@ class ThresholdQuorumSystem(QuorumSystem):
         return self.node_set
 
     def quorum_size(self) -> int:
-        return self.n - self.f
+        return self._quorum_size
 
     def blocking_size(self) -> int:
-        return self.f + 1
+        return self._blocking_size
 
     def is_quorum(self, members: Iterable[NodeId]) -> bool:
-        eligible = self.node_set.intersection(members)
-        return len(eligible) >= self.quorum_size()
+        return self._counts_at_least(members, self._quorum_size)
 
     def is_blocking(self, members: Iterable[NodeId]) -> bool:
-        eligible = self.node_set.intersection(members)
-        return len(eligible) >= self.blocking_size()
+        return self._counts_at_least(members, self._blocking_size)
+
+    def _counts_at_least(self, members: Iterable[NodeId], size: int) -> bool:
+        """Whether ``members`` names at least ``size`` distinct nodes of
+        the system.  A collection with fewer entries than ``size`` holds
+        fewer distinct nodes too, whatever the entries are, so it is
+        rejected before any intersection is built."""
+        try:
+            if len(members) < size:
+                return False
+        except TypeError:  # an iterator has no length: intersect it
+            pass
+        return len(self.node_set.intersection(members)) >= size
 
 
 def quorums_intersect(system: QuorumSystem) -> bool:

@@ -30,7 +30,9 @@ commit throughput for the ``smr`` experiment.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence, Set
+from operator import attrgetter
 
 from repro.errors import ConfigurationError
 from repro.metrics.smr_trackers import SMRTrackers
@@ -52,6 +54,9 @@ from repro.storage.api import MemoryStorage, ReplicaStorage
 #: ever outruns it anyway, the pruned block store truncates the walk
 #: and the proposer merely excludes less — never incorrectly.
 FRONTIER_SLOTS = 16
+
+
+_slot_of = attrgetter("slot")
 
 
 def finalized_frontier(executed: Sequence[Block]) -> set[Digest]:
@@ -155,6 +160,18 @@ class Replica(SimNode):
     def finalized_chain(self) -> list[Block]:
         return self.consensus.finalized_chain
 
+    def executed_above(self, height: int) -> list[Block]:
+        """The executed blocks above ``height``, oldest first.
+
+        ``executed_blocks`` holds the finalized chain's blocks in chain
+        order (bootstrap replays them, finalization appends), so this
+        is the finalized chain's suffix, found by bisection on slot: a
+        state transfer or a follow costs the blocks it sends, and no
+        copy of the whole chain.
+        """
+        start = bisect_right(self.executed_blocks, height, key=_slot_of)
+        return self.executed_blocks[start:]
+
     def state_digest(self) -> str:
         return self.store.state_digest()
 
@@ -205,9 +222,9 @@ class Replica(SimNode):
                 f"engine {type(self.consensus).__name__} does not support "
                 "state-transfer body offers"
             )
-        before = len(self.consensus.finalized_chain)
+        before = len(self.executed_blocks)
         offer_fn(tuple(blocks))
-        return len(self.consensus.finalized_chain) - before
+        return len(self.executed_blocks) - before
 
     # -- consensus callbacks --------------------------------------------------------
 

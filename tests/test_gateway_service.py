@@ -11,6 +11,8 @@ streams included.
 from __future__ import annotations
 
 import asyncio
+import gc
+import types
 
 import pytest
 
@@ -332,6 +334,66 @@ def test_commit_requires_f_plus_one_distinct_replica_acks():
         view = service.txn_view("t0")
         assert view["status"] == "committed"
         assert view["latency_ms"] == pytest.approx(500.0)
+        await service.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_duplicate_or_unknown_ack_changes_no_count_event_or_latency():
+    async def scenario():
+        service, _pool, clock = _service(n=4, rate=1000.0, burst=1000.0)
+        await service.start(start_consensus=False)
+        sub = service.subscribe()
+        status = service.submit("alice", _txn(0))
+        clock.advance(0.25)
+        _commit(service, "t0", n_acks=2, slot=3)
+        histogram = service.commit_latency_ms
+        before = (len(status.acks), status.committed_at, list(histogram.values()))
+        assert before == (2, 0.25, [pytest.approx(250.0)])
+        clock.advance(0.5)
+        service._on_ack(1, CommitAck(node_id=1, txid="t0", slot=3))  # a repeat
+        service._on_ack(2, CommitAck(node_id=2, txid="nope", slot=3))  # never submitted
+        assert (len(status.acks), status.committed_at, list(histogram.values())) == before
+        assert service.counters["committed"] == 1
+        assert "nope" not in service.txns
+        event = await asyncio.wait_for(sub.next_event(), timeout=1.0)
+        assert (event["txid"], event["acks"]) == ("t0", 2)
+        assert sub.queue.empty()
+        await service.stop()
+
+    asyncio.run(scenario())
+
+
+def _txid_holders(root: object, txid: str, skip: tuple) -> list[object]:
+    """Containers reachable from ``root`` (not through ``skip``) that
+    hold ``txid`` as a dict key or a set, list or tuple item."""
+    opaque = (type, types.ModuleType, types.FunctionType, types.MethodType, types.CodeType)
+    seen = {id(root)} | {id(obj) for obj in skip}
+    stack, holders = [root], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (set, frozenset, list, tuple)) and txid in obj:
+            holders.append(obj)
+        elif isinstance(obj, dict) and txid in obj:
+            holders.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, opaque):
+                seen.add(id(ref))
+                stack.append(ref)
+    return holders
+
+
+def test_the_status_table_is_the_only_ack_ledger():
+    """A committed write is kept once, as its ``TxnStatus`` in
+    ``service.txns``: no second per-write ledger (expected txids,
+    submit times, per-replica ack sets) grows beside it."""
+
+    async def scenario():
+        service, pool, _clock = _service(n=4, rate=1000.0, burst=1000.0)
+        await service.start(start_consensus=False)
+        service.submit("alice", _txn(0))
+        _commit(service, "t0", n_acks=4)
+        assert _txid_holders(service, "t0", skip=(pool,)) == [service.txns]
         await service.stop()
 
     asyncio.run(scenario())

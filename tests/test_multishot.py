@@ -22,7 +22,7 @@ from repro.multishot import (
 )
 from repro.multishot.chain import FINALITY_WINDOW
 from repro.metrics.smr_trackers import SMRTrackers
-from repro.multishot.messages import MSProof, MSProposal, MSSuggest, MSViewChange
+from repro.multishot.messages import MSProof, MSProposal, MSSuggest, MSViewChange, MSVote
 from repro.multishot.node import RETENTION_SLOTS, VIEW_CHANGE_LEAD
 from repro.net.replica_main import _ObsNetContext
 from repro.obs import EventLog, MetricsRegistry
@@ -546,6 +546,94 @@ class TestMultiShotViewChange:
         sim.run(until=30)
         assert received == sorted(received)
         assert received[0] == 1
+
+
+class TestVotePathExactness:
+    """What the vote path skips changes no outcome (``multishot/node.py``,
+    "Exactness of the vote path")."""
+
+    def test_a_late_body_finalizes_its_slot_on_arrival(self):
+        """Node 0 of n=7 (quorum 5) hears six votes each for slots 1–4
+        and the bodies of 2–4, but slot 1's proposal only after all four
+        are notarized: that arrival finalizes slot 1.  Each slot is
+        notarized once, however many votes arrive past the quorum."""
+        ctx = FakeContext(0)
+        node = MultiShotNode(0, MultiShotConfig(base=ProtocolConfig.create(7), max_slots=12))
+        node.start(ctx)
+        blocks, parent = [], GENESIS_DIGEST
+        for slot in range(1, 5):
+            blocks.append(Block.create(slot, parent, f"late{slot}"))
+            parent = blocks[-1].digest
+        for block in blocks[1:]:
+            node.receive(block.slot, MSProposal(block.slot, 0, block))  # leader: node `slot`
+        for block in blocks:
+            for voter in range(1, 7):
+                node.receive(voter, MSVote(block.slot, 0, block.digest))
+        notarized = [d for k, d in ctx.trace_events if k is TraceKind.NOTARIZE]
+        assert [(d["slot"], d["value"]) for d in notarized] == [(b.slot, b.digest) for b in blocks]
+        assert node.chain.max_notarized_slot == 4
+        assert node.chain.finalized_height == 0  # slot 1's body is missing
+        assert not [k for k, _ in ctx.trace_events if k is TraceKind.FINALIZE]
+        node.receive(1, MSProposal(1, 0, blocks[0]))
+        assert node.chain.finalized_height == 1
+        finalized = [d for k, d in ctx.trace_events if k is TraceKind.FINALIZE]
+        assert finalized == [{"slot": 1, "value": blocks[0].digest}]
+
+    def test_reported_storage_is_the_sum_over_retained_slots(self, monkeypatch):
+        """Through a view change, every storage report equals the sum of
+        the retained slots' ``VoteStorage.size_bytes()``."""
+        reports: list[tuple[int, int]] = []
+        report = NodeContext.report_storage
+
+        def checked(ctx, size_bytes):
+            node = ctx._sim.nodes[ctx.node_id]
+            reports.append((size_bytes, sum(s.storage.size_bytes() for s in node.slots.values())))
+            report(ctx, size_bytes)
+
+        monkeypatch.setattr(NodeContext, "report_storage", checked)
+        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=12)
+        policy = TargetedDropPolicy(SynchronousDelays(1.0), silence_nodes([3]), end=25.0)
+        sim = Simulation(policy, trace_enabled=True)
+        for i in range(4):
+            sim.add_node(MultiShotNode(i, config))
+        sim.run(until=200)
+        assert any(e.get("view", 0) >= 1 for e in sim.trace.events(TraceKind.VIEW_ENTER))
+        assert len(reports) > 40
+        assert [size for size, _ in reports] == [total for _, total in reports]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_skipping_the_check_above_the_notarized_frontier_changes_no_trace(
+        self, seed, monkeypatch
+    ):
+        """Lossy asynchrony (lost proposals, view changes): the same run
+        with the finalization check forced after every proposal leaves
+        the same trace, event for event."""
+        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=10)
+        checks = []
+        check = ChainState.check_finalization
+
+        def counted(chain):
+            checks.append(1)
+            return check(chain)
+
+        monkeypatch.setattr(ChainState, "check_finalization", counted)
+
+        def run() -> tuple[list, int]:
+            checks.clear()
+            policy = PartialSynchronyPolicy(gst=20.0, delta=1.0, loss_before_gst=0.4, seed=seed)
+            sim = Simulation(policy, trace_enabled=True)
+            for i in range(4):
+                sim.add_node(MultiShotNode(i, config))
+            sim.run(until=400)
+            assert max(len(sim.nodes[i].finalized_chain) for i in range(4)) >= 5
+            return list(sim.trace), len(checks)
+
+        trace, skipping = run()
+        monkeypatch.setattr(ChainState, "max_notarized_slot", property(lambda chain: 1 << 62))
+        forced_trace, forced = run()
+        assert trace == forced_trace
+        assert any(e.kind is TraceKind.VIEW_ENTER and e.get("view", 0) >= 1 for e in trace)
+        assert skipping < forced
 
 
 class _PeerLossContext(FakeContext):

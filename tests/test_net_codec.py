@@ -40,6 +40,7 @@ from repro.core.messages import (
 from repro.core.values import Phase
 from repro.multishot.block import Block
 from repro.multishot.messages import (
+    MAX_BATCH,
     MSProof,
     MSProposal,
     MSSuggest,
@@ -553,6 +554,29 @@ def test_hostile_nesting_is_a_codec_error_not_a_recursion_error():
         WIRE_CODEC.decode(body)
     with pytest.raises(CodecError, match="MAX_DEPTH"):
         FrameBuffer(WIRE_CODEC).feed(len(body).to_bytes(4, "big") + body)
+
+
+def _vote_batch_body(count: int) -> bytes:
+    """A VoteBatch frame body carrying ``count`` copies of one MSVote,
+    spliced at the byte level (the constructor refuses more than
+    MAX_BATCH): head, then the tuple's tag and length, then the items."""
+    one = WIRE_CODEC.encode(VoteBatch((MSVote(1, 0, "ab"),)))
+    head, item = one[:4], one[9:]
+    assert one[4:9] == b"U\x00\x00\x00\x01"
+    return head + b"U" + count.to_bytes(4, "big") + item * count
+
+
+def test_a_vote_batch_over_max_batch_does_not_decode():
+    """The batcher never puts more than MAX_BATCH messages in one
+    envelope, so a frame carrying more is a CodecError, not a fan-out
+    every receiver would dispatch."""
+    assert MAX_BATCH == 32
+    full = WIRE_CODEC.decode(_vote_batch_body(MAX_BATCH))
+    assert full == VoteBatch((MSVote(1, 0, "ab"),) * MAX_BATCH)
+    with pytest.raises(CodecError, match="at most 32 messages"):
+        WIRE_CODEC.decode(_vote_batch_body(MAX_BATCH + 1))
+    with pytest.raises(ValueError):
+        VoteBatch((MSVote(1, 0, "ab"),) * (MAX_BATCH + 1))
 
 
 def test_nesting_cap_sits_exactly_at_max_depth():

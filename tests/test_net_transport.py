@@ -20,7 +20,7 @@ from repro.core.messages import Proposal, ViewChange
 from repro.errors import ConfigurationError
 from repro.baselines.chained import SlotMessage
 from repro.multishot.block import GENESIS_DIGEST, Block
-from repro.multishot.messages import MSProposal, MSVote, VoteBatch
+from repro.multishot.messages import MAX_BATCH, MSProposal, MSVote, VoteBatch
 from repro.net.cluster import allocate_ports
 from repro.net import transport as transport_module
 from repro.net.codec import MAX_UNBATCHED_DEPTH, WIRE_CODEC, FrameBuffer, Hello
@@ -609,6 +609,42 @@ def test_an_undecodable_peer_connection_is_closed_and_counted():
 
     asyncio.run(scenario())
     assert registry.snapshot()["transport.decode_errors"] == 2
+
+
+def _vote_batch_frame(count: int) -> bytes:
+    """A length-prefixed VoteBatch frame of ``count`` MSVotes, spliced at
+    the byte level (the constructor refuses more than MAX_BATCH)."""
+    one = WIRE_CODEC.encode(VoteBatch((MSVote(1, 0, "ab"),)))
+    body = one[:4] + b"U" + count.to_bytes(4, "big") + one[9:] * count
+    return len(body).to_bytes(4, "big") + body
+
+
+def test_a_peer_sending_a_vote_batch_over_the_cap_is_dropped_and_counted():
+    inboxes = {0: [], 1: []}
+    ports = allocate_ports(2)
+
+    async def scenario():
+        a, b = _pair(ports, inboxes)
+        await a.start()
+        await b.start()
+        try:
+            reader, writer = await asyncio.open_connection(HOST, ports[1])
+            writer.write(WIRE_CODEC.encode_frame(Hello(0)) + _vote_batch_frame(MAX_BATCH + 1))
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""  # closed on us
+            writer.close()
+            assert b.decode_errors == 1 and inboxes[1] == []
+            # A batch at the cap is delivered whole.
+            reader, writer = await asyncio.open_connection(HOST, ports[1])
+            writer.write(WIRE_CODEC.encode_frame(Hello(0)) + _vote_batch_frame(MAX_BATCH))
+            full = VoteBatch((MSVote(1, 0, "ab"),) * MAX_BATCH)
+            await _wait_for(lambda: inboxes[1] == [(0, full)])
+            writer.close()
+            assert b.decode_errors == 1
+        finally:
+            await a.stop()
+            await b.stop()
+
+    asyncio.run(scenario())
 
 
 def test_the_replica_plane_has_one_io_style():

@@ -84,6 +84,20 @@ class TestThresholdQuorumSystem:
         quorum = data.draw(st.sets(st.sampled_from(members), min_size=qs.quorum_size()))
         assert blocking & quorum
 
+    @given(n=st.integers(1, 16), data=st.data())
+    @settings(max_examples=200)
+    def test_thresholds_match_the_intersection_definition(self, n, data):
+        """``is_quorum``/``is_blocking`` answer exactly "at least n − f /
+        f + 1 distinct system nodes", however the ids arrive: duplicates,
+        ids outside the system, sets, mappings, iterators."""
+        f = data.draw(st.integers(0, (n - 1) // 3))
+        qs = ThresholdQuorumSystem.for_nodes(n, f)
+        ids = data.draw(st.lists(st.integers(-3, n + 3), max_size=3 * n))
+        distinct = len(set(range(n)) & set(ids))
+        shapes = (list, tuple, set, frozenset, dict.fromkeys, iter, lambda xs: (x for x in xs))
+        for shape in shapes:
+            assert qs.is_quorum(shape(ids)) is (distinct >= n - f)
+            assert qs.is_blocking(shape(ids)) is (distinct >= f + 1)
 
 class TestFBAQuorumSystem:
     def _tier_system(self) -> FBAQuorumSystem:

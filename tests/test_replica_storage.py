@@ -18,12 +18,13 @@ import pytest
 
 from repro.core import ProtocolConfig
 from repro.errors import ProtocolViolation
-from repro.multishot import MultiShotConfig
+from repro.multishot import MultiShotConfig, MultiShotNode
 from repro.multishot.block import GENESIS_DIGEST, Block, linked_run
 from repro.net.cluster import ClusterConfig, build_specs
-from repro.net.codec import WIRE_CODEC, WalAppend
+from repro.net.codec import WIRE_CODEC, FrameBuffer, StateTransferRequest, WalAppend
 from repro.net.replica_main import ReplicaProcess
 from repro.obs import MetricsRegistry
+from repro.sim import Simulation, SynchronousDelays
 from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Transaction
 from repro.smr.replica import Replica
@@ -402,6 +403,85 @@ def test_replica_offer_blocks_extends_the_bootstrapped_tip():
     assert [b.digest for b in replica.finalized_chain[:4]] == [
         b.digest for b in chain[:4]
     ]
+
+
+class _Sock:
+    """The client-port socket surface a reply is written to."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    def is_closing(self) -> bool:
+        return False
+
+
+def _served(process: ReplicaProcess, since_slot: int):
+    """The reply ``process`` writes to one ``StateTransferRequest``."""
+    sock = _Sock()
+    process._on_client_messages(sock, [StateTransferRequest(since_slot=since_slot)])
+    (reply,) = FrameBuffer(WIRE_CODEC).feed(bytes(sock.data))
+    return reply
+
+
+def _bootstrapped_process(tmp_path, chain: list[Block]) -> ReplicaProcess:
+    storage = DiskStorage(tmp_path)
+    persist(storage, chain)
+    storage.close()
+    spec = replace(build_specs(ClusterConfig(n=4, max_slots=8))[0], data_dir=str(tmp_path))
+    process = ReplicaProcess(spec)
+    assert [b.digest for b in process.replica.finalized_chain] == [b.digest for b in chain]
+    return process
+
+
+def _live_process() -> ReplicaProcess:
+    """A replica process serving replica 0 of a simulated n=4 cluster,
+    whose chain its engine finalized (no bootstrap)."""
+    replicas = [_replica(node_id=i) for i in range(4)]
+    sim = Simulation(SynchronousDelays(1.0))
+    sim.add_nodes(replicas)
+    sim.run(until=40.0)
+    process = ReplicaProcess(build_specs(ClusterConfig(n=4, max_slots=8))[0])
+    process.replica = replicas[0]
+    return process
+
+
+@pytest.mark.parametrize("origin", ["live", "bootstrapped"])
+def test_a_state_transfer_serves_the_chain_above_the_requested_slot(tmp_path, origin):
+    if origin == "live":
+        process = _live_process()
+        chain = process.replica.finalized_chain
+    else:
+        chain = make_chain(6)
+        process = _bootstrapped_process(tmp_path, chain)
+    tip = chain[-1].slot
+    assert tip >= 6
+    for since_slot in (0, tip // 2, tip, tip + 5):
+        reply = _served(process, since_slot)
+        assert reply.tip_slot == tip
+        assert [b.digest for b in reply.blocks] == [b.digest for b in chain if b.slot > since_slot]
+    process.storage.close()
+
+
+def test_catch_up_paths_take_no_copy_of_the_chain(tmp_path, monkeypatch):
+    """The tip poll, a served transfer and an offered transfer read the
+    executed blocks, never the engine's whole-chain copy."""
+    chain = make_chain(6)
+    process = _bootstrapped_process(tmp_path, chain)
+    copies = []
+    chain_copy = MultiShotNode.finalized_chain.fget
+    monkeypatch.setattr(
+        MultiShotNode,
+        "finalized_chain",
+        property(lambda node: copies.append(node) or chain_copy(node)),
+    )
+    assert process._finalized_tip() == (6, chain[-1].digest)
+    assert [b.slot for b in _served(process, 3).blocks] == [4, 5, 6]
+    assert process.replica.offer_blocks(chain[4:]) == 0
+    assert copies == []
+    process.storage.close()
 
 
 def test_disk_storage_full_cycle_via_replica(tmp_path):
