@@ -18,6 +18,7 @@ from repro.adversary.faulty_engine import (
     ForgeSuggestProof,
     Havoc,
     Impostor,
+    RepeatTransaction,
     ScheduledCrash,
     Silence,
     Withhold,
@@ -37,6 +38,7 @@ __all__ = [
     "ForgeSuggestProof",
     "Havoc",
     "Impostor",
+    "RepeatTransaction",
     "ScheduledCrash",
     "Silence",
     "Withhold",

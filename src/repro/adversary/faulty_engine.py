@@ -29,7 +29,9 @@ Deviations that corrupt the honest node's own traffic:
   attack Rules 1–4 (and any lock-based recovery) must survive;
 * :class:`Chaos` — a seeded stream of dropped, duplicated and
   mutated-replayed protocol messages (the engine-layer
-  ``ByzantineHavoc``).
+  ``ByzantineHavoc``);
+* :class:`RepeatTransaction` — lists a transaction twice in each block
+  it proposes, which every replica must still execute once.
 
 :class:`Impostor` deviations instead keep the wrapped node deaf and
 mute and speak for it alone, through ``engine._emit``.  The single-shot
@@ -505,6 +507,25 @@ class Chaos(Deviation):
                 target = self._rng.choice(self.ids)
                 self.engine._emit([(target, self._mutate(victim))])
         self.engine.ctx.set_timer(self.period, self._tick)
+
+
+class RepeatTransaction(Deviation):
+    """Proposes each block with its first transaction listed twice.
+
+    Honest voters never read a payload, so the block is notarized and
+    finalized like any other; execution must apply the repeated txid
+    once, as the auditor's replay does.  Pipelined proposals only: the
+    rewritten block is the one the network, this node included, sees.
+    """
+
+    def outbound(self, dst: NodeId | None, message: object) -> list[Delivery]:
+        if isinstance(message, MSProposal):
+            block = message.block
+            payload = block.payload
+            if isinstance(payload, tuple) and payload:
+                repeated = Block.create(block.slot, block.parent, payload + payload[:1])
+                return [(dst, replace(message, block=repeated))]
+        return [(dst, message)]
 
 
 # -- impostors: the node speaks only through its deviation ---------------------

@@ -285,8 +285,9 @@ class ChainedEngine:
                 self._receive_one(sender, item)
         else:
             self._receive_one(sender, message)
-        if self._batch_ctx is not None:
-            self._batch_ctx.flush()
+        batch = self._batch_ctx
+        if batch is not None and batch.buffer:
+            batch.flush()
 
     def _receive_one(self, sender: NodeId, message: object) -> None:
         if isinstance(message, CatchUp):

@@ -8,8 +8,8 @@ single place where those quantities are accounted for:
   dropped messages, per sender and per message type;
 * :class:`LatencyMetrics` — per-node decision times and view-change
   timestamps, convertible to "message delays" by dividing by δ;
-* :class:`StorageMetrics` — snapshots of persistent-state sizes, used
-  to demonstrate the constant-storage claim.
+* :class:`StorageMetrics` — the peak and the distinct persistent-state
+  sizes per node, used to demonstrate the constant-storage claim.
 
 The collectors are deliberately dumb containers: protocol code pushes
 facts in, the evaluation layer pulls aggregates out.
@@ -158,17 +158,27 @@ class LatencyMetrics:
 
 @dataclass
 class StorageMetrics:
-    """Persistent-storage sizes sampled over a run (constant-storage claim)."""
+    """Persistent-storage sizes reported over a run (constant-storage claim).
 
-    samples: dict[int, list[int]] = field(default_factory=lambda: defaultdict(list))
+    Nodes report after every vote, so a run's reports grow with its
+    length.  Only what the claim reads is kept: per node, the peak and
+    the set of distinct sizes reported.
+    """
+
+    peak: dict[int, int] = field(default_factory=dict)
+    sizes: dict[int, set[int]] = field(default_factory=lambda: defaultdict(set))
 
     def record(self, node: int, size_bytes: int) -> None:
-        self.samples[node].append(size_bytes)
+        sizes = self.sizes[node]
+        if size_bytes not in sizes:
+            sizes.add(size_bytes)
+            if size_bytes > self.peak.get(node, 0):
+                self.peak[node] = size_bytes
 
     def max_storage(self, node: int | None = None) -> int:
         if node is not None:
-            return max(self.samples.get(node, [0]), default=0)
-        return max((s for sizes in self.samples.values() for s in sizes), default=0)
+            return self.peak.get(node, 0)
+        return max(self.peak.values(), default=0)
 
 
 @dataclass

@@ -60,18 +60,32 @@ class BatchingContext:
     consecutive broadcasts into :class:`VoteBatch` envelopes.
 
     Forwards the full context surface; only ``broadcast`` defers work.
+    ``buffer`` holds the deferred broadcasts: an engine that finds it
+    empty at activation end has nothing to flush.
     """
 
-    __slots__ = ("_inner", "_buffer")
+    __slots__ = (
+        "_inner",
+        "buffer",
+        "report_decision",
+        "report_view_entry",
+        "report_storage",
+        "trace",
+    )
 
     def __init__(self, inner) -> None:
         self._inner = inner
-        self._buffer: list[object] = []
+        self.buffer: list[object] = []
+        # Plain forwarding: the inner context's own bound methods.
+        self.report_decision = inner.report_decision
+        self.report_view_entry = inner.report_view_entry
+        self.report_storage = inner.report_storage
+        self.trace = inner.trace
 
     # -- the batching surface --------------------------------------------------
 
     def broadcast(self, message: object) -> None:
-        self._buffer.append(message)
+        self.buffer.append(message)
 
     def send(self, dst: int, message: object) -> None:
         self.flush()
@@ -88,7 +102,7 @@ class BatchingContext:
 
     def flush(self) -> None:
         """Emit buffered broadcasts: bare when single, enveloped when many."""
-        buffer = self._buffer
+        buffer = self.buffer
         if not buffer:
             return
         inner = self._inner
@@ -112,15 +126,3 @@ class BatchingContext:
     @property
     def now(self):
         return self._inner.now
-
-    def report_decision(self, value: object) -> None:
-        self._inner.report_decision(value)
-
-    def report_view_entry(self, view: int) -> None:
-        self._inner.report_view_entry(view)
-
-    def report_storage(self, size_bytes: int) -> None:
-        self._inner.report_storage(size_bytes)
-
-    def trace(self, kind, **detail) -> None:
-        self._inner.trace(kind, **detail)

@@ -23,7 +23,11 @@ chain grows:
   :meth:`check_finalization` walks that window instead of re-sorting
   every notarized slot ever seen;
 * finalizing appends the new *suffix* to the finalized list instead of
-  rebuilding the whole chain from genesis on every finalization.
+  rebuilding the whole chain from genesis on every finalization;
+* the run that finalized the tip is not walked again: its top sits at
+  the lowest frontier slot, and retrying it walks back down to the tip
+  and appends nothing.  Other digests at that slot still reach the
+  fork check.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ class ChainState:
         self._finalized_at: dict[int, Digest] = {}
         # Notarization frontier bound: the highest slot ever notarized.
         self._max_notarized = 0
+        # Top digest of the run that finalized the tip (None after a
+        # bootstrap): that run's bottom is the tip, so it cannot change
+        # anything while the tip stands and the scan skips it.
+        self._tip_run_top: Digest | None = None
 
     # -- notarization ------------------------------------------------------------
 
@@ -144,8 +152,11 @@ class ChainState:
                 if not digests:
                     continue
                 for top_digest in digests:
+                    if top_slot == frontier and top_digest == self._tip_run_top:
+                        continue
                     appended = self._try_finalize_run(top_slot, top_digest)
                     if appended:
+                        self._tip_run_top = top_digest
                         newly.extend(appended)
                         progress = True
                         break

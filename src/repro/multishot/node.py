@@ -63,15 +63,21 @@ Protocol flow implemented here:
   context has no ``peer_lost``, so simulated runs keep the plain 9Δ
   timers and never look ahead; the quorum rule runs there too.
 
-**Exactness of the vote path.**  A slot costs n² vote deliveries, so
-the receive path skips work that cannot change an outcome, and every
-skip is exact — traces, message counts and decisions are those of the
-unskipped code:
+**Exactness of the vote and slot paths.**  A slot costs n² vote
+deliveries and, at every node, a fixed lifecycle: proposal, own vote,
+notarization, finalization, prune and execution.  Both paths skip work
+that cannot change an outcome, and every skip is exact — traces,
+message, frame and receive counts, finalized chains and state digests
+are those of the unskipped code (``tests/test_slot_path_pin.py`` pins
+them at n=16).  The vote path:
 
-* a vote's supporter set is tested for a quorum only while no block of
-  that view is notarized in the slot, and a threshold system rejects a
-  set with fewer than n − f entries before intersecting it with the
-  node set (fewer entries, fewer distinct members);
+* a vote for a view already notarized in its slot returns before it
+  touches a supporter set.  Only the quorum test reads those sets, and
+  a view's notarization is recorded once, so no later vote of that
+  view can notarize anything;
+* a threshold system rejects a supporter set with fewer than n − f
+  entries before intersecting it with the node set (fewer entries,
+  fewer distinct members);
 * the storage reported after each own vote is
   :data:`SLOT_STORAGE_BYTES` per retained slot: every slot's
   :class:`~repro.core.storage.VoteStorage` holds six records whatever
@@ -84,6 +90,40 @@ unskipped code:
   votes in whose parent is a block of the slot below.  A body above
   that slot is read by no check until its own slot is notarized, and
   notarizing runs the check.
+
+The slot path:
+
+* ``receive`` flushes the batching buffer only when it holds a
+  broadcast; a flush of an empty buffer sends nothing.  The chained
+  baselines' ``receive`` does the same;
+* a finalization cancels the timers of the slots it finalizes and
+  scans no other slot.  Every site that arms a timer arms it for a
+  slot above the finalized tip: :meth:`MultiShotNode._start_slot`
+  starts the first unfinalized slot or the one above a proposal's
+  (proposals at or below the tip are dropped), and the re-arms in
+  ``_on_timeout``, ``on_peer_lost`` and ``_do_view_change`` skip
+  finalized slots.  Each finalization appends every slot between the
+  old tip and the new one, since a notarized block's parent is
+  notarized in the slot below (the argument above).  So the slots it
+  appends are the only ones at or below the new tip that can hold a
+  timer;
+* :meth:`MultiShotConfig.leader_of` indexes a rotation fixed when the
+  config is built.  The config is frozen, so ``base.node_ids`` would
+  sort the same node set on every call;
+* :meth:`~repro.multishot.chain.ChainState.check_finalization` does not
+  walk again the run that finalized the tip.  That run's bottom is the
+  tip, so the walk would end there and append nothing.  Runs for other
+  digests at its top slot are still walked and still reach the fork
+  check;
+* a :class:`~repro.smr.replica.Replica` delivers straight to its
+  engine's ``receive``, and :class:`BatchingContext` hands out the
+  inner context's own ``trace`` and report methods: the same calls,
+  one Python frame fewer each;
+* ``Replica._execute_block`` marks each txid finalized in the pass that
+  applies it.  A block without a repeated txid executes as before.  A
+  txid repeated inside one block now executes once, as
+  :class:`~repro.verification.audit.BlockApplier` and the auditor's replay
+  always did; before, it executed twice.
 
 :class:`MultiShotNode` is also the **reference implementation** of the
 SMR layer's :class:`~repro.smr.engine.ConsensusEngine` boundary: it
@@ -173,10 +213,12 @@ class MultiShotConfig:
     def __post_init__(self) -> None:
         if self.max_slots < 1:
             raise ConfigurationError(f"max_slots must be >= 1, got {self.max_slots}")
+        # The rotation, fixed here: ``base.node_ids`` sorts on each read.
+        object.__setattr__(self, "_rotation", tuple(self.base.node_ids))
 
     def leader_of(self, slot: int, view: int) -> NodeId:
-        ids = self.base.node_ids
-        return ids[(slot + view) % len(ids)]
+        rotation = self._rotation
+        return rotation[(slot + view) % len(rotation)]
 
     @property
     def quorum_system(self):
@@ -399,8 +441,9 @@ class MultiShotNode(SimNode):
             handler = handlers.get(type(item))
             if handler is not None:
                 handler(sender, item)
-        if self._batch_ctx is not None:
-            self._batch_ctx.flush()
+        batch = self._batch_ctx
+        if batch is not None and batch.buffer:
+            batch.flush()
 
     # -- proposals ------------------------------------------------------------------------
 
@@ -432,7 +475,7 @@ class MultiShotNode(SimNode):
         self._maybe_propose(slot + 1)
         if slot <= self.chain.max_notarized_slot:
             # A body above every notarized slot is in no finalization
-            # run yet ("Exactness of the vote path" above).
+            # run yet ("Exactness of the vote and slot paths" above).
             self._after_body_arrival()
 
     def _maybe_propose(self, slot: int) -> None:
@@ -565,6 +608,8 @@ class MultiShotNode(SimNode):
         if vote.slot < 1:
             return
         state = self.slot_state(vote.slot)
+        if vote.view in state.notarized_by_view:
+            return
         key = (vote.view, vote.digest)
         supporters = state.votes.get(key)
         if supporters is None:
@@ -573,7 +618,7 @@ class MultiShotNode(SimNode):
             return
         else:
             supporters.add(sender)
-        if vote.view in state.notarized_by_view or not self._quorums.is_quorum(supporters):
+        if not self._quorums.is_quorum(supporters):
             return
         state.notarized_by_view[vote.view] = vote.digest
         self.ctx.trace(TraceKind.NOTARIZE, slot=vote.slot, view=vote.view, value=vote.digest)
@@ -590,18 +635,19 @@ class MultiShotNode(SimNode):
         self._handle_finalized(self.chain.check_finalization())
 
     def _handle_finalized(self, blocks: list[Block]) -> None:
+        if not blocks:
+            return
         for block in blocks:
             self.ctx.trace(TraceKind.FINALIZE, slot=block.slot, value=block.digest)
             if self.on_finalize is not None:
                 self.on_finalize(block)
-        if not blocks:
-            return
-        tip = self.chain.finalized_height
-        for slot, state in self.slots.items():
-            if slot <= tip and state.timer is not None:
+            # Only a slot just finalized can hold a timer at or below the
+            # tip (see "Exactness of the vote and slot paths").
+            state = self.slots.get(block.slot)
+            if state is not None and state.timer is not None:
                 state.timer.cancel()
                 state.timer = None
-        self._prune(tip)
+        self._prune(self.chain.finalized_height)
 
     def _prune(self, tip: int) -> None:
         """Drop per-slot state far behind the finalized tip (bounded memory)."""

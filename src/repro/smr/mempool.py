@@ -58,7 +58,7 @@ class Mempool:
         """Up to ``max_batch`` oldest transactions not in ``exclude``.
 
         Transactions are not removed here — they stay queued until
-        acknowledged via :meth:`mark_finalized`, so a failed block's
+        acknowledged via :meth:`finalize`, so a failed block's
         payload is re-proposed by a later leader.  ``exclude`` names
         transactions already included in the unfinalized chain the
         proposer is extending (they are in flight, not failed).
@@ -72,10 +72,20 @@ class Mempool:
                 break
         return tuple(batch)
 
+    def finalize(self, txid: str) -> bool:
+        """Mark ``txid`` finalized; False if it already was, so that a
+        duplicate, in an earlier block or the same one, is not executed
+        again."""
+        finalized = self._finalized
+        if txid in finalized:
+            return False
+        finalized.add(txid)
+        self._pending.pop(txid, None)
+        return True
+
     def mark_finalized(self, txids: Iterable[str]) -> None:
         for txid in txids:
-            self._pending.pop(txid, None)
-            self._finalized.add(txid)
+            self.finalize(txid)
 
     @property
     def pending_count(self) -> int:

@@ -126,6 +126,8 @@ class Replica(SimNode):
         self.consensus: ConsensusEngine = engine_factory(
             node_id, self._make_payload, self._execute_block
         )
+        # Deliveries go straight to the engine: no frame of ours between.
+        self.receive = self.consensus.receive
 
     # -- SimNode plumbing -----------------------------------------------------
 
@@ -141,6 +143,8 @@ class Replica(SimNode):
         self.consensus.start(ctx)
 
     def receive(self, sender: NodeId, message: object) -> None:
+        # Shadowed per instance by the engine's own ``receive`` (see
+        # ``__init__``); kept as the SimNode surface.
         self.consensus.receive(sender, message)
 
     # -- client API --------------------------------------------------------------
@@ -265,14 +269,14 @@ class Replica(SimNode):
                 self.storage.block_executed(block, self)
             return
         applied_ids = []
+        first_execution = self.mempool.finalize
+        apply = self.store.apply
         for txn in payload:
-            if not isinstance(txn, Transaction):
-                continue
-            if self.mempool.is_finalized(txn.txid):
-                continue  # duplicate across blocks: first execution wins
-            self.store.apply(txn.txid, txn.op)
-            applied_ids.append(txn.txid)
-        self.mempool.mark_finalized(applied_ids)
+            # A txid finalized before, in an earlier block or earlier in
+            # this one, is not applied again: first execution wins.
+            if isinstance(txn, Transaction) and first_execution(txn.txid):
+                apply(txn.txid, txn.op)
+                applied_ids.append(txn.txid)
         if self._restoring:
             return  # recovery replay: already persisted and tracked
         self.storage.block_executed(block, self)

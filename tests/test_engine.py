@@ -44,6 +44,7 @@ from repro.smr import (
     multishot_engine,
 )
 from repro.smr.replica import finalized_frontier, txids_in_flight
+from repro.verification.audit import replay_chain
 
 BASELINE_ENGINES = tuple(name for name in ENGINE_NAMES if name != "tetrabft")
 
@@ -257,6 +258,19 @@ class TestChainedEngineClientPath:
         replica._execute_block(b2)
         assert replica.store.get("x") == 2
         assert replica.store.applied_txids == ["dup", "t2"]
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_execute_once_for_a_txid_repeated_in_one_block(self, name):
+        """A txid listed twice in one block executes once, as the
+        auditor's replay executes it, whatever the engine."""
+        factory = engine_factory(name, ProtocolConfig.create(4))
+        replica = Replica(0, max_batch=5, engine_factory=factory)
+        txn = Transaction("t1", ("incr", "k", 1))
+        block = Block.create(1, GENESIS_DIGEST, (txn, txn))
+        replica._execute_block(block)
+        assert replica.store.get("k") == 1
+        assert replica.store.applied_txids == ["t1"]
+        assert replica.state_digest() == replay_chain((block,)).state_digest()
 
     @pytest.mark.parametrize("name", BASELINE_ENGINES)
     def test_no_transaction_executes_twice(self, name):

@@ -19,6 +19,7 @@ from repro.adversary.faulty_engine import (
     Deviation,
     Equivocate,
     FaultyEngine,
+    RepeatTransaction,
     ScheduledCrash,
     Silence,
     faulty_factory,
@@ -223,6 +224,26 @@ def test_different_chaos_seeds_diverge():
     _, first_sim, _ = run_attacked_cluster("chaos", seed=1, trace=True)
     _, second_sim, _ = run_attacked_cluster("chaos", seed=2, trace=True)
     assert list(first_sim.trace) != list(second_sim.trace)
+
+
+def test_a_leader_repeating_a_transaction_gets_it_executed_once():
+    """A Byzantine leader lists a transaction twice in each block it
+    proposes.  The blocks finalize (voters never read payloads), and
+    every replica applies the repeated txid once, as the replay does."""
+    replicas, _sim, honest = run_attacked_cluster(
+        lambda node_id, config, seed: RepeatTransaction(), seed=5
+    )
+    repeated = [
+        block
+        for block in replicas[0].finalized_chain
+        if len({txn.txid for txn in block.payload}) < len(block.payload)
+    ]
+    assert repeated, "the faulty leader's blocks must reach the chain"
+    report = SafetyAuditor(expected_txns=20).audit(replicas)
+    for check in ("executed_once", "replay_matches", "state_agreement"):
+        assert report.checks[check], report.violations
+    assert report.safe and report.live, report.violations
+    assert all(replicas[i].store.applied_count == 20 for i in honest)
 
 
 def test_chained_engine_under_equivocation_stays_safe():

@@ -89,7 +89,7 @@ def test_storage_constant_regardless_of_schedule(seed):
     for i in range(4):
         sim.add_node(TetraBFTNode(i, config, initial_value=f"val-{i}"))
     sim.run_until_all_decided(until=500)
-    sizes = {size for samples in sim.metrics.storage.samples.values() for size in samples}
+    sizes = {size for per_node in sim.metrics.storage.sizes.values() for size in per_node}
     assert len(sizes) <= 1
 
 

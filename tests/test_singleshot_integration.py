@@ -118,7 +118,7 @@ class TestPartialSynchrony:
         policy = PartialSynchronyPolicy(gst=50.0, delta=1.0, loss_before_gst=0.7, seed=3)
         sim = build_simulation(4, policy=policy)
         sim.run_until_all_decided(until=2000)
-        sizes = {size for samples in sim.metrics.storage.samples.values() for size in samples}
+        sizes = {size for per_node in sim.metrics.storage.sizes.values() for size in per_node}
         assert len(sizes) == 1, f"persistent storage varied: {sizes}"
 
 

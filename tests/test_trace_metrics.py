@@ -129,6 +129,14 @@ class TestStorageMetrics:
         assert metrics.max_storage() == 30
         assert metrics.max_storage(2) == 0
 
+    def test_repeated_reports_keep_one_entry(self):
+        metrics = StorageMetrics()
+        for _ in range(1000):
+            metrics.record(0, 96)
+            metrics.record(0, 192)
+        assert metrics.sizes[0] == {96, 192}
+        assert metrics.max_storage(0) == 192
+
 
 class TestSMRTrackers:
     def test_latency_percentiles_in_message_delays(self):
