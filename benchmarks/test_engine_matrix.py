@@ -145,7 +145,10 @@ class _DirectWiredReplica:
 
     def __init__(self, node_id: int, config: MultiShotConfig, max_batch: int) -> None:
         self.node_id = node_id
-        self.mempool = Mempool(max_batch=max_batch)
+        # The oracle's own first-execution ledger, independent of
+        # KVStore.apply_block.
+        self._executed: set[str] = set()
+        self.mempool = Mempool(max_batch, self._executed)
         self.store = KVStore()
         self.executed_blocks: list[Block] = []
         self.consensus = MultiShotNode(
@@ -185,10 +188,11 @@ class _DirectWiredReplica:
             return
         applied = []
         for txn in payload:
-            if isinstance(txn, Transaction) and not self.mempool.is_finalized(txn.txid):
+            if isinstance(txn, Transaction) and txn.txid not in self._executed:
+                self._executed.add(txn.txid)
                 self.store.apply(txn.txid, txn.op)
                 applied.append(txn.txid)
-        self.mempool.mark_finalized(applied)
+        self.mempool.drop(applied)
 
 
 def _run_cluster(make_replica, n=4, txns=120, batch=10):

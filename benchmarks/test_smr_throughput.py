@@ -166,13 +166,18 @@ class _SeedMempool:
                 break
         return tuple(batch)
 
-    def mark_finalized(self, txids) -> None:
-        for txid in txids:
+    def execute(self, kv: KVStore, block: Block) -> None:
+        """The seed execution rule, on the pool's own ledger: skip a
+        finalized txid, apply the rest, then mark the block's txids."""
+        applied = []
+        for txn in block.payload:
+            if txn.txid in self._finalized:
+                continue
+            kv.apply(txn.txid, txn.op)
+            applied.append(txn.txid)
+        for txid in applied:
             self._pending.pop(txid, None)
             self._finalized.add(txid)
-
-    def is_finalized(self, txid: str) -> bool:
-        return txid in self._finalized
 
 
 class _SeedChainState:
@@ -300,8 +305,13 @@ def _bursty_feed(slots: int, batch: int) -> list[tuple[float, Transaction]]:
     return list(workload.transactions())
 
 
+def _execute(mempool: Mempool, kv: KVStore, block: Block) -> None:
+    """The current execution rule: the store's executor and ledger."""
+    mempool.drop(kv.apply_block(block))
+
+
 def _drive_proposal_finalization(
-    chain_cls, mempool, in_flight_cls, feed, slots: int, batch: int
+    chain_cls, make_mempool, execute, in_flight_cls, feed, slots: int, batch: int
 ) -> dict:
     """Replay one replica's proposal+finalization schedule.
 
@@ -316,6 +326,7 @@ def _drive_proposal_finalization(
     chain = chain_cls(store)
     in_flight = in_flight_cls(store)
     kv = KVStore()
+    mempool = make_mempool(kv)
     feed_pos = 0
     parent = GENESIS_DIGEST
     start = time.perf_counter()
@@ -331,13 +342,7 @@ def _drive_proposal_finalization(
         # A real node also re-checks on every proposal-body arrival.
         newly.extend(chain.check_finalization())
         for final in newly:
-            applied = []
-            for txn in final.payload:
-                if mempool.is_finalized(txn.txid):
-                    continue
-                kv.apply(txn.txid, txn.op)
-                applied.append(txn.txid)
-            mempool.mark_finalized(applied)
+            execute(mempool, kv, final)
             in_flight.mark_finalized(final)
         parent = block.digest
     wall = time.perf_counter() - start
@@ -360,14 +365,14 @@ def test_indexed_smr_path_at_least_2x_seed(benchmark):
 
     def seed_run():
         return _drive_proposal_finalization(
-            _SeedChainState, _SeedMempool(max_batch=batch), _SeedInFlight,
-            feed, slots, batch,
+            _SeedChainState, lambda kv: _SeedMempool(max_batch=batch), _SeedMempool.execute,
+            _SeedInFlight, feed, slots, batch,
         )
 
     def indexed_run():
         return _drive_proposal_finalization(
-            ChainState, Mempool(max_batch=batch), _LineageWalk,
-            feed, slots, batch,
+            ChainState, lambda kv: Mempool(batch, kv), _execute,
+            _LineageWalk, feed, slots, batch,
         )
 
     seed = _best_of(seed_run)

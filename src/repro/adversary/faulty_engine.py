@@ -462,7 +462,7 @@ class Chaos(Deviation):
         # Mixed as plain ints: tuple seeds go through hash(), which is
         # process-salted and would break cross-run trace identity.
         self._rng = random.Random(seed * 1_000_003 + node_id)
-        self._seen: list[object] = []
+        self._recent: list[object] = []
 
     def on_start(self) -> None:
         self.engine.ctx.set_timer(self.period, self._tick)
@@ -478,9 +478,9 @@ class Chaos(Deviation):
 
     def inbound(self, sender: NodeId, message: object) -> bool:
         del sender
-        self._seen.append(message)
-        if len(self._seen) > self.BUFFER:
-            self._seen.pop(0)
+        self._recent.append(message)
+        if len(self._recent) > self.BUFFER:
+            self._recent.pop(0)
         return True
 
     def _mutate(self, message: object) -> object:
@@ -501,9 +501,9 @@ class Chaos(Deviation):
     def _tick(self) -> None:
         if self.engine.now > self.horizon:
             return
-        if self._seen:
+        if self._recent:
             for _ in range(self.burst):
-                victim = self._rng.choice(self._seen)
+                victim = self._rng.choice(self._recent)
                 target = self._rng.choice(self.ids)
                 self.engine._emit([(target, self._mutate(victim))])
         self.engine.ctx.set_timer(self.period, self._tick)

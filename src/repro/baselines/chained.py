@@ -161,10 +161,9 @@ class _SlotContext:
         self._engine.ctx.trace(TraceKind.VIEW_ENTER, slot=self._slot, view=view)
 
     def report_storage(self, size_bytes: int) -> None:
-        # The instance reports its O(1)-or-log state; the chain itself
-        # grows like any ledger (one entry per finalized block).
-        engine = self._engine
-        engine.ctx.report_storage(size_bytes + 16 * len(engine.finalized))
+        # The instance's own O(1)-or-log state alone: the finalized
+        # chain is the ledger, and counting it here would repeat it.
+        self._engine.ctx.report_storage(size_bytes)
 
     def trace(self, kind: TraceKind, **detail: object) -> None:
         self._engine.ctx.trace(kind, slot=self._slot, **detail)

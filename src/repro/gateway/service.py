@@ -21,8 +21,9 @@ The service owns everything stateful about serving clients:
 * **reads** — executed state and chain history served *without
   touching consensus*: the service follows every replica
   (:meth:`~repro.net.client.ReplicaPool.follow`), which streams each
-  block it executes, and applies block h to its own
-  :class:`~repro.smr.kvstore.KVStore` once f+1 replicas sent the same
+  block it executes, and applies block h through its own
+  :class:`~repro.smr.kvstore.KVStore`'s ``apply_block`` (the executor
+  every replica runs) once f+1 replicas sent the same
   digest for h, a body hashing to that digest, and h's parent is the
   applied tip.  At least one of the f+1 is honest, so the read state is
   a prefix of every honest replica's, and a commit is published after
@@ -44,8 +45,8 @@ from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.net.client import ReplicaPool
 from repro.net.codec import CollectReply, CommitAck
 from repro.obs import CommitPathTracer, MetricsRegistry, items_to_dict
+from repro.smr.kvstore import KVStore
 from repro.smr.mempool import Transaction
-from repro.verification.audit import BlockApplier
 
 #: Queue sentinel delivered to a subscriber that fell too far behind.
 EVICTED = object()
@@ -207,7 +208,7 @@ class GatewayService:
         self.subscriptions: list[Subscription] = []
         # The read path: the applied chain, its state, and what the
         # followed replicas sent above it.
-        self._applier = BlockApplier()
+        self._store = KVStore()
         self._chain: list[Block] = []
         #: Replicas that sent the applied tip's digest.
         self._tip_support: set[int] = set()
@@ -363,7 +364,7 @@ class GatewayService:
             if block is None:
                 break
             del self._pending[block.slot]
-            self._applier.apply(block)
+            self._store.apply_block(block)
             self._chain.append(block)
             self._tip_support = {node for node, b in held.items() if b.digest == block.digest}
         for node_id, at in list(self._lapsed.items()):
@@ -403,7 +404,7 @@ class GatewayService:
     def read_state(self, key: str) -> StateView:
         """Point-read from the applied state."""
         missing = object()
-        value = self._applier.store.get(key, missing)
+        value = self._store.get(key, missing)
         return StateView(
             value=None if value is missing else value,
             found=value is not missing,

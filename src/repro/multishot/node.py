@@ -119,11 +119,12 @@ The slot path:
   engine's ``receive``, and :class:`BatchingContext` hands out the
   inner context's own ``trace`` and report methods: the same calls,
   one Python frame fewer each;
-* ``Replica._execute_block`` marks each txid finalized in the pass that
-  applies it.  A block without a repeated txid executes as before.  A
-  txid repeated inside one block now executes once, as
-  :class:`~repro.verification.audit.BlockApplier` and the auditor's replay
-  always did; before, it executed twice.
+* ``Replica._execute_block`` executes through
+  :meth:`~repro.smr.kvstore.KVStore.apply_block`, which marks each txid
+  in the pass that applies it.  A block without a repeated txid
+  executes as before.  A txid repeated inside one block executes once,
+  at the replica, at the gateway and in the auditor's replay alike,
+  since all three run that one executor.
 
 :class:`MultiShotNode` is also the **reference implementation** of the
 SMR layer's :class:`~repro.smr.engine.ConsensusEngine` boundary: it
@@ -716,12 +717,16 @@ class MultiShotNode(SimNode):
     # -- suggest / proof -------------------------------------------------------
 
     def _on_suggest(self, sender: NodeId, message: MSSuggest) -> None:
+        if message.slot < 1:
+            return
         state = self.slot_state(message.slot)
         state.suggests.setdefault(message.view, {})[sender] = message
         if message.view == state.view:
             self._maybe_propose(message.slot)
 
     def _on_proof(self, sender: NodeId, message: MSProof) -> None:
+        if message.slot < 1:
+            return
         state = self.slot_state(message.slot)
         state.proofs.setdefault(message.view, {})[sender] = message
         if message.view == state.view:

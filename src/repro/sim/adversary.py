@@ -207,12 +207,12 @@ class ScriptedPolicy(DelayPolicy):
 
     base: DelayPolicy
     script: dict[tuple[int, int, str, int], float | None]
-    _seen: dict[tuple[int, int, str], int] = field(default_factory=dict)
+    _occurrences: dict[tuple[int, int, str], int] = field(default_factory=dict)
 
     def delay(self, send_time: float, src: int, dst: int, message: object) -> float | None:
         key3 = (src, dst, type(message).__name__)
-        index = self._seen.get(key3, 0)
-        self._seen[key3] = index + 1
+        index = self._occurrences.get(key3, 0)
+        self._occurrences[key3] = index + 1
         key = (*key3, index)
         if key in self.script:
             return self.script[key]

@@ -1,9 +1,18 @@
-"""A deterministic replicated key-value state machine.
+"""A deterministic replicated key-value state machine and its executor.
 
 The canonical SMR application: every replica applies the same finalized
 transaction sequence to an initially empty map and must end in the same
 state — which the integration tests check byte for byte via
 :meth:`state_digest`.
+
+The store is a process's one executor and one txid ledger:
+:meth:`KVStore.apply_block` skips a txid already executed, in an
+earlier block or earlier in the same one (first execution wins), and
+the replica, the gateway's read path and the auditor's replay all
+execute through it; the replica's mempool refuses a txid ``in`` the
+store.  The ledger covers the whole history *by design*, since it is
+what refuses a txid executed long ago: one string per executed
+transaction, like the chain itself.
 
 Supported operations (kept deliberately tiny; determinism is the point,
 not expressiveness):
@@ -13,7 +22,7 @@ not expressiveness):
 * ``("incr", key, amount)`` — arithmetic on integer cells
 * ``("noop",)``
 
-Execution is total.  Blocks reach :meth:`KVStore.apply` from any
+Execution is total.  Blocks reach :meth:`KVStore.apply_block` from any
 client and from any leader, Byzantine ones included, and nothing on the
 vote path looks at payloads, so a command that cannot apply must not
 stop a replica: it leaves the map unchanged, still consumes its txid
@@ -33,6 +42,9 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
+from repro.multishot.block import Block
+from repro.smr.mempool import Transaction
+
 #: Widest int a cell may hold, so the digest can always render it.
 MAX_INT_BITS = 4096
 
@@ -50,15 +62,36 @@ class KVStore:
 
     def __init__(self) -> None:
         self._data: dict[str, Any] = {}
-        self._applied: list[str] = []
+        # The txid ledger, in execution order (a dict for ``in``).
+        self._applied: dict[str, None] = {}
+
+    def __contains__(self, txid: object) -> bool:
+        return txid in self._applied
+
+    def apply_block(self, block: Block) -> list[str]:
+        """Execute a finalized block's new transactions in payload
+        order; returns their txids.  A payload that is not a tuple, and
+        an item that is not a :class:`~repro.smr.mempool.Transaction`,
+        execute nothing."""
+        payload = block.payload
+        if not isinstance(payload, tuple):
+            return []
+        executed = []
+        applied = self._applied
+        apply = self.apply
+        for txn in payload:
+            if isinstance(txn, Transaction) and txn.txid not in applied:
+                apply(txn.txid, txn.op)
+                executed.append(txn.txid)
+        return executed
 
     def apply(self, txid: str, op: object) -> bool:
-        """Apply one finalized command; returns whether it took effect.
+        """Apply one new command; returns whether it took effect.
 
         Never raises: a command that cannot apply (see the module
         docstring) is a no-op that still consumes ``txid``.
         """
-        self._applied.append(txid)
+        self._applied[txid] = None
         if not isinstance(op, tuple) or not op:
             return False
         kind = op[0]
@@ -102,5 +135,5 @@ class KVStore:
     def state_digest(self) -> str:
         """Order-independent digest of the current map plus the applied
         log order — two replicas agree iff their digests agree."""
-        material = repr(sorted(self._data.items())) + "|" + repr(self._applied)
+        material = repr(sorted(self._data.items())) + "|" + repr(list(self._applied))
         return hashlib.sha256(material.encode()).hexdigest()[:16]

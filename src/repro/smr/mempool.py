@@ -1,11 +1,15 @@
-"""Transaction mempool.
+"""Transaction mempool: the pending FIFO.
 
 The liveness property of multi-shot consensus (Definition 2) is stated
 over transactions: anything a well-behaved node receives must
 eventually appear in every finalized chain.  The mempool is the queue
-between clients and block proposers: FIFO with deduplication, batch
-extraction for payloads, and acknowledgement of finalized transactions
-so re-proposals stop.
+between clients and block proposers: FIFO with deduplication and batch
+extraction for payloads.  It holds pending transactions only.  Which
+txids have executed is the state machine's ledger
+(:class:`~repro.smr.kvstore.KVStore`), handed in at construction: a
+submission it holds is refused, and the executor's caller drops each
+block's executed txids from the queue (:meth:`Mempool.drop`) so
+re-proposals stop.
 
 The pool does not track which transactions ride unfinalized blocks: a
 proposer names them per proposal (``exclude``, one lineage walk —
@@ -16,7 +20,7 @@ no lineage being extended carries it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Set
+from collections.abc import Container, Iterable, Set
 from dataclasses import dataclass
 
 
@@ -32,24 +36,19 @@ class Transaction:
 
 
 class Mempool:
-    """FIFO pool of unfinalized transactions with a finalization ledger."""
+    """FIFO pool of unexecuted transactions; :meth:`add` refuses a txid
+    in ``executed``, the process's ledger (the replica's store)."""
 
-    def __init__(self, max_batch: int = 100) -> None:
+    def __init__(self, max_batch: int, executed: Container[str]) -> None:
         self.max_batch = max_batch
-        # Unfinalized transactions, in submission order.
+        self._executed = executed
+        # Unexecuted transactions, in submission order.
         self._pending: dict[str, Transaction] = {}
-        # The dedup ledger: every txid ever finalized, kept forever *by
-        # design* — it is what stops a finalized transaction from being
-        # resubmitted by a client or re-executed from a duplicate block,
-        # so it must cover the whole history, not a window.  It grows
-        # with the chain (one string per committed transaction), like
-        # the chain itself.
-        self._finalized: set[str] = set()
 
     def add(self, txn: Transaction) -> bool:
-        """Queue a transaction; returns False for duplicates/finalized."""
+        """Queue a transaction; returns False for duplicates/executed."""
         txid = txn.txid
-        if txid in self._pending or txid in self._finalized:
+        if txid in self._pending or txid in self._executed:
             return False
         self._pending[txid] = txn
         return True
@@ -58,7 +57,7 @@ class Mempool:
         """Up to ``max_batch`` oldest transactions not in ``exclude``.
 
         Transactions are not removed here — they stay queued until
-        acknowledged via :meth:`finalize`, so a failed block's
+        executed and dropped via :meth:`drop`, so a failed block's
         payload is re-proposed by a later leader.  ``exclude`` names
         transactions already included in the unfinalized chain the
         proposer is extending (they are in flight, not failed).
@@ -72,25 +71,12 @@ class Mempool:
                 break
         return tuple(batch)
 
-    def finalize(self, txid: str) -> bool:
-        """Mark ``txid`` finalized; False if it already was, so that a
-        duplicate, in an earlier block or the same one, is not executed
-        again."""
-        finalized = self._finalized
-        if txid in finalized:
-            return False
-        finalized.add(txid)
-        self._pending.pop(txid, None)
-        return True
-
-    def mark_finalized(self, txids: Iterable[str]) -> None:
+    def drop(self, txids: Iterable[str]) -> None:
+        """Dequeue executed transactions (a txid not queued is ignored)."""
         for txid in txids:
-            self.finalize(txid)
+            self._pending.pop(txid, None)
 
     @property
     def pending_count(self) -> int:
-        """Queued-but-unfinalized transactions, in flight included."""
+        """Queued-but-unexecuted transactions, in flight included."""
         return len(self._pending)
-
-    def is_finalized(self, txid: str) -> bool:
-        return txid in self._finalized

@@ -7,9 +7,11 @@ Multi-shot TetraBFT reference engine, or any
 :data:`~repro.smr.engine.EngineFactory` (e.g. the Table 1 baselines as
 :class:`~repro.baselines.chained.ChainedEngine`) so the comparison
 protocols run the identical client path.  When this replica leads a
-slot it proposes a batch from its mempool, and every finalized block's
-transactions are applied, in chain order, to the local
-:class:`~repro.smr.kvstore.KVStore`.
+slot it proposes a batch from its mempool, and every finalized block
+executes, in chain order, through the local
+:class:`~repro.smr.kvstore.KVStore`'s ``apply_block``: the replica's
+one executor and one txid ledger.  The mempool refuses a submission
+that ledger holds, and each block's executed txids leave the mempool.
 
 Clients inject transactions with :meth:`submit`; in a simulation,
 spread the same transactions to at least one well-behaved replica and
@@ -115,8 +117,8 @@ class Replica(SimNode):
         if storage is None:
             storage = MemoryStorage()
         self.node_id = node_id
-        self.mempool = Mempool(max_batch=max_batch)
         self.store = KVStore()
+        self.mempool = Mempool(max_batch, self.store)
         self.executed_blocks: list[Block] = []
         self.trackers = trackers
         self.storage = storage
@@ -187,7 +189,7 @@ class Replica(SimNode):
         Installs ``blocks`` (a hash-linked chain from slot 1, e.g. a
         :class:`~repro.storage.api.RecoveredState`'s) into the engine as
         already-finalized history, then re-executes them through the
-        normal execution path so the kvstore, dedup ledger and
+        normal execution path so the kvstore, its txid ledger and the
         finalized frontier are rebuilt exactly as a live run would have
         built them.  Trackers and the storage hook are suppressed during
         the replay: these blocks were already recorded (and persisted)
@@ -260,27 +262,15 @@ class Replica(SimNode):
     def _execute_block(self, block: Block) -> None:
         """Apply one finalized block in chain order."""
         self.executed_blocks.append(block)
-        payload = block.payload
-        if not isinstance(payload, tuple):
-            # e.g. a synthetic payload from a non-SMR proposer: nothing
-            # to apply, but the block is chain history and must still be
-            # durably logged or recovery would find a gap.
-            if not self._restoring:
-                self.storage.block_executed(block, self)
-            return
-        applied_ids = []
-        first_execution = self.mempool.finalize
-        apply = self.store.apply
-        for txn in payload:
-            # A txid finalized before, in an earlier block or earlier in
-            # this one, is not applied again: first execution wins.
-            if isinstance(txn, Transaction) and first_execution(txn.txid):
-                apply(txn.txid, txn.op)
-                applied_ids.append(txn.txid)
+        applied_ids = self.store.apply_block(block)
+        self.mempool.drop(applied_ids)
         if self._restoring:
             return  # recovery replay: already persisted and tracked
+        # A synthetic payload from a non-SMR proposer is no transaction
+        # batch, so the trackers skip it; but the block is chain history
+        # and is logged durably all the same, or recovery would find a gap.
         self.storage.block_executed(block, self)
-        if self.trackers is not None:
+        if self.trackers is not None and isinstance(block.payload, tuple):
             now = self._ctx.now if self._ctx is not None else 0.0
             self.trackers.record_block(
                 self.node_id,

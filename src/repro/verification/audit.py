@@ -21,9 +21,9 @@ checks, via the run-level registry in
 * **chains_no_fork** — no slot finalized two different blocks anywhere;
 * **executed_once** — no replica applied a transaction twice;
 * **replay_matches** — re-executing each chain on a fresh
-  :class:`~repro.smr.kvstore.KVStore` (with the replica's own
-  duplicate-skipping rule) reproduces the replica's live state digest
-  byte for byte: the live execution path and the ledger agree;
+  :class:`~repro.smr.kvstore.KVStore` (through ``apply_block``, the
+  executor every replica runs) reproduces the replica's live state
+  digest byte for byte: the live execution path and the ledger agree;
 * **state_agreement** — replicas whose chains end at the same tip hold
   identical state digests;
 * **live** — when an expected transaction count is given, every honest
@@ -33,6 +33,9 @@ The report is machine-readable (``checks`` plus human ``violations``),
 which is what lets the adversarial campaign emit one verdict per grid
 cell and lets a *negative control* prove the auditor actually detects
 a forked history rather than vacuously passing everything.
+
+Both checks stay though the replay runs the replica's own executor:
+evidence arrives over sockets, from what a replica process reported.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from dataclasses import dataclass, field
 
 from repro.multishot.block import Block
 from repro.smr.kvstore import KVStore
-from repro.smr.mempool import Transaction
 from repro.verification.invariants import (
     chain_links,
     chains_agree,
@@ -99,44 +101,18 @@ class AuditReport:
         return self.safe and self.live is not False
 
 
-class BlockApplier:
-    """Executes finalized blocks one at a time on a fresh state machine.
-
-    The first-execution-wins rule in one place: a transaction whose
-    txid an earlier block already applied is skipped, exactly as the
-    live replica skips it.  :func:`replay_chain` is a loop over
-    :meth:`apply`; the gateway's read path applies its followed blocks
-    through the same method as they arrive.
-    """
-
-    def __init__(self) -> None:
-        self.store = KVStore()
-        self._seen: set[str] = set()
-
-    def apply(self, block: Block) -> None:
-        """Apply ``block``'s transactions, in payload order."""
-        payload = block.payload
-        if not isinstance(payload, tuple):
-            return
-        for txn in payload:
-            if not isinstance(txn, Transaction) or txn.txid in self._seen:
-                continue
-            self._seen.add(txn.txid)
-            self.store.apply(txn.txid, txn.op)
-
-
 def replay_chain(chain: tuple[Block, ...]) -> KVStore:
     """Re-execute one finalized chain on a fresh state machine.
 
-    Applies each block's transactions in chain order with the same
-    first-execution-wins duplicate rule the live replica uses, so a
-    divergence between the returned store's digest and the replica's
-    live digest means the execution path and the ledger disagree.
+    Each block goes through :meth:`KVStore.apply_block`, the executor
+    the live replica runs, so a divergence between the returned store's
+    digest and the replica's live digest means the execution path and
+    the ledger disagree.
     """
-    applier = BlockApplier()
+    store = KVStore()
     for block in chain:
-        applier.apply(block)
-    return applier.store
+        store.apply_block(block)
+    return store
 
 
 class SafetyAuditor:

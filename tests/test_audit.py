@@ -13,11 +13,10 @@ from repro.core import ProtocolConfig
 from repro.multishot.block import GENESIS_DIGEST, Block
 from repro.multishot.node import MultiShotConfig
 from repro.sim import Simulation, SynchronousDelays
-from repro.smr import Replica, Transaction
+from repro.smr import KVStore, Replica, Transaction
 from repro.verification import (
     CHAIN_INVARIANTS,
     AuditReport,
-    BlockApplier,
     ReplicaEvidence,
     SafetyAuditor,
     chain_links,
@@ -74,9 +73,10 @@ def test_honest_cluster_audit_passes_end_to_end():
 
 
 def test_block_by_block_apply_matches_replay_chain():
-    """The incremental applier the gateway follows the chain with is the
-    replay the auditor runs: same digest at every prefix, duplicates
-    (first execution wins), empty and non-tuple payloads included."""
+    """Block-by-block ``KVStore.apply_block``, as the gateway follows the
+    chain, is the replay the auditor runs: same digest at every prefix,
+    duplicates (first execution wins), empty and non-tuple payloads
+    included."""
     chain = _chain(
         _txn_payload("a", "b"),
         (),
@@ -84,11 +84,12 @@ def test_block_by_block_apply_matches_replay_chain():
         "synthetic",
         (Transaction("d", ("set", "x", 5)), "not a txn", Transaction("a", ("del", "x"))),
     )
-    applier = BlockApplier()
+    store = KVStore()
+    executed = []
     for height, block in enumerate(chain, start=1):
-        applier.apply(block)
-        assert applier.store.state_digest() == replay_chain(chain[:height]).state_digest()
-    assert applier.store.applied_txids == ["a", "b", "c", "d"]
+        executed += store.apply_block(block)
+        assert store.state_digest() == replay_chain(chain[:height]).state_digest()
+    assert store.applied_txids == executed == ["a", "b", "c", "d"]
 
 
 def test_consistent_evidence_passes():

@@ -67,7 +67,10 @@ class _DirectWiredReplica(SimNode):
 
     def __init__(self, node_id: int, config: MultiShotConfig, max_batch: int) -> None:
         self.node_id = node_id
-        self.mempool = Mempool(max_batch=max_batch)
+        # The oracle's own first-execution ledger, independent of
+        # KVStore.apply_block.
+        self._executed: set[str] = set()
+        self.mempool = Mempool(max_batch, self._executed)
         self.store = KVStore()
         self.executed_blocks: list[Block] = []
         self._ctx: NodeContext | None = None
@@ -111,11 +114,12 @@ class _DirectWiredReplica(SimNode):
         for txn in payload:
             if not isinstance(txn, Transaction):
                 continue
-            if self.mempool.is_finalized(txn.txid):
+            if txn.txid in self._executed:
                 continue
+            self._executed.add(txn.txid)
             self.store.apply(txn.txid, txn.op)
             applied_ids.append(txn.txid)
-        self.mempool.mark_finalized(applied_ids)
+        self.mempool.drop(applied_ids)
 
 
 def _drive(make_replica, policy_fn, n=4, txns=24, batch=4, horizon=120.0):

@@ -636,8 +636,8 @@ def test_a_hostile_follower_can_neither_lie_nor_grow_the_read_path():
             pool.stream(node_id, block)
         peak = max(peak, _held(service))
     assert service.height == len(honest)
-    assert service._applier.store.state_digest() == replay_chain(honest).state_digest()
-    assert "evil" not in service._applier.store.applied_txids
+    assert service._store.state_digest() == replay_chain(honest).state_digest()
+    assert "evil" not in service._store.applied_txids
     assert peak <= 2
     assert _held(service) == 0
     # The flood lapsed replica 3, and it is followed again only once the
@@ -668,7 +668,7 @@ def test_a_stream_far_ahead_is_dropped_and_followed_again(monkeypatch):
     assert refollows == 4  # at applied heights 8, 16, 24 and 32
     assert service.height == 40
     assert service.read_state("k").value == 40
-    assert service._applier.store.applied_txids == [f"c{slot}" for slot in range(1, 41)]
+    assert service._store.applied_txids == [f"c{slot}" for slot in range(1, 41)]
     assert peak <= 2 * 8
 
 

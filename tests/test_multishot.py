@@ -518,6 +518,21 @@ class TestWorkingStateIsAWindow:
         assert min(indexed) >= tip - chained.RETENTION_SLOTS
         assert len(engine.store) == tip + sum(1 for s in indexed if s > tip)
 
+    def test_chained_engine_storage_report_is_flat(self):
+        """A chained baseline reports its slot instance's state, not the
+        ledger: a node's distinct reported sizes do not grow with the
+        chain from 100 slots to 400."""
+        factory = engine_factory("pbft", ProtocolConfig.create(4))
+        sim = Simulation(SynchronousDelays(1.0))
+        replicas = [Replica(i, max_batch=4, engine_factory=factory) for i in range(4)]
+        sim.add_nodes(list(replicas))
+        engine = replicas[0].consensus
+        distinct = []
+        for target in (100, 400):
+            sim.run(until=1e6, stop_when=lambda: len(engine.finalized) >= target)
+            distinct.append(len(sim.metrics.storage.sizes[0]))
+        assert distinct[0] == distinct[1] > 0
+
 
 class TestMultiShotViewChange:
     def test_crashed_slot_leader_recovery(self):
@@ -613,6 +628,19 @@ class TestVotePathExactness:
         assert node.chain.finalized_height == 1
         finalized = [d for k, d in ctx.trace_events if k is TraceKind.FINALIZE]
         assert finalized == [{"slot": 1, "value": blocks[0].digest}]
+
+    @pytest.mark.parametrize("slot", [0, -5])
+    def test_suggest_and_proof_below_slot_one_allocate_nothing(self, slot):
+        """No slot state for a slot no block can occupy: like votes and
+        view changes, a suggest or proof for it is dropped on arrival."""
+        node = MultiShotNode(0, MultiShotConfig(base=ProtocolConfig.create(4), max_slots=12))
+        node.start(FakeContext(0))
+        before = dict(node.slots)
+        node.receive(1, MSSuggest(slot, 0))
+        node.receive(1, MSProof(slot, 0))
+        node.receive(2, MSSuggest(slot, 1))
+        node.receive(2, MSProof(slot, 1))
+        assert node.slots == before
 
     def test_reported_storage_is_the_sum_over_retained_slots(self, monkeypatch):
         """Through a view change, every storage report equals the sum of

@@ -561,6 +561,6 @@ def test_a_restarted_replica_resumes_its_stream_with_no_gap_and_no_double_apply(
     service = asyncio.run(scenario())
     assert service._chain == _kv_chain(12)
     expected = replay_chain(tuple(_kv_chain(12)))
-    assert service._applier.store.state_digest() == expected.state_digest()
+    assert service._store.state_digest() == expected.state_digest()
     applied = [f"b{slot}" for slot in range(1, 13) if slot % 3]
-    assert service._applier.store.applied_txids == applied
+    assert service._store.applied_txids == applied

@@ -369,8 +369,9 @@ def test_replica_bootstrap_rebuilds_state(tmp_path):
         for txn in block.payload:
             expected.apply(txn.txid, txn.op)
     assert replica.state_digest() == expected.state_digest()
-    # Replayed transactions are deduplicated like any finalized ones.
-    assert replica.mempool.is_finalized(chain[0].payload[0].txid)
+    # A transaction the replayed chain executed is refused by submit.
+    assert not replica.submit(chain[0].payload[0])
+    assert replica.mempool.pending_count == 0
 
 
 def test_replica_bootstrap_rejects_broken_chain():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from repro.core import ProtocolConfig
 from repro.multishot import MultiShotConfig
 from repro.core.values import Phase
+from repro.gateway.service import GatewayConfig, GatewayService
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
-from repro.net.codec import WIRE_CODEC, ClientSubmit, FrameBuffer
+from repro.net.codec import WIRE_CODEC, ClientSubmit, CollectReply, FrameBuffer
 from repro.sim import (
     PartialSynchronyPolicy,
     Simulation,
@@ -29,38 +31,42 @@ from repro.smr import (
 )
 from repro.smr.kvstore import MAX_INT_BITS
 from repro.smr.replica import FRONTIER_SLOTS, finalized_frontier, txids_in_flight
+from repro.verification.audit import replay_chain
 
 
 class TestMempool:
     def test_fifo_order(self):
-        pool = Mempool(max_batch=2)
+        pool = Mempool(2, set())
         for k in range(4):
             pool.add(Transaction(f"t{k}", ("noop",)))
         batch = pool.next_batch()
         assert [t.txid for t in batch] == ["t0", "t1"]
 
     def test_duplicates_rejected(self):
-        pool = Mempool()
+        pool = Mempool(100, set())
         assert pool.add(Transaction("t", ("noop",)))
         assert not pool.add(Transaction("t", ("noop",)))
         assert pool.pending_count == 1
 
     def test_batch_does_not_remove(self):
-        pool = Mempool(max_batch=10)
+        pool = Mempool(10, set())
         pool.add(Transaction("t", ("noop",)))
         pool.next_batch()
         assert pool.pending_count == 1
 
     def test_finalization_removes_and_blocks_resubmission(self):
-        pool = Mempool()
+        """The pool asks the store's ledger: once ``t`` executed and was
+        dropped, it is neither queued nor accepted again."""
+        store = KVStore()
+        pool = Mempool(100, store)
         pool.add(Transaction("t", ("noop",)))
-        pool.mark_finalized(["t"])
+        pool.drop(store.apply_block(_payload_block(1, GENESIS_DIGEST, ["t"])))
         assert pool.pending_count == 0
-        assert pool.is_finalized("t")
+        assert "t" in store
         assert not pool.add(Transaction("t", ("noop",)))
 
     def test_exclude_skips_in_flight(self):
-        pool = Mempool(max_batch=2)
+        pool = Mempool(2, set())
         for k in range(4):
             pool.add(Transaction(f"t{k}", ("noop",)))
         batch = pool.next_batch(exclude=frozenset({"t0", "t1"}))
@@ -69,7 +75,7 @@ class TestMempool:
     def test_excluded_txns_stay_queued_and_are_skipped(self):
         """Excluded txns stay in the pool (they may yet be aborted) and
         every proposal that excludes them again skips them."""
-        pool = Mempool(max_batch=2)
+        pool = Mempool(2, set())
         for k in range(4):
             pool.add(Transaction(f"t{k}", ("noop",)))
         first = pool.next_batch(exclude=frozenset({"t0", "t1"}))
@@ -81,7 +87,7 @@ class TestMempool:
         """When an exclusion disappears (block aborted by a view
         change), the txn is proposable again in its original FIFO
         position, ahead of later submissions."""
-        pool = Mempool(max_batch=4)
+        pool = Mempool(4, set())
         for k in range(3):
             pool.add(Transaction(f"t{k}", ("noop",)))
         assert [t.txid for t in pool.next_batch(exclude=frozenset({"t0"}))] == ["t1", "t2"]
@@ -94,7 +100,8 @@ class TestMempool:
         walk stops at the block, and the pool neither offers t0 nor
         takes it back."""
         store = BlockStore()
-        pool = Mempool(max_batch=2)
+        state = KVStore()
+        pool = Mempool(2, state)
         for k in range(3):
             pool.add(Transaction(f"t{k}", ("noop",)))
         b1 = _payload_block(1, GENESIS_DIGEST, ["t0"])
@@ -102,15 +109,15 @@ class TestMempool:
         exclude = txids_in_flight(store, b1.digest, set())
         assert exclude == {"t0"}
         assert [t.txid for t in pool.next_batch(exclude)] == ["t1", "t2"]
-        pool.mark_finalized(["t0"])
+        pool.drop(state.apply_block(b1))
         assert txids_in_flight(store, b1.digest, finalized_frontier([b1])) == set()
         assert [t.txid for t in pool.next_batch()] == ["t1", "t2"]
         assert pool.pending_count == 2
-        assert pool.is_finalized("t0")
+        assert "t0" in state
         assert not pool.add(Transaction("t0", ("noop",)))
 
     def test_duplicate_rejected_while_in_flight(self):
-        pool = Mempool(max_batch=2)
+        pool = Mempool(2, set())
         pool.add(Transaction("t0", ("noop",)))
         assert pool.next_batch(exclude=frozenset({"t0"})) == ()
         assert not pool.add(Transaction("t0", ("noop",)))
@@ -567,3 +574,71 @@ class TestExecuteOnce:
             assert len(applied) == len(set(applied))
         assert len({r.state_digest() for r in replicas}) == 1
         assert len({r.store.applied_count for r in replicas}) == 1
+
+
+# -- one executor: the replica, the gateway and the replay agree ---------------
+
+_TXIDS = st.sampled_from([f"x{k}" for k in range(5)])
+#: Ops for whole blocks: ints stay within what ``repr`` renders, since a
+#: block digest ``repr``s its payload and ``Block.create`` raises past
+#: that limit, before any executor sees the block.
+_BLOCK_VALUES = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+_BLOCK_OPS = st.one_of(
+    _BLOCK_VALUES,
+    st.tuples(st.sampled_from(["set", "incr"]), st.sampled_from(["a", "b", 1]), _BLOCK_VALUES),
+    st.tuples(st.sampled_from(["del", "noop", "set", "incr"]), st.sampled_from(["a", "b"])),
+    st.tuples(st.sampled_from(["noop", "del", "bogus"])),
+)
+_ITEMS = st.one_of(
+    st.builds(Transaction, _TXIDS, _BLOCK_OPS),
+    st.sampled_from(["not a txn", 7, None]),
+)
+_PAYLOADS = st.one_of(
+    st.lists(_ITEMS, max_size=5).map(tuple),
+    st.just(()),
+    st.sampled_from(["synthetic", None, 3]),
+)
+
+
+def _linked(payloads: list[object]) -> tuple[Block, ...]:
+    blocks: list[Block] = []
+    parent = GENESIS_DIGEST
+    for slot, payload in enumerate(payloads, start=1):
+        blocks.append(Block.create(slot, parent, payload))
+        parent = blocks[-1].digest
+    return tuple(blocks)
+
+
+@given(payloads=st.lists(_PAYLOADS, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_replica_gateway_and_replay_execute_a_chain_alike(payloads):
+    """Txids repeated within and across blocks, items that are not
+    transactions, empty and non-tuple payloads: a replica bootstrapped
+    from the chain, the gateway fed it by f+1 identical replies and the
+    auditor's replay hold the same state and the same applied log, in
+    which each txid of the chain appears once, at its first occurrence."""
+    chain = _linked(payloads)
+    replica = Replica(0, MultiShotConfig(base=ProtocolConfig.create(4), max_slots=16))
+    replica.bootstrap(chain)
+    gateway = GatewayService(types.SimpleNamespace(), GatewayConfig(n=4))
+    reply = CollectReply(
+        node_id=0,
+        chain=chain,
+        state_digest=replica.state_digest(),
+        applied_txids=tuple(replica.store.applied_txids),
+        blocks_applied=len(chain),
+        txns_applied=replica.store.applied_count,
+    )
+    assert gateway.ingest_snapshots({0: reply, 1: reply}) == 2
+    # The reference: each txid's first occurrence, applied one by one.
+    reference, seen = KVStore(), set()
+    for block in chain:
+        if isinstance(block.payload, tuple):
+            for item in block.payload:
+                if isinstance(item, Transaction) and item.txid not in seen:
+                    seen.add(item.txid)
+                    reference.apply(item.txid, item.op)
+    for store in (replica.store, gateway._store, replay_chain(chain)):
+        assert store.applied_txids == reference.applied_txids
+        assert store.state_digest() == reference.state_digest()
+        assert store.items() == reference.items()
