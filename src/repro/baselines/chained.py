@@ -91,11 +91,6 @@ class SlotMessage:
     slot: int
     inner: object
 
-    def wire_size(self) -> int:
-        from repro.metrics.collectors import estimate_wire_size
-
-        return 8 + estimate_wire_size(self.inner)
-
 
 @dataclass(frozen=True)
 class CatchUp:
@@ -103,9 +98,6 @@ class CatchUp:
 
     slot: int
     blocks: tuple[Block, ...]
-
-    def wire_size(self) -> int:
-        return 8 + sum(block.wire_size() for block in self.blocks)
 
 
 class _DeadHandle:

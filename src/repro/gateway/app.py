@@ -53,6 +53,7 @@ from repro.gateway.http import (
 )
 from repro.gateway.ratelimit import AdmissionDenied, RateLimited
 from repro.gateway.service import EVICTED, DuplicateTransaction, GatewayService
+from repro.net.codec import WIRE_CODEC, CodecError
 from repro.smr.mempool import Transaction
 
 #: KVStore operations a client may submit through the gateway.
@@ -62,7 +63,10 @@ def parse_transaction(payload: object) -> Transaction:
     """Validate one submission body into a Transaction.
 
     Expected shape: ``{"txid": str, "op": [kind, ...args]}`` with a
-    kind from :data:`ALLOWED_OPS`.
+    kind from :data:`ALLOWED_OPS`, and a transaction the wire codec can
+    encode: a nested array or object, or a lone surrogate, would fail
+    only later, in the pool's flush, and take every submission queued
+    beside it along.
     """
     if not isinstance(payload, dict):
         raise ProtocolError("submission body must be a JSON object")
@@ -74,7 +78,12 @@ def parse_transaction(payload: object) -> Transaction:
         raise ProtocolError("'op' must be a non-empty array starting with the op kind")
     if op[0] not in ALLOWED_OPS:
         raise ProtocolError(f"unknown op kind {op[0]!r}; allowed: {', '.join(ALLOWED_OPS)}")
-    return Transaction(txid=txid, op=tuple(op))
+    txn = Transaction(txid=txid, op=tuple(op))
+    try:
+        WIRE_CODEC.encode(txn)
+    except (CodecError, UnicodeEncodeError) as exc:
+        raise ProtocolError(f"the transaction has no wire encoding: {exc}") from exc
+    return txn
 
 
 class GatewayServer:

@@ -72,7 +72,9 @@ class Request:
     def json(self) -> object:
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # Bad UTF-8, bad JSON and an int past the interpreter's digit
+        # limit are all ValueErrors.
+        except ValueError as exc:
             raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
     @property

@@ -21,23 +21,19 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 
-def estimate_wire_size(message: object) -> int:
+def estimate_wire_size(value: object) -> int:
     """Best-effort serialized size of a message, in bytes.
 
-    Message classes may implement ``wire_size() -> int`` to report an
-    exact figure (the PBFT view-change message does, since its O(n)
-    payload is the point of the Table 1 comparison).  Otherwise we
-    charge 8 bytes per scalar field and recurse into tuples — a crude
+    A value at any nesting level may implement ``wire_size() -> int``
+    (the PBFT view-change and pre-proposal rounds do: their modelled
+    O(n) payloads are the point of the Table 1 comparison).  Otherwise
+    we charge 8 bytes per number and recurse into containers — a crude
     but growth-accurate estimator: what the evaluation fits is the
     *exponent* of bytes-vs-n curves, not absolute constants.
     """
-    size_fn = getattr(message, "wire_size", None)
+    size_fn = getattr(value, "wire_size", None)
     if callable(size_fn):
         return int(size_fn())
-    return _generic_size(message)
-
-
-def _generic_size(value: object) -> int:
     if value is None:
         return 1
     if isinstance(value, (bool, int, float)):
@@ -45,16 +41,16 @@ def _generic_size(value: object) -> int:
     if isinstance(value, (str, bytes)):
         return max(1, len(value))
     if isinstance(value, (tuple, list, frozenset, set)):
-        return sum(_generic_size(item) for item in value)
+        return sum(estimate_wire_size(item) for item in value)
     if isinstance(value, dict):
         # Both sides of every entry travel on the wire; flat-charging a
         # scalar here would undercount dict-carrying messages.
         return sum(
-            _generic_size(key) + _generic_size(item) for key, item in value.items()
+            estimate_wire_size(key) + estimate_wire_size(item) for key, item in value.items()
         )
     if hasattr(value, "__dataclass_fields__"):
         fields = value.__dataclass_fields__  # type: ignore[attr-defined]
-        return sum(_generic_size(getattr(value, name)) for name in fields)
+        return sum(estimate_wire_size(getattr(value, name)) for name in fields)
     return 8
 
 

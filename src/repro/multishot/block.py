@@ -2,12 +2,15 @@
 
 Blocks carry a slot number and a pointer to their parent, "linked
 sequentially via hash pointers, collectively forming a chain" (§2).
-The digest is a content hash over (slot, parent digest, payload) and,
-with no signatures, a block's only name.  :class:`Block` alone computes
-it and refuses a digest that disagrees with the contents.  Voting,
-execution, WAL recovery, :func:`linked_run` and the gateway's f+1 rule
-rely on its collision resistance, which 64 bits over ``repr`` only
-approximate.
+The digest, with no signatures a block's only name, is the SHA-256 hex
+of the codec's bytes for (slot, parent digest, payload), those between
+a block's header and its digest field in every frame and WAL record; a
+decoded block hashes the bytes it arrived in (:meth:`Block.from_span`).
+:class:`Block` alone computes it and refuses a digest that disagrees
+with the contents.  Voting, execution, WAL recovery, :func:`linked_run`
+and the gateway's f+1 rule rely on it: 256 bits over a canonical
+encoding leave a SHA-256 collision (~2^128 hashes) as the only way to
+name two blocks alike, and any op a socket delivers has a digest.
 """
 
 from __future__ import annotations
@@ -21,9 +24,13 @@ Digest = str
 GENESIS_DIGEST: Digest = "genesis"
 
 
-def _compute_digest(slot: int, parent: Digest, payload: object) -> Digest:
-    material = f"{slot}|{parent}|{payload!r}".encode()
-    return hashlib.sha256(material).hexdigest()[:16]
+def content_digest(values: tuple) -> Digest:
+    """SHA-256 hex of the wire codec's encoding of ``values``' items."""
+    from repro.net.codec import WIRE_CODEC  # its registry imports this module
+
+    buf = bytearray()
+    WIRE_CODEC._encode_items(values, buf)
+    return hashlib.sha256(buf).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class Block:
     digest: Digest = field(default="")
 
     def __post_init__(self) -> None:
-        digest = _compute_digest(self.slot, self.parent, self.payload)
+        digest = content_digest((self.slot, self.parent, self.payload))
         if self.digest and self.digest != digest:
             raise ValueError(
                 f"block digest {self.digest!r} does not match its contents ({digest!r})"
@@ -49,11 +56,19 @@ class Block:
     def create(cls, slot: int, parent: Digest, payload: object) -> "Block":
         return cls(slot=slot, parent=parent, payload=payload)
 
-    def wire_size(self) -> int:
-        """Slot + two digests + a payload reference (constant here; the
-        SMR layer's payloads dominate in practice)."""
-        payload_size = len(repr(self.payload))
-        return 8 + 2 * 16 + payload_size
+    @classmethod
+    def from_span(cls, span: bytes, slot, parent, payload, digest) -> "Block":
+        """A decoded block; ``span`` holds the bytes its other fields came from."""
+        if digest != hashlib.sha256(span).hexdigest():
+            raise ValueError(f"block digest {digest!r} does not match its contents")
+        # Field by field, as the dataclass __init__ does: touching
+        # __dict__ would give each block a dict of its own, twice the size.
+        block = object.__new__(cls)
+        object.__setattr__(block, "slot", slot)
+        object.__setattr__(block, "parent", parent)
+        object.__setattr__(block, "payload", payload)
+        object.__setattr__(block, "digest", digest)
+        return block
 
 
 def linked_run(blocks, height: int, tip: Digest) -> tuple[Block, ...]:

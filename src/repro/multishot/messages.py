@@ -30,9 +30,6 @@ class MSProposal:
     view: int
     block: Block
 
-    def wire_size(self) -> int:
-        return 16 + self.block.wire_size()
-
 
 @dataclass(frozen=True)
 class MSVote:
@@ -106,12 +103,6 @@ class VoteBatch:
 
     def logical_messages(self) -> tuple:
         return self.messages
-
-    def wire_size(self) -> int:
-        from repro.metrics.collectors import estimate_wire_size
-
-        # Envelope overhead is a length word; payloads dominate.
-        return 4 + sum(estimate_wire_size(m) for m in self.messages)
 
 
 MultiShotMessage = MSProposal | MSVote | MSViewChange | MSSuggest | MSProof

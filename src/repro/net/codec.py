@@ -12,8 +12,10 @@ deployment subsystem leans on:
   auditable, and free of arbitrary-code-execution deserialization.
 * **Determinism** — the same message object always encodes to the same
   bytes (fields are written in dataclass declaration order with a
-  tag-based value encoding), so encode→decode round-trips are
-  byte-stable and frames can be hashed for trace comparison.
+  tag-based value encoding), and the decoder is canonical:
+  ``encode(decode(b)) == b`` for every ``b`` it accepts.  So frames can
+  be hashed, and a decoded block is named by hashing the span it
+  arrived in (:mod:`repro.multishot.block`).
 * **Versioning** — every frame carries a magic byte and a format
   version; a mismatch is a hard error rather than a garbled decode, so
   rolling a cluster across incompatible builds fails loudly.
@@ -31,6 +33,13 @@ is the message's fields, each encoded with a one-byte tag:
 
 Sets, dicts and unregistered objects are rejected: their iteration
 order (or identity) would break byte stability.
+
+Canonical, tag by tag: ``N``/``T``/``F`` are fixed, ``P`` only a Phase,
+``I``/``B`` any bytes; ``J`` only outside 64 bits and ``(bit_length + 8)
+// 8`` bytes long, as the encoder writes it; ``D`` copies a double bit
+for bit, NaN payloads and ``-0.0`` included (a digest binds bytes, never
+compares floats); ``S`` is strict UTF-8 (no overlong form, no
+surrogate); ``U``/``C`` are a count or type id, then items.
 
 The encoder dispatches on a value's exact type (plain int, str, tuple,
 registered dataclass) and packs tag and value with one ``struct`` call.
@@ -70,7 +79,9 @@ from repro.errors import ReproError
 #: cpu_seconds, run_seconds, flush_stats, recovered_blocks) collapsed
 #: into one sorted ``metrics`` payload of (name, value) pairs drawn
 #: from the replica's obs registry.
-WIRE_VERSION = 5
+#: v6: a Block's digest is SHA-256 over its field bytes; the decoder is
+#: canonical (a J that fits in 64 bits or is padded no longer decodes).
+WIRE_VERSION = 6
 
 #: First byte of every frame body; guards against a stray TCP client.
 MAGIC = 0xB7
@@ -143,19 +154,22 @@ class WireCodec:
 
     def __init__(self) -> None:
         self._id_by_type: dict[type, int] = {}
-        # Decoding: type id -> (class, field count).
-        self._layouts: dict[int, tuple[type, int]] = {}
+        # Decoding: type id -> (class, field count, span constructor or None).
+        self._layouts: dict[int, tuple[type, int, Callable | None]] = {}
         # Encoding a nested value: class -> (its C tag and type id, one
         # call returning its field values as a tuple in declaration order).
         self._nested: dict[type, tuple[bytes, Callable[[object], tuple]]] = {}
 
     # -- registry -------------------------------------------------------------
 
-    def register(self, type_id: int, cls: type) -> None:
+    def register(self, type_id: int, cls: type, from_span: Callable | None = None) -> None:
         """Register ``cls`` (a dataclass) under ``type_id``.
 
         Registration is explicit and collision-checked: the wire format
         is a contract, not a reflection of whatever happens to import.
+
+        A class whose last field names the others by their bytes (a Block)
+        decodes as ``from_span(bytes of the others, *values)``.
         """
         if not is_dataclass(cls):
             raise CodecError(f"only dataclasses can cross the wire, got {cls!r}")
@@ -170,7 +184,7 @@ class WireCodec:
             raise CodecError(f"type id must fit in 16 bits, got {type_id}")
         self._id_by_type[cls] = type_id
         names = [f.name for f in fields(cls)]
-        self._layouts[type_id] = (cls, len(names))
+        self._layouts[type_id] = (cls, len(names), from_span)
         self._nested[cls] = (_TAG_U16.pack(0x43, type_id), _values_getter(names))
 
     @property
@@ -318,9 +332,7 @@ class WireCodec:
                     f"wire version mismatch: frame is v{version}, this build "
                     f"speaks v{WIRE_VERSION}"
                 )
-            cls, arity = self._layouts[type_id]
-            values, pos = self._decode_items(arity, body, 4, 1)
-            message = cls(*values)
+            message, pos = self._decode_fields(self._layouts[type_id], body, 4, 1)
         except (struct.error, IndexError) as exc:
             raise CodecError(f"truncated frame: {exc}") from exc
         except KeyError as exc:  # the only lookup: type id -> layout
@@ -328,14 +340,24 @@ class WireCodec:
         except ValueError as exc:  # UnicodeDecodeError, Phase(...), ...
             raise CodecError(f"garbled frame payload: {exc}") from exc
         if pos != len(body):
-            raise CodecError(f"{len(body) - pos} trailing bytes after decoding {cls.__name__}")
+            raise CodecError(f"{len(body) - pos} trailing bytes after {type(message).__name__}")
         return message
+
+    def _decode_fields(self, layout: tuple, data: bytes, pos: int, depth: int):
+        """One registered object from ``pos``; returns (object, next position)."""
+        cls, arity, from_span = layout
+        if from_span is None:
+            values, pos = self._decode_items(arity, data, pos, depth)
+            return cls(*values), pos
+        values, end = self._decode_items(arity - 1, data, pos, depth)
+        last, after = self._decode_items(1, data, end, depth)
+        return from_span(data[pos:end], *values, *last), after
 
     def _decode_items(self, count: int, data: bytes, pos: int, depth: int):
         """``count`` consecutive values from ``pos``; returns (list,
-        next position).  I, S, U and C are decoded inline, recursing
-        only into a nested U or C; the rarer tags go to
-        :meth:`_decode_scalar`."""
+        next position).  I, S and U are decoded inline, recursing only
+        into a nested U; a C goes to :meth:`_decode_fields` and the
+        rarer tags to :meth:`_decode_scalar`."""
         if depth > MAX_DEPTH:
             raise CodecError(f"value nesting deeper than MAX_DEPTH ({MAX_DEPTH})")
         size = len(data)
@@ -359,9 +381,9 @@ class WireCodec:
                 values, pos = self._decode_items(length, data, pos + 5, depth + 1)
                 append(tuple(values))
             elif tag == 0x43:  # C
-                cls, arity = self._layouts[_U16.unpack_from(data, pos + 1)[0]]
-                values, pos = self._decode_items(arity, data, pos + 3, depth + 1)
-                append(cls(*values))
+                layout = self._layouts[_U16.unpack_from(data, pos + 1)[0]]
+                value, pos = self._decode_fields(layout, data, pos + 3, depth + 1)
+                append(value)
             else:
                 value, pos = _decode_scalar(tag, data, pos + 1)
                 append(value)
@@ -387,7 +409,10 @@ def _decode_scalar(tag: int, data: bytes, pos: int) -> tuple[object, int]:
             raise CodecError(f"truncated frame: value runs past byte {len(data)}")
         raw = data[pos + 4 : end]
         if tag == 0x4A:
-            return int.from_bytes(raw, "big", signed=True), end
+            value = int.from_bytes(raw, "big", signed=True)
+            if _I64_MIN <= value <= _I64_MAX or len(raw) != (value.bit_length() + 8) // 8:
+                raise CodecError(f"non-canonical big int of {len(raw)} bytes")
+            return value, end
         return raw, end
     raise CodecError(f"unknown value tag {bytes((tag,))!r} at offset {pos - 1}")
 
@@ -689,7 +714,7 @@ def wire_codec() -> WireCodec:
     codec.register(15, BlockExecuted)
     # Shared nested structures.
     codec.register(16, VoteRecord)
-    codec.register(17, Block)
+    codec.register(17, Block, from_span=Block.from_span)
     codec.register(18, Transaction)
     # Basic (single-shot) TetraBFT.
     codec.register(32, Proposal)

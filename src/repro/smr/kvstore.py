@@ -32,20 +32,18 @@ shape, an unknown kind or a key that is not a ``str`` (keys are sorted
 for the digest), when it ``incr``s a non-integer cell, or when a value
 it would store is anything but ``None``, a bool, a float, a str, bytes,
 an int of at most :data:`MAX_INT_BITS` bits or a tuple of these (the
-digest ``repr``s every cell: these are the plain values the wire codec
-decodes, whose ``repr`` is the same in every process, and Python refuses
-to render ints past a few thousand digits).
+plain values the digest's codec encoding covers; :data:`MAX_INT_BITS`
+bounds a cell's size, and the codec carries wider ints).
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any
 
-from repro.multishot.block import Block
+from repro.multishot.block import Block, content_digest
 from repro.smr.mempool import Transaction
 
-#: Widest int a cell may hold, so the digest can always render it.
+#: Widest int a cell may hold: no write grows a cell without bound.
 MAX_INT_BITS = 4096
 
 
@@ -133,7 +131,6 @@ class KVStore:
         return sorted(self._data.items())
 
     def state_digest(self) -> str:
-        """Order-independent digest of the current map plus the applied
-        log order — two replicas agree iff their digests agree."""
-        material = repr(sorted(self._data.items())) + "|" + repr(list(self._applied))
-        return hashlib.sha256(material.encode()).hexdigest()[:16]
+        """Digest of the sorted map plus the applied log order — two
+        replicas agree iff their digests agree."""
+        return content_digest((tuple(sorted(self._data.items())), tuple(self._applied)))

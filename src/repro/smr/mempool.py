@@ -31,9 +31,6 @@ class Transaction:
     txid: str
     op: object
 
-    def wire_size(self) -> int:
-        return len(self.txid) + len(repr(self.op))
-
 
 class Mempool:
     """FIFO pool of unexecuted transactions; :meth:`add` refuses a txid

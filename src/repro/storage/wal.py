@@ -33,7 +33,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from repro.multishot.block import Block
-from repro.net.codec import MAX_FRAME, WIRE_CODEC, CodecError, WalAppend
+from repro.net.codec import MAGIC, MAX_FRAME, WIRE_CODEC, WIRE_VERSION, CodecError, WalAppend
 
 _U32 = struct.Struct(">I")
 
@@ -53,14 +53,24 @@ def scan_wal(data: bytes) -> Iterator[tuple[WalAppend, int]]:
     trusted (it was fsynced as a prefix), everything at and after it is
     not.  The log is torn when the last offset yielded falls short of
     ``len(data)``.
+
+    A complete record another wire version wrote is not a torn tail: it
+    raises :class:`~repro.net.codec.CodecError`, so recovery refuses to
+    start rather than cut a whole log aside and begin from genesis.
     """
     pos = 0
     while len(data) - pos >= 4:
         (length,) = _U32.unpack_from(data, pos)
         if length > MAX_FRAME or len(data) - pos - 4 < length:
             return
+        body = data[pos + 4 : pos + 4 + length]
+        if length >= 2 and body[0] == MAGIC and body[1] != WIRE_VERSION:
+            raise CodecError(
+                f"WAL record at byte {pos} is wire v{body[1]}, this build speaks "
+                f"v{WIRE_VERSION}: refusing to recover from a log another version wrote"
+            )
         try:
-            message = WIRE_CODEC.decode(data[pos + 4 : pos + 4 + length])
+            message = WIRE_CODEC.decode(body)
         except CodecError:
             return
         if not isinstance(message, WalAppend):

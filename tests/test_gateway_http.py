@@ -25,7 +25,7 @@ from repro.gateway.http import (
 )
 from repro.gateway.service import GatewayConfig, GatewayService
 from repro.multishot.block import GENESIS_DIGEST, Block
-from repro.net.codec import ClientSubmitBatch, CommitAck, MetricsReply
+from repro.net.codec import WIRE_CODEC, ClientSubmit, ClientSubmitBatch, CommitAck, MetricsReply
 from repro.smr.mempool import Transaction
 
 from tests.test_gateway_service import FakeClock, StubPool, _chain, _reply
@@ -88,6 +88,11 @@ def test_parse_transaction_validates_shape():
         {"txid": "a", "op": []},  # empty op
         {"txid": "a", "op": "set"},  # not an array
         {"txid": "a", "op": ["shutdown"]},  # unknown kind
+        # No wire encoding: the pool's flush would raise on these.
+        {"txid": "a", "op": ["set", "k", [1, 2]]},  # nested array
+        {"txid": "a", "op": ["set", "k", {"x": 1}]},  # nested object
+        {"txid": "a", "op": ["set", "\ud800", 1]},  # lone surrogate
+        {"txid": "\ud800", "op": ["noop"]},
     ):
         with pytest.raises(ProtocolError):
             parse_transaction(bad)
@@ -228,6 +233,71 @@ def test_a_malformed_request_gets_a_400_and_the_server_keeps_serving():
         fresh = HTTPClient(server.host, server.port)
         assert (await fresh.request("GET", "/v1/health")).status == 200
         fresh.close()
+        await service.stop()
+        await server.stop()
+        assert errors == []
+
+    run(scenario)
+
+
+def test_a_json_int_past_the_digit_limit_gets_a_400():
+    """``json.loads`` refuses an int of more than 4,300 digits with a
+    plain ValueError, not a JSONDecodeError: the client still gets its
+    400, and the loop logs nothing."""
+
+    async def scenario():
+        errors = _watch_loop_errors()
+        server, service, _pool = await _started_server()
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        body = b'{"txid":"t","op":["set","k",' + b"9" * 5000 + b"]}"
+        writer.write(
+            b"POST /v1/transactions HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode()
+            + b"\r\n\r\n"
+            + body
+        )
+        status, reply = await _read_response(reader)
+        assert status == 400 and b"bad_request" in reply
+        writer.close()
+        await service.stop()
+        await server.stop()
+        assert errors == []
+
+    run(scenario)
+
+
+def test_an_unencodable_submission_does_not_drop_its_tick():
+    """One tick's submissions leave the pool as one frame.  A body the
+    codec cannot encode used to be accepted and then raise inside that
+    frame's flush, after the queue was emptied, so every submission of
+    the tick, from any client, was lost.  Now it gets a 400 and the
+    others go out and commit."""
+
+    async def scenario():
+        errors = _watch_loop_errors()
+        server, service, pool = await _started_server(rate=1000.0, burst=1000.0)
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        bodies = [
+            b'{"txid":"good","op":["set","k",1]}',
+            b'{"txid":"nested","op":["set","k",[1,2]]}',
+            b'{"txid":"surrogate","op":["set","\\ud800",1]}',
+        ]
+        requests = []
+        for k, body in enumerate(bodies):
+            head = f"POST /v1/transactions HTTP/1.1\r\nx-client-id: c{k}\r\n"
+            requests.append(head.encode() + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+        writer.write(b"".join(requests))
+        statuses = [(await _read_response(reader))[0] for _ in bodies]
+        assert statuses == [202, 400, 400]
+        await asyncio.sleep(0)
+        assert pool.sent == [ClientSubmit(Transaction("good", ("set", "k", 1)))]
+        WIRE_CODEC.encode_frame(pool.sent[0])
+        _commit(service, "good")
+        client = HTTPClient(server.host, server.port)
+        committed = await client.request("GET", "/v1/transactions/good")
+        assert committed.json()["status"] == "committed"
+        client.close()
+        writer.close()
         await service.stop()
         await server.stop()
         assert errors == []

@@ -179,14 +179,17 @@ def test_deepest_admitted_transaction_finalizes_and_survives_the_wal(tmp_path):
 
 def test_writes_that_cannot_apply_neither_stop_the_cluster_nor_tear_the_wal(tmp_path):
     """``set k "x"``, then ``incr k 1`` on that string, then ``set``
-    without a value: each is a no-op that consumes its txid.  Every
-    write, those three included, is acked by f+1 replicas, the chains
+    without a value, then a ``set`` of an int with more digits than
+    ``repr`` renders (which once stopped every leader in
+    ``Block.create``): each is a no-op that consumes its txid.  Every
+    write, those four included, is acked by f+1 replicas, the chains
     agree, and every data dir recovers at least the whole collected
     chain with no torn tail."""
     poison = [
         Transaction("poison-set", ("set", "k", "x")),
         Transaction("poison-incr", ("incr", "k", 1)),
         Transaction("poison-arity", ("set", "k")),
+        Transaction("poison-wide", ("set", "k", 1 << 20_000)),
     ]
     schedule = [(k / 10.0, txn) for k, txn in enumerate(poison)]
     schedule += [(0.3 + k / 10.0, txn) for k, (_, txn) in enumerate(_schedule(30))]

@@ -288,48 +288,51 @@ def test_encoding_is_deterministic_across_codec_instances():
 #: SHA-256 over ``encode_frame`` of ``GENERATORS[cls](random.Random(seed))``
 #: for seeds 0-299, per registered type name.  Pinned when the encoder
 #: was rewritten, from the encoder it replaced: a byte-identity check
-#: over ten thousand frames, not five.
+#: over ten thousand frames, not five.  Re-pinned at v6, where every
+#: frame's version byte and every Block's digest moved; with the byte set
+#: back to 5 and the v5 digest patched in, the v6 encoder still produces
+#: the v5 pins, so nothing else in the format moved.
 FRAME_DIGESTS = {
-    "Hello": "8c717bc55932aa116a41c742ba8e16cf93488e6eeb5bd1a33d49a5f6ab94f120",
-    "ClientSubmit": "3616a6083f8ec4c009fa20546889aebe25bc9b489caca6d48fd19c3c2965c4ff",
-    "StartRun": "c6788231900f142173784ea6ee5b0499548a096cfe94137fcde57c8e3d4df214",
-    "CommitAck": "508fd24902218b5af4a64d9c82726b1fea1eee677908e318c8f47d104b069657",
-    "CollectRequest": "a49540f0482da9486c9a5ee9a10a20a22b54c9db91a1ab736075c8c1acfe63a1",
-    "CollectReply": "da5f3ea2f9c1a84e9eae9666f293f5c205766bec40eae1bd180c06015ac9080a",
-    "SnapshotRequest": "61721236d3454f9f75baffe88995ac49afc0032ae71262df97483abba1858428",
-    "ClientSubmitBatch": "b91b590b2625dd72ffd836a4e91b68c2264f2722705d8d626b76d08d09e7dba1",
-    "StateTransferRequest": "3ff681acd54847d72848f15c1d1f093848a17d6ca3a5455a859f9f0cd56066d7",
-    "StateTransferReply": "0f739b822357dedc820f2f8de48dbbf8d3929d7fdf0e783660360c31e3cf90d9",
-    "MetricsRequest": "cd4032f9cd9244f39cbcd3e5d12fb645c221342eb18522197794877c838747dd",
-    "MetricsReply": "65b0c862151b29d691d7dda99177e4d89deeb22241efbc917626db861d3a0ad5",
-    "CommitAckBatch": "bc887e52a70a256b05cfd33752c100b7cff448be530ce604f7880e053f32f229",
-    "Follow": "2dc69807acba670a7a7bbeb949da7ed92dbe28737e3ff71e72edd84917386dda",
-    "BlockExecuted": "808661e8873e75bdabfe8518850a46370485ce1b61c01f7bddb12870f989383d",
-    "VoteRecord": "e5965c410bfc7e1a98b38a856a4afda66dc1ca38050ae256cd5bac32006a96db",
-    "Block": "ec1ed5b2a677a8b4f6f6233173744b292f16246dbb9a8b2db680c6c267f4a300",
-    "Transaction": "d1655f482ac2a6c21316bf8e72b3d287b487c4a9db1feee78f0dbafb2066771c",
-    "Proposal": "f49d557a67561800c73b8de521e0e9902c1251248a5c33fa1fa419c3bd3b5729",
-    "Vote": "d5b948da72a85790a4c1fd61e948193a728aa6e3ff55b91ff768f122062c9058",
-    "Suggest": "a538a955da205c7922b611021f0e1dbf9c1d30d6cacc38429acc53e317e7cdf8",
-    "Proof": "aa5fdb2af2d25ce6542851ec9637da7e0e030421acc325ac22674a56756c2930",
-    "ViewChange": "40cfc1b428fb41b85901fe7376cd4d9db0a7fd16f24c25b0986d3258d8e34232",
-    "MSProposal": "17c3dedf94ed52e08ce5710155b1153a47da0bd99d53a6eaef878a737c9f8b81",
-    "MSVote": "f645396cad74103955c86d1db3a7a0067a8cf05f5e7ff826cb9a14a17f22ff09",
-    "MSViewChange": "74a3efe20edaf8c93321e0fb78a53fb0a01d86ad23a850ab7e6c48ce66a9d040",
-    "MSSuggest": "11217376c5de404e80a07293dbaff70e5cab796ea7d567a691c53eeb6767bf14",
-    "MSProof": "d9f951069edcf162a5ed0f7dc2d271728d5cb40633868202c212d2a1d0b74e9b",
-    "VoteBatch": "e569677f9d79db054d16592be09c2cf3bd0107b34ed2f436902596093f905af5",
-    "BProposal": "401ac5102a7ae602054bd7463d751acd406d61b2cc19ba0e43c69c93274d3070",
-    "BPhaseVote": "c48dbb6ba613d23d313200317c2f7d1d14184d6e0f80f1ee6be1c7b0a985919d",
-    "BViewChange": "2e907299565d789fd3a9def7d15d180d0c3fe3be722e0e1b443ec0080f287608",
-    "BRound": "a26d6e9ddffab9329a009f64c6b3a4147c77bd5b16a6fcb59348f1a6fa066893",
-    "SlotMessage": "522d40aadafb6da8fef65737a744e0a13a20a8ee15e39f5100ee22e7bc97746c",
-    "CatchUp": "cca62f177de1ea2f794fbf0e04a9d5b58f00682abff68e8c37b6817cd1a7d7ff",
-    "WalAppend": "c589daaa441980a43c69763057bd23dcd3ef6615d8104d3b473c877d15e7f7a5",
+    "Hello": "c8952c9cab3e2a334ca2e841e9ed875d5fba80f2344c7b957996d1bade3af764",
+    "ClientSubmit": "90c349f38915b1f32f0c5355ca26616b97482f10187fc1cecb6d7c1a41b48fc8",
+    "StartRun": "2b28bf9fd2136bfac550a45be2eaf29e130709f6f44ddb6c0f79febd5b3185e7",
+    "CommitAck": "c4509bb57b27b989925ef604676686315cd06a0a8d036da389bd7b21b0d3488b",
+    "CollectRequest": "752ab589e2c23e6aacd9af66ac6b7162fe7253282b4836c784ca8ffb5a977f2f",
+    "CollectReply": "05868a89686c9d575f696de212c972c9a6cdfe8f54be99ea164effd6f0ba5b1f",
+    "SnapshotRequest": "2e686dee68c6f9cdb644e2315a93ea9bb77d41941a5fbfcf547c8cf9a5bab278",
+    "ClientSubmitBatch": "74ee8d787372cc83574f2bd978cbb77941ea21a003ba82ced56f03c48c578188",
+    "StateTransferRequest": "12bff89659cac416f3e28793ccaddc2b023b7ba15a2847b32e500ea22379125f",
+    "StateTransferReply": "be765c8c42b2a4676bd51ba8b421461314304fb99a507e9da9d5758c276cd866",
+    "MetricsRequest": "1d49916005a562c51d8d3678733d0b6d630796f5fa1f4aa84c7435989dc62e8f",
+    "MetricsReply": "53596120bed028eca9fdee248074928e01958dbbdaa066f4a4308b337063de1e",
+    "CommitAckBatch": "3d80f26db22df36e3bb3e27d72428bd4dc16945a7f2f0026f74d43073cc901bc",
+    "Follow": "c73ce9d07b03b7d430603dea3ec0e3a455da9b11a340306204088199251a996b",
+    "BlockExecuted": "23f9e244ff43a43b0752c33ee764c0d2e1d365056c96d8b2d996ebf67894ef4f",
+    "VoteRecord": "afb1c51193c30cd1b9d346000a4f54207b609887c582649fdbc0c36f3dac8212",
+    "Block": "c99dc17b82c48c6bb17faa2a4771856ef823ad93c447cad22c5cee598277925f",
+    "Transaction": "14f91ae713285399dced875d789c3d57e56eda9ee4d67adee4a30f5a0cc58b6c",
+    "Proposal": "8cf2de24847aac0ee54ecf0f65321a1726f62d494fcef01439d672623fe0f9e4",
+    "Vote": "238ad7dca7d3b38c9b42b8c4243ae6e3ec0d8b01e96ae12dce61e4cdc3d484bc",
+    "Suggest": "0ae6b9497452c96aac6eb185f1a2d5cbb4372fcd65f3e3e29ef26108e9afd158",
+    "Proof": "b7467a43aca6912975d31045d74a941aaa1b8258ee3fa76db92fe9b4bb0835ef",
+    "ViewChange": "17c2ce1d6829c9755f2e78b68c79d9c780823544d6ffa992bfdc7293665b0671",
+    "MSProposal": "ef9427f7d1dd7969b468b3278f6d8fc41a8b68cf941ba1e147bfa823f6d79ea6",
+    "MSVote": "16d78683cdc47519347165dbc8f2df7352a684504c8bb78e0861279720f54593",
+    "MSViewChange": "f6f03527c12724976e2b8a981820e257abda7b38b49d3b24745ba1c4094a48ef",
+    "MSSuggest": "bc97ed9e247527fcfac2dc823ef906bb3d037b88654a17c47d50365f2f0de563",
+    "MSProof": "2d7774634eddfe2d0c8ca09beee5d61a8576a18d93ab791042fd4ad8ded38c87",
+    "VoteBatch": "b693a5cbd26b64432166c1513293d4767a599d001e89458aacb09bf02bf7d0ca",
+    "BProposal": "7547e92f335086e212d72d14bd92665ee6e0d85affa6c0c515d8ace62dbf5536",
+    "BPhaseVote": "27614a1f27350fc6750f87a8927f3467be7058fb996e100128e5997423a2803a",
+    "BViewChange": "f75195d6666c72bb84993e6a888b181624e1f8fa476a741e83c757377aaf2e69",
+    "BRound": "2af028540453e9836a208c579d4291666a9e02a94cbb641a5072667abc88f718",
+    "SlotMessage": "938c7b5c13d2bd307bad50ecc822ebb1fde4a5c63ddca52450595f0419658e79",
+    "CatchUp": "dc19e1a58de6a37959cd46c21a86eb4299937482f7dd38547f64f2fa1dffe731",
+    "WalAppend": "ca2713f704bcd158ef28ff8b392b085d87039d286e55ecb80e85510aafa5eea6",
 }
 #: The same frames, every type in type-id order, through one hash (it
 #: moves whenever a type is appended; the per-type pins above do not).
-FRAME_DIGEST_ALL = "08ea8222785e586c3d3afe6fb60c1849504610226d9b45444034a58f259b861e"
+FRAME_DIGEST_ALL = "ce157bb92d42da9f9648dd18ba42d09d52b218b9bb9c0eedbe1fada80988b25b"
 
 
 def test_fuzz_frames_match_the_pinned_digests():
@@ -349,17 +352,17 @@ def test_fuzz_frames_match_the_pinned_digests():
 
 
 def test_golden_frame_pins_the_wire_format():
-    """v5 bytes are a contract: changing them must bump WIRE_VERSION."""
-    assert WIRE_CODEC.encode(ViewChange(7)).hex() == "b7050024490000000000000007"
+    """v6 bytes are a contract: changing them must bump WIRE_VERSION."""
+    assert WIRE_CODEC.encode(ViewChange(7)).hex() == "b7060024490000000000000007"
     assert (
         WIRE_CODEC.encode_frame(MSVote(3, 1, "abcd")).hex()
-        == "0000001fb7050031490000000000000003490000000000000001530000000461626364"
+        == "0000001fb7060031490000000000000003490000000000000001530000000461626364"
     )
     # Aggregated frame: one envelope, two nested (C-tagged) messages.
     assert WIRE_CODEC.encode_frame(
         VoteBatch((MSVote(3, 1, "abcd"), MSViewChange(4, 2)))
     ).hex() == (
-        "0000003cb70500355500000002"
+        "0000003cb70600355500000002"
         "430031490000000000000003490000000000000001530000000461626364"
         "430032490000000000000004490000000000000002"
     )
@@ -370,17 +373,27 @@ def test_golden_commit_ack_batch_frame_pins_the_per_block_ack():
     and the per-block ack's own bytes are a contract from here on."""
     assert WIRE_CODEC.type_id_of(CommitAckBatch) == 13
     assert WIRE_CODEC.encode_frame(CommitAckBatch(2, 7, ("t1", "t2"))).hex() == (
-        "00000029b705000d"
+        "00000029b706000d"
         "490000000000000002490000000000000007"
         "5500000002"
         "5300000002743153000000027432"
     )
     # The singleton ack a one-txid block travels as, for comparison.
     assert WIRE_CODEC.encode(CommitAck(2, "t1", 7)).hex() == (
-        "b7050004490000000000000002"
+        "b7060004490000000000000002"
         "53000000027431"
         "490000000000000007"
     )
+
+
+#: ``Block.create(slot=1, parent="genesis", payload=())``: its slot, parent
+#: and payload as every frame and WAL record carries them, its digest, and
+#: the whole block as a nested value (C header, fields, digest field).
+GENESIS_CHILD_FIELDS = "490000000000000001530000000767656e657369735500000000"
+GENESIS_CHILD_DIGEST = "57969b51070bb79d6f4087b59fce267ee1b91ac90c118a4f15ab6e1d6f5c866b"
+GENESIS_CHILD_VALUE = (
+    "430011" + GENESIS_CHILD_FIELDS + "5300000040" + GENESIS_CHILD_DIGEST.encode().hex()
+)
 
 
 def test_golden_follow_frames_pin_the_block_stream():
@@ -389,13 +402,11 @@ def test_golden_follow_frames_pin_the_block_stream():
     assert WIRE_CODEC.type_id_of(Follow) == 14
     assert WIRE_CODEC.type_id_of(BlockExecuted) == 15
     assert WIRE_CODEC.encode_frame(Follow(since_height=9)).hex() == (
-        "0000000db705000e490000000000000009"
+        "0000000db706000e490000000000000009"
     )
     block = Block.create(slot=1, parent="genesis", payload=())
     assert WIRE_CODEC.encode(BlockExecuted(1, block)).hex() == (
-        "b705000f490000000000000001"
-        "430011490000000000000001530000000767656e65736973550000000053"
-        "0000001066336135376263316139663638333531"
+        "b706000f490000000000000001" + GENESIS_CHILD_VALUE
     )
 
 
@@ -403,11 +414,11 @@ def test_golden_metrics_frames_pin_the_scrape_format():
     """The in-band scrape types are part of the same pinned contract:
     the operator tooling (``python -m repro obs``, the gateway's
     ``/v1/cluster/metrics``) must interoperate across builds."""
-    assert WIRE_CODEC.encode(MetricsRequest()).hex() == "b705000b"
+    assert WIRE_CODEC.encode(MetricsRequest()).hex() == "b706000b"
     assert WIRE_CODEC.encode(
         MetricsReply(node_id=2, items=(("consensus.commits", 40.0),), events=5)
     ).hex() == (
-        "b705000c490000000000000002"
+        "b706000c490000000000000002"
         "550000000155000000025300000011636f6e73656e7375732e636f6d6d697473"
         "444044000000000000490000000000000005"
     )
@@ -419,13 +430,19 @@ def test_golden_durability_frames_pin_the_wal_format():
     every existing data dir, not just break a live connection)."""
     block = Block.create(slot=1, parent="genesis", payload=())
     assert WIRE_CODEC.encode(WalAppend(seq=5, block=block)).hex() == (
-        "b7050050490000000000000005"
-        "430011490000000000000001530000000767656e65736973550000000053"
-        "0000001066336135376263316139663638333531"
+        "b7060050490000000000000005" + GENESIS_CHILD_VALUE
     )
     assert WIRE_CODEC.encode(StateTransferRequest(since_slot=3)).hex() == (
-        "b7050009490000000000000003"
+        "b7060009490000000000000003"
     )
+
+
+def test_a_block_digest_is_sha256_over_its_pinned_field_bytes():
+    """A block's name is the hash of the bytes between its C header and
+    its digest field in the pinned frames above: no second encoding."""
+    block = Block.create(slot=1, parent="genesis", payload=())
+    assert block.digest == hashlib.sha256(bytes.fromhex(GENESIS_CHILD_FIELDS)).hexdigest()
+    assert block.digest == GENESIS_CHILD_DIGEST
 
 
 # -- hard errors --------------------------------------------------------------
@@ -717,7 +734,8 @@ def test_mutated_frames_decode_or_raise_codec_error():
     """A seeded mutation fuzzer over every golden frame and one fuzz
     frame per registered type: whatever a hostile peer sends, the
     readers (which catch only OSError, ConnectionError and CodecError)
-    see a message or a CodecError, never any other exception."""
+    see a message or a CodecError, never any other exception, and a
+    mutant that decodes re-encodes to its own bytes."""
     rng = random.Random("codec-mutations")
     seeds = [WIRE_CODEC.encode(m) for m in _GOLDEN]
     seeds += [WIRE_CODEC.encode(GENERATORS[cls](rng)) for cls in WIRE_CODEC.registered_types]
@@ -727,10 +745,13 @@ def test_mutated_frames_decode_or_raise_codec_error():
         for _ in range(300):
             mutant = _mutate(rng, body, rng.choice(seeds))
             try:
-                WIRE_CODEC.decode(mutant)
-                outcomes["decoded"] += 1
+                decoded = WIRE_CODEC.decode(mutant)
             except CodecError:
                 outcomes["rejected"] += 1
+            else:
+                outcomes["decoded"] += 1
+                # The decoder is canonical: what it accepts, the encoder wrote.
+                assert WIRE_CODEC.encode(decoded) == mutant
             # The same bytes behind a length word the stream reader trusts.
             try:
                 FrameBuffer(WIRE_CODEC).feed(len(mutant).to_bytes(4, "big") + mutant)
@@ -756,6 +777,54 @@ def test_big_integers_round_trip():
     assert WIRE_CODEC.decode(WIRE_CODEC.encode(message)) == message
     negative = Proposal(view=1, value=-huge)
     assert WIRE_CODEC.decode(WIRE_CODEC.encode(negative)) == negative
+
+
+def _hello_body(tail: bytes) -> bytes:
+    return bytes((MAGIC, WIRE_VERSION, 0, 1)) + tail
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"",  # zero
+        b"\x05",  # fits in 64 bits: the encoder writes I
+        ((1 << 63) - 1).to_bytes(9, "big", signed=True),
+        b"\x00" + (1 << 64).to_bytes(9, "big", signed=True),  # padded
+        b"\xff" + (-(1 << 64)).to_bytes(9, "big", signed=True),  # sign-extended
+        (-(1 << 71)).to_bytes(9, "big", signed=True),  # shorter than the encoder writes
+    ],
+    ids=["empty", "small", "i64-max", "zero-padded", "sign-extended", "short"],
+)
+def test_a_big_int_decodes_only_in_the_encoders_bytes(raw):
+    """J is canonical: one int, one byte string, or a block could be
+    re-sent under bytes its digest does not hash."""
+    with pytest.raises(CodecError, match="non-canonical big int"):
+        WIRE_CODEC.decode(_hello_body(b"J" + len(raw).to_bytes(4, "big") + raw))
+    for value in (1 << 64, -(1 << 64), -(1 << 71), (1 << 63), -(1 << 63) - 1):
+        body = WIRE_CODEC.encode(Hello(value))
+        assert WIRE_CODEC.encode(WIRE_CODEC.decode(body)) == body
+
+
+def test_every_float_bit_pattern_re_encodes_to_itself():
+    """D copies an IEEE double both ways, so NaN payloads and -0.0 stay
+    canonical: the decoder has no float to reject."""
+    for bits in (0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123, 1 << 63):
+        body = _hello_body(b"D" + bits.to_bytes(8, "big"))
+        assert WIRE_CODEC.encode(WIRE_CODEC.decode(body)) == body
+
+
+def test_decoding_a_block_hashes_its_bytes_and_encodes_nothing(monkeypatch):
+    """A decoded block takes its digest from the span it arrived in: no
+    re-encode at a receiver, on WAL replay or on the follow stream."""
+    block = Block.create(3, "p" * 64, (Transaction("t1", ("set", "k", 1 << 20000)),))
+    messages = [MSProposal(3, 0, block), WalAppend(seq=1, block=block)]
+    frames = [WIRE_CODEC.encode(message) for message in messages]
+
+    def refuse(self, values, buf):
+        raise AssertionError("decoding encoded a value")
+
+    monkeypatch.setattr(WireCodec, "_encode_items", refuse)
+    assert [WIRE_CODEC.decode(frame) for frame in frames] == messages
 
 
 # -- framing ------------------------------------------------------------------

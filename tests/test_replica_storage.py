@@ -21,7 +21,15 @@ from repro.errors import ProtocolViolation
 from repro.multishot import MultiShotConfig, MultiShotNode
 from repro.multishot.block import GENESIS_DIGEST, Block, linked_run
 from repro.net.cluster import ClusterConfig, build_specs
-from repro.net.codec import WIRE_CODEC, FrameBuffer, StateTransferRequest, WalAppend
+from repro.net.codec import (
+    MAGIC,
+    WIRE_CODEC,
+    WIRE_VERSION,
+    CodecError,
+    FrameBuffer,
+    StateTransferRequest,
+    WalAppend,
+)
 from repro.net.replica_main import ReplicaProcess
 from repro.obs import MetricsRegistry
 from repro.sim import Simulation, SynchronousDelays
@@ -297,13 +305,33 @@ def test_a_log_led_by_a_retired_seal_recovers_nothing(tmp_path):
     """Type id 81 (the retired WAL seal) no longer decodes: a data dir
     whose log starts with one recovers nothing locally, its log is cut
     to empty, and the replica rebuilds it from slot 1 via peers."""
-    seal = bytes.fromhex("b705005149000000000000000649000000000000000153000000027364")
+    seal = bytes((MAGIC, WIRE_VERSION)) + bytes.fromhex(
+        "005149000000000000000649000000000000000153000000027364"
+    )
     wal_path = tmp_path / "wal.log"
     wal_path.write_bytes(len(seal).to_bytes(4, "big") + seal)
     storage = DiskStorage(tmp_path)
     assert storage.recover() is None
     assert wal_path.read_bytes() == b""
     storage.close()
+
+
+def test_a_log_another_wire_version_wrote_refuses_to_recover(tmp_path):
+    """A complete v5 record is not a torn tail: recovery names both
+    versions and refuses, and the log's bytes stay where they are
+    instead of being cut aside for a restart from genesis."""
+    block = Block.create(1, GENESIS_DIGEST, (Transaction("t1", ("set", "k", 1)),))
+    frame = bytearray(WIRE_CODEC.encode_frame(WalAppend(seq=1, block=block)))
+    assert frame[4:6] == bytes((MAGIC, 6))
+    frame[5] = 5
+    wal_path = tmp_path / "wal.log"
+    wal_path.write_bytes(bytes(frame))
+    storage = DiskStorage(tmp_path)
+    with pytest.raises(CodecError, match="wire v5, this build speaks v6"):
+        storage.recover()
+    storage.close()
+    assert wal_path.read_bytes() == bytes(frame)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["wal.log"]
 
 
 def test_creating_the_log_fsyncs_its_directory(tmp_path, monkeypatch):

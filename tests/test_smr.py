@@ -14,6 +14,7 @@ from repro.multishot import MultiShotConfig
 from repro.core.values import Phase
 from repro.gateway.service import GatewayConfig, GatewayService
 from repro.multishot.block import GENESIS_DIGEST, Block, BlockStore
+from repro.multishot.messages import MSProposal
 from repro.net.codec import WIRE_CODEC, ClientSubmit, CollectReply, FrameBuffer
 from repro.sim import (
     PartialSynchronyPolicy,
@@ -280,8 +281,8 @@ class TestKVStore:
     )
     def test_values_the_digest_cannot_render_are_not_stored(self, bad_op):
         """A non-str key beside str keys would make the digest's sort
-        raise, and an int past Python's repr limit its repr: neither is
-        stored."""
+        raise, an int past MAX_INT_BITS would let one write grow a cell
+        without bound, and a set has no encoding: none is stored."""
         store = KVStore()
         store.apply("1", ("set", "a", "x"))
         assert not store.apply("2", bad_op)
@@ -438,6 +439,33 @@ class TestReplicaIntegration:
             assert replica.store.get("c0") == 4
         assert len({r.state_digest() for r in replicas}) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_write_too_wide_to_render_finalizes_everywhere(self, seed):
+        """A ``set`` of a 20,000-bit int, more digits than Python's
+        ``repr`` renders, once made every leader raise in
+        ``Block.create`` (the digest ``repr``'d the payload), and the
+        cluster stayed at height 0.  The digest hashes codec bytes, so
+        the block forms; the write is a no-op that consumes its txid
+        (wider than MAX_INT_BITS) and every write around it applies."""
+        config = MultiShotConfig(base=ProtocolConfig.create(4), max_slots=40)
+        sim = Simulation(UniformRandomDelays(0.5, 1.0, seed=seed))
+        replicas = [Replica(i, config, max_batch=2) for i in range(4)]
+        for replica in replicas:
+            sim.add_node(replica)
+        txns = [
+            Transaction("before", ("set", "k", 1)),
+            Transaction("big", ("set", "k", 1 << 20_000)),
+        ] + [Transaction(f"ok{k}", ("incr", f"c{k % 3}", 1)) for k in range(12)]
+        for txn in txns:
+            for replica in replicas:
+                replica.submit(txn)
+        sim.run(until=200.0)
+        for replica in replicas:
+            assert sorted(replica.store.applied_txids) == sorted(t.txid for t in txns)
+            assert replica.store.get("k") == 1
+            assert replica.store.get("c0") == 4
+        assert len({r.state_digest() for r in replicas}) == 1
+
     def test_submission_to_single_replica_insufficient_alone(self):
         """A txn submitted only to a non-leader replica executes only
         once that replica gets to lead a slot — eventually it does."""
@@ -579,10 +607,13 @@ class TestExecuteOnce:
 # -- one executor: the replica, the gateway and the replay agree ---------------
 
 _TXIDS = st.sampled_from([f"x{k}" for k in range(5)])
-#: Ops for whole blocks: ints stay within what ``repr`` renders, since a
-#: block digest ``repr``s its payload and ``Block.create`` raises past
-#: that limit, before any executor sees the block.
-_BLOCK_VALUES = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+_BLOCK_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(1 << 20_000), 1 << 20_000)
+    | st.text(max_size=4)
+)
 _BLOCK_OPS = st.one_of(
     _BLOCK_VALUES,
     st.tuples(st.sampled_from(["set", "incr"]), st.sampled_from(["a", "b", 1]), _BLOCK_VALUES),
@@ -642,3 +673,15 @@ def test_replica_gateway_and_replay_execute_a_chain_alike(payloads):
         assert store.applied_txids == reference.applied_txids
         assert store.state_digest() == reference.state_digest()
         assert store.items() == reference.items()
+
+
+@given(op=_OPS)
+@settings(max_examples=200, deadline=None)
+def test_every_op_the_client_port_decodes_has_one_block_digest(op):
+    """``Block.create`` is total over what a replica's client port
+    hands its mempool, and a peer that decodes the proposal names the
+    block as its leader did."""
+    txn = Transaction("t", _decoded(op))
+    block = Block.create(1, GENESIS_DIGEST, (txn,))
+    [proposal] = FrameBuffer(WIRE_CODEC).feed(WIRE_CODEC.encode_frame(MSProposal(1, 0, block)))
+    assert proposal.block.digest == block.digest

@@ -68,6 +68,14 @@ class TestMessageMetrics:
                 return 123
 
         assert estimate_wire_size(Sized()) == 123
+        # The hook is consulted at every nesting level: a modelled O(n)
+        # view change counts the same inside a chained engine's envelope.
+        from repro.baselines.base import BViewChange
+        from repro.baselines.chained import SlotMessage
+
+        view_change = BViewChange("pbft", 1, -1, None, entries=42)
+        assert estimate_wire_size(SlotMessage(3, view_change)) == 8 + view_change.wire_size()
+        assert estimate_wire_size((Sized(), [Sized()])) == 2 * 123
 
     def test_wire_size_dataclass_recursion(self):
         from dataclasses import dataclass
